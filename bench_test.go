@@ -5,6 +5,7 @@
 package specctrl
 
 import (
+	"context"
 	"io"
 	"runtime"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"specctrl/internal/experiments"
 	"specctrl/internal/obs"
 	"specctrl/internal/pipeline"
+	"specctrl/internal/runner"
 	"specctrl/internal/workload"
 )
 
@@ -204,9 +206,20 @@ func BenchmarkAblationSpecHistory(b *testing.B) {
 	}
 }
 
+// passThrough is a CellCache that computes every cell, so benchmarks of
+// the policied experiments time simulation rather than hits in the
+// process-wide memo those cells use when Params.Cache is nil.
+type passThrough struct{}
+
+func (passThrough) GetOrCompute(ctx context.Context, _ string, _ runner.Spec,
+	compute func(context.Context) (experiments.CellResult, error)) (experiments.CellResult, error) {
+	return compute(ctx)
+}
+
 func BenchmarkAblationGating(b *testing.B) {
 	p := benchParams()
 	p.MaxCommitted = 60_000
+	p.Cache = passThrough{}
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.AblationGating(p); err != nil {
 			b.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"specctrl/internal/bpred"
 	"specctrl/internal/conf"
 	"specctrl/internal/gating"
-	"specctrl/internal/isa"
 	"specctrl/internal/metrics"
 	"specctrl/internal/pipeline"
 	"specctrl/internal/policy"
@@ -183,83 +182,37 @@ type AblationGatingResult struct {
 }
 
 // AblationGating sweeps gating thresholds 1..3 with three estimator
-// choices over the suite, using gshare.
+// choices over the suite, using gshare. Every run is a shared policied
+// cell (policied.go): one baseline per workload, plus one cell per
+// (estimator, threshold, workload).
 func AblationGating(p Params) (*AblationGatingResult, error) {
-	ests := []struct {
-		name string
-		mk   func() conf.Estimator
-	}{
-		{"JRS(t=15)", func() conf.Estimator { return conf.NewJRS(conf.DefaultJRS) }},
-		{"SatCnt", func() conf.Estimator { return conf.SatCounters{} }},
-		{"Dist(>3)", func() conf.Estimator { return conf.NewDistance(3) }},
-	}
-	// One cell per (estimator, threshold); each cell rebuilds its own
-	// program set (builders are deterministic, so every cell sees
-	// identical programs).
-	var gridSpecs []runner.Spec
+	ests := []string{"JRS(t=15)", "SatCnt", "Dist(>3)"}
+	runs := suiteRuns("", "")
 	for _, e := range ests {
 		for thr := 1; thr <= 3; thr++ {
-			gridSpecs = append(gridSpecs, runner.Spec{
-				Experiment: "abl-gating", Workload: "suite", Predictor: "gshare",
-				Variant: fmt.Sprintf("%s-thr%d", e.name, thr),
-			})
+			runs = append(runs, suiteRuns(e, policy.Gating{Threshold: thr}.Name())...)
 		}
 	}
-	cells, err := p.runGrid(gridSpecs, func(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
-		var est struct {
-			name string
-			mk   func() conf.Estimator
-		}
-		var thr int
-		for _, e := range ests {
-			for t := 1; t <= 3; t++ {
-				if sp.Variant == fmt.Sprintf("%s-thr%d", e.name, t) {
-					est, thr = e, t
-				}
-			}
-		}
-		if thr == 0 {
-			return CellResult{}, fmt.Errorf("ablation gating: unknown variant %q", sp.Variant)
-		}
-		cfg := p.Pipeline
-		cfg.MaxCommitted = p.MaxCommitted
-		newPred := func() bpred.Predictor { return bpred.NewGshare(p.GshareBits) }
-		progs := map[string]*isa.Program{}
-		var order []string
-		for _, w := range suite() {
-			progs[w.Name] = buildProgram(w, p.BuildIters)
-			order = append(order, w.Name)
-		}
-		p.progress("gating %s threshold %d", est.name, thr)
-		sr, err := gating.EvaluateSuite(
-			gating.Config{Threshold: thr, Pipeline: cfg},
-			progs, policy.Factories{Predictor: newPred, Estimator: est.mk}, order)
-		if err != nil {
-			return CellResult{}, fmt.Errorf("ablation gating %s/%d: %w", est.name, thr, err)
-		}
-		var red, slow float64
-		for _, row := range sr.Rows {
-			red += row.ExtraWorkReduction
-			slow += row.Slowdown
-		}
-		n := float64(len(sr.Rows))
-		return CellResult{Extra: map[string]float64{
-			"reduction": red / n,
-			"slowdown":  slow / n,
-		}}, nil
-	})
+	stats, err := p.policiedStats(runs)
 	if err != nil {
 		return nil, err
 	}
+	n := len(suite())
+	base, stats := stats[:n], stats[n:]
 	res := &AblationGatingResult{}
-	i := 0
 	for _, e := range ests {
 		for thr := 1; thr <= 3; thr++ {
+			var red, slow float64
+			for i, gated := range stats[:n] {
+				r := gating.Result{Baseline: base[i], Gated: gated}
+				red += r.ExtraWorkReduction()
+				slow += r.Slowdown()
+			}
+			stats = stats[n:]
 			res.Points = append(res.Points, GatingPoint{
-				Estimator: e.name, Threshold: thr,
-				Reduction: cells[i].Extra["reduction"], Slowdown: cells[i].Extra["slowdown"],
+				Estimator: e, Threshold: thr,
+				Reduction: red / float64(n), Slowdown: slow / float64(n),
 			})
-			i++
 		}
 	}
 	return res, nil

@@ -430,13 +430,20 @@ func TestAblationSpecHistory(t *testing.T) {
 
 func TestAblationGating(t *testing.T) {
 	p := tp()
-	p.MaxCommitted = 60_000 // 2 runs per (estimator, threshold, app)
+	p.MaxCommitted = 60_000
+	cc := &countingCache{}
+	p.Cache = cc
 	r, err := AblationGating(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Points) != 9 {
 		t.Fatalf("points = %d", len(r.Points))
+	}
+	// One baseline per workload plus one run per (estimator, threshold,
+	// workload).
+	if want := len(suite()) * (1 + 9); cc.computes != want {
+		t.Fatalf("computed %d cells, want %d", cc.computes, want)
 	}
 	// For each estimator, raising the threshold lowers both reduction
 	// and slowdown (monotone trade-off).

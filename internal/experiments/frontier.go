@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"specctrl/internal/bpred"
-	"specctrl/internal/conf"
 	"specctrl/internal/pipeline"
-	"specctrl/internal/policy"
-	"specctrl/internal/runner"
 )
 
 // The frontier experiment maps the speculation-control design space the
@@ -33,19 +28,10 @@ func frontierPolicies() []string {
 	}
 }
 
-// frontierEstimators are the confidence sources the frontier crosses
-// with every policy.
-func frontierEstimators() []struct {
-	name string
-	mk   func() conf.Estimator
-} {
-	return []struct {
-		name string
-		mk   func() conf.Estimator
-	}{
-		{"JRS(t=15)", func() conf.Estimator { return conf.NewJRS(conf.DefaultJRS) }},
-		{"SatCnt", func() conf.Estimator { return conf.SatCounters{} }},
-	}
+// frontierEstimators are the confidence sources (policiedEstimators
+// keys) the frontier crosses with every policy.
+func frontierEstimators() []string {
+	return []string{"JRS(t=15)", "SatCnt"}
 }
 
 // FrontierPoint is one (estimator, policy) operating point, suite means.
@@ -58,115 +44,73 @@ type FrontierPoint struct {
 	IPCLost   float64 // 1 - policied IPC / baseline IPC
 }
 
-// FrontierResult is the frontier table: per estimator, the unpolicied
-// baseline anchors the policied operating points.
+// FrontierResult is the frontier table: the unpolicied baseline anchors
+// every policied operating point.
 type FrontierResult struct {
 	Points []FrontierPoint
 }
 
-// frontierCell is the suite-mean measurement one frontier grid cell
-// produces (baseline cells use the same shape with zero gating).
-const (
-	frontierIPC    = "ipc"     // suite-mean IPC
-	frontierEW     = "ew"      // suite-mean wrong-path / committed
-	frontierSpecOH = "specoh"  // suite-mean misspeculation cycle share
-	frontierGated  = "gated"   // suite-mean gated cycle share
-	frontierBase   = "no-ctrl" // the baseline cell's variant suffix
-)
+// frontierMeans is the suite-mean measurement of one (estimator, policy)
+// point or of the baseline.
+type frontierMeans struct {
+	ipc    float64 // IPC
+	ew     float64 // wrong-path / committed
+	specOH float64 // misspeculation cycle share
+	gated  float64 // gated cycle share
+}
 
-// Frontier sweeps policies x estimators over the suite with gshare, one
-// grid cell per (estimator, policy-or-baseline). Policies perturb fetch
-// timing, so every cell simulates directly — the replay path never
-// applies here — and each cell rebuilds its own programs and components
-// per the grid isolation rules.
+// frontierMean folds one point's per-workload statistics, in suite
+// order, into suite means.
+func frontierMean(stats []*pipeline.Stats) frontierMeans {
+	var m frontierMeans
+	for _, st := range stats {
+		m.ipc += st.IPC()
+		if st.Committed > 0 {
+			m.ew += float64(st.WrongPath) / float64(st.Committed)
+		}
+		m.specOH += st.CycleAccounts.SpeculationOverhead()
+		m.gated += st.CycleAccounts.Fraction(pipeline.BucketGated)
+	}
+	fn := float64(len(stats))
+	return frontierMeans{m.ipc / fn, m.ew / fn, m.specOH / fn, m.gated / fn}
+}
+
+// Frontier sweeps policies x estimators over the suite with gshare.
+// Every run is a shared policied cell (policied.go): one baseline per
+// workload anchors every estimator's operating points, and each
+// (estimator, policy, workload) run is its own cell. Policies perturb
+// fetch timing, so every cell simulates directly — the replay path
+// never applies here.
 func Frontier(p Params) (*FrontierResult, error) {
-	ests := frontierEstimators()
-	variants := append([]string{frontierBase}, frontierPolicies()...)
-	var gridSpecs []runner.Spec
-	for _, e := range ests {
-		for _, v := range variants {
-			gridSpecs = append(gridSpecs, runner.Spec{
-				Experiment: "frontier", Workload: "suite", Predictor: "gshare",
-				Variant: e.name + "|" + v,
-			})
+	runs := suiteRuns("", "")
+	for _, e := range frontierEstimators() {
+		for _, spec := range frontierPolicies() {
+			runs = append(runs, suiteRuns(e, spec)...)
 		}
 	}
-	cells, err := p.runGrid(gridSpecs, func(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
-		estName, spec, ok := strings.Cut(sp.Variant, "|")
-		if !ok {
-			return CellResult{}, fmt.Errorf("frontier: bad variant %q", sp.Variant)
-		}
-		var mk func() conf.Estimator
-		for _, e := range ests {
-			if e.name == estName {
-				mk = e.mk
-			}
-		}
-		if mk == nil {
-			return CellResult{}, fmt.Errorf("frontier: unknown estimator %q", estName)
-		}
-		var pol pipeline.Policy
-		if spec != frontierBase {
-			var err error
-			if pol, err = policy.Parse(spec); err != nil {
-				return CellResult{}, fmt.Errorf("frontier: %w", err)
-			}
-		}
-		p.progress("frontier %s %s", estName, spec)
-		var ipc, ew, specOH, gated float64
-		n := 0
-		for _, w := range suite() {
-			cfg := p.Pipeline
-			cfg.MaxCommitted = p.MaxCommitted
-			cfg.Estimators = []conf.Estimator{mk()}
-			cfg.Policy = pol
-			sim, err := pipeline.New(cfg, buildProgram(w, p.BuildIters), bpred.NewGshare(p.GshareBits))
-			if err != nil {
-				return CellResult{}, fmt.Errorf("frontier %s: %w", sp.Key(), err)
-			}
-			st, err := sim.Run()
-			if err != nil {
-				return CellResult{}, fmt.Errorf("frontier %s/%s: %w", sp.Key(), w.Name, err)
-			}
-			ipc += st.IPC()
-			if st.Committed > 0 {
-				ew += float64(st.WrongPath) / float64(st.Committed)
-			}
-			specOH += st.CycleAccounts.SpeculationOverhead()
-			gated += st.CycleAccounts.Fraction(pipeline.BucketGated)
-			n++
-		}
-		fn := float64(n)
-		return CellResult{Extra: map[string]float64{
-			frontierIPC:    ipc / fn,
-			frontierEW:     ew / fn,
-			frontierSpecOH: specOH / fn,
-			frontierGated:  gated / fn,
-		}}, nil
-	})
+	stats, err := p.policiedStats(runs)
 	if err != nil {
 		return nil, err
 	}
-
+	n := len(suite())
+	base := frontierMean(stats[:n])
+	stats = stats[n:]
 	res := &FrontierResult{}
-	i := 0
-	for _, e := range ests {
-		base := cells[i].Extra
-		i++
+	for _, e := range frontierEstimators() {
 		for _, spec := range frontierPolicies() {
-			cell := cells[i].Extra
-			i++
+			cell := frontierMean(stats[:n])
+			stats = stats[n:]
 			pt := FrontierPoint{
-				Estimator: e.name,
+				Estimator: e,
 				Policy:    spec,
-				GatedFrac: cell[frontierGated],
-				SpecSaved: base[frontierSpecOH] - cell[frontierSpecOH],
+				GatedFrac: cell.gated,
+				SpecSaved: base.specOH - cell.specOH,
 			}
-			if base[frontierEW] > 0 {
-				pt.Reduction = 1 - cell[frontierEW]/base[frontierEW]
+			if base.ew > 0 {
+				pt.Reduction = 1 - cell.ew/base.ew
 			}
-			if base[frontierIPC] > 0 {
-				pt.IPCLost = 1 - cell[frontierIPC]/base[frontierIPC]
+			if base.ipc > 0 {
+				pt.IPCLost = 1 - cell.ipc/base.ipc
 			}
 			res.Points = append(res.Points, pt)
 		}

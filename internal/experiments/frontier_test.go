@@ -19,13 +19,22 @@ func frontierParams() Params {
 	return p
 }
 
+// frontierCells is the frontier's cell count: one baseline per workload
+// plus one run per (estimator, policy, workload).
+func frontierCells() int {
+	return len(suite()) * (1 + len(frontierEstimators())*len(frontierPolicies()))
+}
+
 // TestFrontierDeterminism: the frontier grid must be byte-identical at
-// any Jobs width — cells are isolated and assembly is positional.
+// any Jobs width — cells are isolated and assembly is positional. Each
+// side simulates through its own cache, never the process memo.
 func TestFrontierDeterminism(t *testing.T) {
 	serial := frontierParams()
 	serial.Jobs = 1
+	serial.Cache = &countingCache{}
 	wide := frontierParams()
 	wide.Jobs = 8
+	wide.Cache = &countingCache{}
 
 	r1, err := Frontier(serial)
 	if err != nil {
@@ -68,6 +77,7 @@ func TestFrontierShardRoundTrip(t *testing.T) {
 		p := frontierParams()
 		p.Shard.Index, p.Shard.Count = i, 3
 		p.Record = NewCellStore()
+		p.Cache = &countingCache{}
 		_, err := Frontier(p)
 		if !errors.Is(err, ErrShardOnly) {
 			t.Fatalf("shard %d: got %v, want ErrShardOnly", i, err)
@@ -88,15 +98,18 @@ func TestFrontierShardRoundTrip(t *testing.T) {
 			merged[k] = c
 		}
 	}
-	if want := len(frontierEstimators()) * (1 + len(frontierPolicies())); total != want {
+	if want := frontierCells(); total != want {
 		t.Fatalf("shards produced %d cells, want %d", total, want)
 	}
-	direct, err := Frontier(frontierParams())
+	dp := frontierParams()
+	dp.Cache = &countingCache{}
+	direct, err := Frontier(dp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := frontierParams()
 	full.Cells = merged
+	full.Cache = &countingCache{}
 	full.Progress = func(msg string) { t.Fatalf("simulated despite preloaded cells: %s", msg) }
 	got, err := Frontier(full)
 	if err != nil {
@@ -118,7 +131,7 @@ func TestFrontierCellCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(frontierEstimators()) * (1 + len(frontierPolicies()))
+	want := frontierCells()
 	if cc.computes != want {
 		t.Fatalf("first run computed %d cells, want %d", cc.computes, want)
 	}

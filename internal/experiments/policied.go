@@ -1,0 +1,172 @@
+package experiments
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"sync"
+
+	"specctrl/internal/conf"
+	"specctrl/internal/pipeline"
+	"specctrl/internal/policy"
+	"specctrl/internal/runner"
+	"specctrl/internal/workload"
+)
+
+// Policied runs: the cell kind abl-gating and frontier share.
+//
+// Both experiments compare policied runs against an unpolicied
+// baseline. Estimators are passive observers, so the baseline depends
+// only on the workload and the predictor: one estimator-free baseline
+// per workload serves every (estimator, policy) point of every
+// experiment. Each distinct pipeline run is therefore its own grid cell,
+// keyed
+//
+//	policied/<workload>/gshare/<estimator>|<policy>   a policied run
+//	policied/<workload>/gshare/baseline               the baseline
+//
+// independent of which experiment asks for it, so experiments that share
+// a run share its cell through Params.Cache (serve's store, the cluster's
+// cell tier) or, when Cache is nil, through the process-wide
+// policiedMemo. A base-config Params.Pipeline.Policy never applies: a
+// cell installs only its own policy, and a baseline none.
+
+const (
+	policiedExperiment = "policied"
+	policiedBaseline   = "baseline"
+)
+
+// policiedEstimators resolves the estimator names policied cells accept
+// to fresh-instance constructors.
+var policiedEstimators = map[string]func() conf.Estimator{
+	"JRS(t=15)": func() conf.Estimator { return conf.NewJRS(conf.DefaultJRS) },
+	"SatCnt":    func() conf.Estimator { return conf.SatCounters{} },
+	"Dist(>3)":  func() conf.Estimator { return conf.NewDistance(3) },
+}
+
+// policiedRun names one policied run; the zero Estimator and Policy name
+// the workload's baseline.
+type policiedRun struct {
+	workload  string
+	estimator string // a policiedEstimators key
+	policy    string // canonical policy.Parse spec, e.g. "gate:2"
+}
+
+func (r policiedRun) spec() runner.Spec {
+	variant := policiedBaseline
+	if r.estimator != "" || r.policy != "" {
+		variant = r.estimator + "|" + r.policy
+	}
+	return runner.Spec{
+		Experiment: policiedExperiment, Workload: r.workload,
+		Predictor: GshareSpec().Name, Variant: variant,
+	}
+}
+
+// suiteRuns returns one run per suite benchmark, in suite order, under
+// the given estimator and policy ("" and "" for the baselines).
+func suiteRuns(estimator, pol string) []policiedRun {
+	names := suiteNames()
+	runs := make([]policiedRun, len(names))
+	for i, name := range names {
+		runs[i] = policiedRun{workload: name, estimator: estimator, policy: pol}
+	}
+	return runs
+}
+
+// policiedMemo shares policied cells within one process when
+// Params.Cache is nil, the way defaultTraceCache shares recordings: a
+// `simctrl -exp all` run computes each run once for both experiments.
+// It holds one small Stats per distinct cell address.
+var policiedMemo = &memoCells{m: map[string]*memoCell{}}
+
+// policiedStats fetches runs through the policied grid and returns their
+// statistics, positionally aligned with runs.
+func (p Params) policiedStats(runs []policiedRun) ([]*pipeline.Stats, error) {
+	specs := make([]runner.Spec, len(runs))
+	for i, r := range runs {
+		specs[i] = r.spec()
+	}
+	// Cells install only their own policy, so a base-config policy is
+	// dropped here — from the cell bodies and from their addresses.
+	p.Pipeline.Policy = nil
+	if p.Cache == nil {
+		p.Cache = policiedMemo
+	}
+	cells, err := p.runGrid(specs, policiedCell)
+	if err != nil {
+		return nil, err
+	}
+	stats := make([]*pipeline.Stats, len(cells))
+	for i := range cells {
+		stats[i] = cells[i].Stats
+	}
+	return stats, nil
+}
+
+// policiedCell simulates one policied run (or baseline) on gshare.
+func policiedCell(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
+	w, err := workload.ByName(sp.Workload)
+	if err != nil {
+		return CellResult{}, err
+	}
+	var ests []conf.Estimator
+	if sp.Variant != policiedBaseline {
+		estName, spec, _ := strings.Cut(sp.Variant, "|")
+		mk := policiedEstimators[estName]
+		if mk == nil {
+			return CellResult{}, fmt.Errorf("policied %s: unknown estimator %q", sp.Key(), estName)
+		}
+		if p.Pipeline.Policy, err = policy.Parse(spec); err != nil {
+			return CellResult{}, fmt.Errorf("policied %s: %w", sp.Key(), err)
+		}
+		ests = []conf.Estimator{mk()}
+	}
+	st, err := p.runOne(w, GshareSpec(), false, ests...)
+	if err != nil {
+		return CellResult{}, fmt.Errorf("policied %s: %w", sp.Key(), err)
+	}
+	// Run returns a pointer into its simulator; copy the stats out so a
+	// memoized cell holds a few KB, not the whole machine.
+	detached := *st
+	return CellResult{Stats: &detached}, nil
+}
+
+// memoCells is an in-memory, singleflight CellCache: concurrent callers
+// of one address share a single compute, and failed computes are not
+// remembered.
+type memoCells struct {
+	mu sync.Mutex
+	m  map[string]*memoCell
+}
+
+type memoCell struct {
+	done chan struct{}
+	res  CellResult
+	err  error
+}
+
+func (c *memoCells) GetOrCompute(ctx context.Context, addr string, _ runner.Spec,
+	compute func(context.Context) (CellResult, error)) (CellResult, error) {
+	c.mu.Lock()
+	if e, ok := c.m[addr]; ok {
+		c.mu.Unlock()
+		select {
+		case <-e.done:
+			return e.res, e.err
+		case <-ctx.Done():
+			return CellResult{}, ctx.Err()
+		}
+	}
+	e := &memoCell{done: make(chan struct{})}
+	c.m[addr] = e
+	c.mu.Unlock()
+	e.res, e.err = compute(ctx)
+	if e.err != nil {
+		c.mu.Lock()
+		delete(c.m, addr)
+		c.mu.Unlock()
+	}
+	close(e.done)
+	return e.res, e.err
+}

@@ -74,7 +74,7 @@ func ProfileCells(w io.Writer, spans []span.Span, n int) {
 		n = len(rows)
 	}
 	fmt.Fprintf(w, "slowest %d of %d cells (%.2fs total cell wall time):\n", n, len(rows), total)
-	fmt.Fprintf(w, "  %-42s %9s %12s %9s %-8s %s\n",
+	fmt.Fprintf(w, "  %-48s %9s %12s %9s %-8s %s\n",
 		"cell", "wall", "cycles", "Mcyc/s", "source", "worker")
 	for _, r := range rows[:n] {
 		rate := "-"
@@ -85,7 +85,7 @@ func ProfileCells(w io.Writer, spans []span.Span, n int) {
 		if r.stolen {
 			worker += " (stolen)"
 		}
-		fmt.Fprintf(w, "  %-42s %8.3fs %12d %9s %-8s %s\n",
+		fmt.Fprintf(w, "  %-48s %8.3fs %12d %9s %-8s %s\n",
 			r.key, r.wall, r.cycles, rate, r.source, worker)
 	}
 }

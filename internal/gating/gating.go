@@ -15,11 +15,13 @@
 // into the pipeline (pipeline.Config.Policy); Run defaults to the
 // paper's policy.Gating at Config.Threshold, and callers can substitute
 // any other policy (throttling, boosting) through policy.Factories.
+// Result holds the extra-work and slowdown formulas; the abl-gating
+// experiment, which simulates its runs as shared grid cells, folds them
+// through Result too.
 package gating
 
 import (
 	"fmt"
-	"strings"
 
 	"specctrl/internal/conf"
 	"specctrl/internal/isa"
@@ -56,7 +58,7 @@ type Result struct {
 // ExtraWorkReduction returns the fraction of wrong-path instructions
 // eliminated by gating; degenerate runs with no baseline wrong-path
 // work report 0.
-func (r *Result) ExtraWorkReduction() float64 {
+func (r Result) ExtraWorkReduction() float64 {
 	if r.Baseline.WrongPath == 0 {
 		return 0
 	}
@@ -67,7 +69,7 @@ func (r *Result) ExtraWorkReduction() float64 {
 // (cycles per committed instruction, so capped runs compare fairly).
 // Degenerate runs — either side committing nothing, or a zero-cycle
 // baseline — report 0 rather than dividing by it.
-func (r *Result) Slowdown() float64 {
+func (r Result) Slowdown() float64 {
 	if r.Baseline.Cycles == 0 || r.Baseline.Committed == 0 || r.Gated.Committed == 0 {
 		return 0
 	}
@@ -76,18 +78,11 @@ func (r *Result) Slowdown() float64 {
 	return gated/base - 1
 }
 
-// ratio is a/b, or 0 when b is 0 (degenerate capped runs).
-func ratio(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
 // Run executes the baseline and the policied simulation from the given
 // factories (fresh instances per run; tables start cold in both). The
 // policy defaults to the paper's pipeline gating at cfg.Threshold when
-// f.Policy is nil.
+// f.Policy is nil. The baseline is unpolicied by definition: any policy
+// already installed on cfg.Pipeline is ignored by both runs.
 func Run(cfg Config, prog *isa.Program, f policy.Factories) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -97,6 +92,7 @@ func Run(cfg Config, prog *isa.Program, f policy.Factories) (*Result, error) {
 	}
 	pcfg := cfg.Pipeline
 	pcfg.Estimators = []conf.Estimator{f.Estimator()}
+	pcfg.Policy = nil
 	base, err := pipeline.New(pcfg, prog, f.Predictor())
 	if err != nil {
 		return nil, fmt.Errorf("gating baseline: %w", err)
@@ -120,63 +116,4 @@ func Run(cfg Config, prog *isa.Program, f policy.Factories) (*Result, error) {
 		return nil, fmt.Errorf("gating run: %w", err)
 	}
 	return &Result{Baseline: baseStats, Gated: gatedStats}, nil
-}
-
-// SuiteRow is one benchmark's gating outcome.
-type SuiteRow struct {
-	Name               string
-	BaselineExtraWork  float64 // wrong-path / committed instructions
-	GatedExtraWork     float64
-	ExtraWorkReduction float64
-	Slowdown           float64
-	GatedCycles        uint64
-}
-
-// SuiteResult aggregates gating over a set of workloads.
-type SuiteResult struct {
-	Estimator string
-	Threshold int
-	Rows      []SuiteRow
-}
-
-// EvaluateSuite runs gating over the given programs with per-run fresh
-// components from the factories.
-func EvaluateSuite(cfg Config, progs map[string]*isa.Program, f policy.Factories, order []string) (*SuiteResult, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	res := &SuiteResult{Estimator: f.Estimator().Name(), Threshold: cfg.Threshold}
-	for _, name := range order {
-		prog, ok := progs[name]
-		if !ok {
-			return nil, fmt.Errorf("gating: missing program %q", name)
-		}
-		r, err := Run(cfg, prog, f)
-		if err != nil {
-			return nil, fmt.Errorf("gating %s: %w", name, err)
-		}
-		res.Rows = append(res.Rows, SuiteRow{
-			Name:               name,
-			BaselineExtraWork:  ratio(r.Baseline.WrongPath, r.Baseline.Committed),
-			GatedExtraWork:     ratio(r.Gated.WrongPath, r.Gated.Committed),
-			ExtraWorkReduction: r.ExtraWorkReduction(),
-			Slowdown:           r.Slowdown(),
-			GatedCycles:        r.Gated.GatedCycles,
-		})
-	}
-	return res, nil
-}
-
-// Render prints the gating table.
-func (r *SuiteResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Pipeline gating: estimator %s, threshold %d\n", r.Estimator, r.Threshold)
-	fmt.Fprintf(&b, "%-9s %11s %11s %10s %9s\n",
-		"app", "extra-work", "gated-ew", "reduction", "slowdown")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-9s %10.1f%% %10.1f%% %9.1f%% %8.2f%%\n",
-			row.Name, row.BaselineExtraWork*100, row.GatedExtraWork*100,
-			row.ExtraWorkReduction*100, row.Slowdown*100)
-	}
-	return b.String()
 }

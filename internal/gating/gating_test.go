@@ -2,7 +2,6 @@ package gating
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"specctrl/internal/bpred"
@@ -124,33 +123,6 @@ func TestBetterEstimatorGatesBetter(t *testing.T) {
 	}
 }
 
-func TestEvaluateSuite(t *testing.T) {
-	progs := map[string]*isa.Program{}
-	order := []string{"compress", "go"}
-	for _, n := range order {
-		progs[n] = buildProg(t, n)
-	}
-	res, err := EvaluateSuite(Config{Threshold: 1, Pipeline: pcfg()}, progs, jrsFactories(), order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("suite rows = %d", len(res.Rows))
-	}
-	out := res.Render()
-	if !strings.Contains(out, "compress") || !strings.Contains(out, "reduction") {
-		t.Errorf("render incomplete:\n%s", out)
-	}
-}
-
-func TestEvaluateSuiteMissingProgram(t *testing.T) {
-	_, err := EvaluateSuite(Config{Threshold: 1, Pipeline: pcfg()},
-		map[string]*isa.Program{}, jrsFactories(), []string{"compress"})
-	if err == nil {
-		t.Error("missing program not reported")
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	if err := (Config{Threshold: 0, Pipeline: pcfg()}).Validate(); err == nil {
 		t.Error("threshold 0 accepted")
@@ -213,10 +185,31 @@ func TestRunRejectsIncompleteFactories(t *testing.T) {
 	if !errors.As(err, &missing) || missing.Field != "Estimator" {
 		t.Errorf("Run without estimator: err = %v, want MissingFieldError{Estimator}", err)
 	}
-	_, err = EvaluateSuite(Config{Threshold: 1, Pipeline: pcfg()},
-		map[string]*isa.Program{}, policy.Factories{Estimator: newJRS}, nil)
+	_, err = Run(Config{Threshold: 1, Pipeline: pcfg()}, buildProg(t, "compress"),
+		policy.Factories{Estimator: newJRS})
 	if !errors.As(err, &missing) || missing.Field != "Predictor" {
-		t.Errorf("EvaluateSuite without predictor: err = %v, want MissingFieldError{Predictor}", err)
+		t.Errorf("Run without predictor: err = %v, want MissingFieldError{Predictor}", err)
+	}
+}
+
+func TestRunIgnoresBaseConfigPolicy(t *testing.T) {
+	// The baseline is unpolicied by definition, and the gated run
+	// installs only its own policy: a policy already on cfg.Pipeline
+	// changes neither.
+	prog := buildProg(t, "compress")
+	plain, err := Run(Config{Threshold: 2, Pipeline: pcfg()}, prog, jrsFactories())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pcfg()
+	cfg.Policy = policy.Throttle{Levels: []int{1}}
+	r, err := Run(Config{Threshold: 2, Pipeline: cfg}, prog, jrsFactories())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Baseline.Cycles != plain.Baseline.Cycles || r.Gated.Cycles != plain.Gated.Cycles {
+		t.Errorf("base-config policy changed the runs: baseline %d vs %d cycles, gated %d vs %d",
+			r.Baseline.Cycles, plain.Baseline.Cycles, r.Gated.Cycles, plain.Gated.Cycles)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // Factories bundles the per-run component constructors every
 // speculation-control driver takes — the one options type behind
-// gating.Run/EvaluateSuite, smt.Run/Compare, and eager.Model.Measure,
+// gating.Run, smt.Run/Compare, and eager.Model.Measure,
 // replacing those packages' old positional `newPred, newEst` argument
 // pairs. Factories (not instances) because predictors, most estimators,
 // and stateful policies carry run state: each simulated run gets a

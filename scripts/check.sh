@@ -111,15 +111,18 @@ EOF
 cmp "$SMOKE/sweep.txt" "$SMOKE/sweep-direct.txt"
 grep -q 'synth:t-' "$SMOKE/sweep.txt"
 
-# Policy-layer smoke: the frontier experiment's policy cells simulate
-# directly (policies perturb timing, so replay never applies to them) —
-# the default mode must render the exact bytes of -replay off. And a
-# base-config -policy must change table3's timing-derived bytes while
-# staying byte-identical between replay modes, because an installed
-# policy forces every cell off the replay path.
-"$SMOKE/simctrl" -exp frontier -committed 60000 > "$SMOKE/frontier-local.txt"
-"$SMOKE/simctrl" -replay off -exp frontier -committed 60000 > "$SMOKE/frontier-direct.txt"
-cmp "$SMOKE/frontier-local.txt" "$SMOKE/frontier-direct.txt"
+# Policy-layer smoke: the abl-gating and frontier experiments' policied
+# cells simulate directly (policies perturb timing, so replay never
+# applies to them) — the default mode must render the exact bytes of
+# -replay off. And a base-config -policy must change table3's
+# timing-derived bytes while staying byte-identical between replay
+# modes, because an installed policy forces every cell off the replay
+# path.
+for exp in abl-gating frontier; do
+    "$SMOKE/simctrl" -exp "$exp" -committed 60000 > "$SMOKE/$exp-local.txt"
+    "$SMOKE/simctrl" -replay off -exp "$exp" -committed 60000 > "$SMOKE/$exp-direct.txt"
+    cmp "$SMOKE/$exp-local.txt" "$SMOKE/$exp-direct.txt"
+done
 grep -q 'gate:1' "$SMOKE/frontier-local.txt"
 "$SMOKE/simctrl" -policy gate:2 -exp table3 -committed 60000 > "$SMOKE/policied.txt"
 "$SMOKE/simctrl" -policy gate:2 -replay off -exp table3 -committed 60000 > "$SMOKE/policied-direct.txt"
@@ -174,10 +177,15 @@ grep -q 'synth:' "$SMOKE/ssweep2.txt"
 ! grep -q '(0 cached' "$SMOKE/sstats2.txt"
 ! grep -q ' 0 simulated)' "$SMOKE/sstats2.txt"
 
-# Served frontier smoke: the policy-sweep grid must come back from the
-# service byte-identical to the local run.
-"$SMOKE/simctrl" -server "$URL" -exp frontier -committed 60000 > "$SMOKE/frontier-served.txt"
+# Served policy smoke: abl-gating then frontier must come back from the
+# service byte-identical to the local runs, and frontier must reuse the
+# baseline and gate:t cells abl-gating already stored.
+"$SMOKE/simctrl" -server "$URL" -exp abl-gating -committed 60000 > "$SMOKE/abl-gating-served.txt"
+cmp "$SMOKE/abl-gating-local.txt" "$SMOKE/abl-gating-served.txt"
+"$SMOKE/simctrl" -server "$URL" -exp frontier -committed 60000 \
+    > "$SMOKE/frontier-served.txt" 2> "$SMOKE/fstats.txt"
 cmp "$SMOKE/frontier-local.txt" "$SMOKE/frontier-served.txt"
+! grep -q '(0 cached' "$SMOKE/fstats.txt"
 
 # Graceful drain: SIGTERM must exit 0.
 kill -TERM "$SERVED_PID"
