@@ -25,6 +25,11 @@ import (
 // do in Go — because sharded sweeps dump cells to disk and re-assemble
 // them on another machine; assembly from decoded cells must be
 // byte-identical to assembly from in-memory ones.
+//
+// A CellResult returned by a CellCache may be shared — the same Stats
+// pointer and Extra map handed to many callers, jobs and experiments —
+// so it must never be mutated after it leaves its cell. Assembly code
+// that needs a modified Stats copies it first (see replayStats).
 type CellResult struct {
 	Stats *pipeline.Stats    `json:"stats,omitempty"`
 	Extra map[string]float64 `json:"extra,omitempty"`
@@ -127,8 +132,12 @@ func UnmarshalCells(data []byte) (map[string]CellResult, error) {
 // must call compute at most once per address across all concurrent
 // callers and return exactly what compute returned — because CellResult
 // round-trips exactly through JSON, a cached cell is indistinguishable
-// from a freshly simulated one. internal/serve provides the on-disk,
-// singleflight-deduplicated implementation.
+// from a freshly simulated one. An implementation may hand the same
+// value to every caller of an address, across jobs and experiments;
+// callers treat it as immutable (see CellResult). internal/serve
+// provides the two-tier implementation: a bounded in-memory tier of
+// shared decoded results in front of the on-disk JSON tier, with
+// singleflight deduplication across both.
 type CellCache interface {
 	GetOrCompute(ctx context.Context, addr string, spec runner.Spec,
 		compute func(context.Context) (CellResult, error)) (CellResult, error)

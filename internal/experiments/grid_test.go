@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,10 +58,9 @@ func TestGridCancellation(t *testing.T) {
 	p.ArchCache = replay.NewArchCache(0, nil) // cold, so cells emit progress
 	p.Ctx = ctx
 	p.Jobs = 4
-	cells := 0
+	var cells atomic.Int32 // bumped from concurrent runner workers
 	p.Progress = func(string) {
-		cells++
-		if cells == 2 {
+		if cells.Add(1) == 2 {
 			cancel()
 		}
 	}

@@ -146,6 +146,10 @@ func TestStoreErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestStoreCorruptEntryRecomputed covers the disk tier on its own: a
+// file corrupted behind a running store's back stays masked by that
+// store's memory tier, so the corruption is seen by a fresh store on
+// the same directory — the restart or second-server case.
 func TestStoreCorruptEntryRecomputed(t *testing.T) {
 	s, err := NewStore(t.TempDir(), nil)
 	if err != nil {
@@ -159,15 +163,156 @@ func TestStoreCorruptEntryRecomputed(t *testing.T) {
 	if err := os.WriteFile(s.path(addr), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, err := s.GetOrCompute(context.Background(), addr,
+	restarted, err := NewStore(s.Dir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := restarted.GetOrCompute(context.Background(), addr,
 		func(context.Context) (experiments.CellResult, error) { return testCell(6), nil })
 	if err != nil || c.Extra["v"] != 6 {
 		t.Fatalf("corrupt entry not recomputed: %v, %v", c, err)
 	}
 	// And the recompute repaired the entry on disk.
-	if c, ok := s.Lookup(addr); !ok || c.Extra["v"] != 6 {
+	fresh, err := NewStore(s.Dir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := fresh.Lookup(addr); !ok || c.Extra["v"] != 6 {
 		t.Errorf("entry not repaired: %v %v", c, ok)
 	}
+}
+
+// TestStoreMemoryTier: a resident address is served without touching
+// disk, while a fresh store on the same directory has only the disk
+// tier to go by.
+func TestStoreMemoryTier(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := NewStore(t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := testAddr("f1")
+	if _, err := s.GetOrCompute(context.Background(), addr,
+		func(context.Context) (experiments.CellResult, error) { return testCell(3), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(s.path(addr)); err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := s.Lookup(addr); !ok || c.Extra["v"] != 3 {
+		t.Errorf("resident entry missed after its file was removed: %v %v", c, ok)
+	}
+	c, err := s.GetOrCompute(context.Background(), addr,
+		func(context.Context) (experiments.CellResult, error) {
+			t.Error("resident entry recomputed")
+			return testCell(4), nil
+		})
+	if err != nil || c.Extra["v"] != 3 {
+		t.Errorf("GetOrCompute on resident entry: %v, %v", c, err)
+	}
+	if h := reg.Counter("specctrl_serve_cache_mem_hits_total", nil).Value(); h != 1 {
+		t.Errorf("mem hits = %d, want 1", h)
+	}
+	if h := reg.Counter("specctrl_serve_cache_hits_total", nil).Value(); h != 1 {
+		t.Errorf("hits = %d, want 1 (mem hits are a subset)", h)
+	}
+
+	fresh, err := NewStore(s.Dir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fresh.Lookup(addr); ok {
+		t.Error("fresh store hit an entry that exists only in another store's memory")
+	}
+}
+
+// TestStoreMemoryBudget: the memory tier evicts least-recently-used
+// entries first and never holds more encoded bytes than its budget.
+// Evicted cells remain on disk, so they are still hits.
+func TestStoreMemoryBudget(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := NewStore(t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(tag string) int64 {
+		t.Helper()
+		if err := s.Put(testAddr(tag), testCell(1)); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(s.path(testAddr(tag)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	// Every test cell encodes to the same length; budget two of them.
+	size := put("a1")
+	s.mu.Lock()
+	s.memMax = 2 * size
+	s.mu.Unlock()
+	put("a2")
+	s.Lookup(testAddr("a1")) // a1 is now most recently used
+	put("a3")                // evicts a2, the LRU entry
+
+	resident := func(tag string) bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		_, ok := s.mem[testAddr(tag)]
+		return ok
+	}
+	if !resident("a1") || resident("a2") || !resident("a3") {
+		t.Errorf("resident a1/a2/a3 = %v/%v/%v, want true/false/true",
+			resident("a1"), resident("a2"), resident("a3"))
+	}
+	s.mu.Lock()
+	bytes, max := s.memBytes, s.memMax
+	s.mu.Unlock()
+	if bytes > max || bytes != 2*size {
+		t.Errorf("resident bytes = %d, want %d (budget %d)", bytes, 2*size, max)
+	}
+	if g := reg.Gauge("specctrl_serve_cache_mem_bytes", nil).Value(); int64(g) != bytes {
+		t.Errorf("mem_bytes gauge = %v, want %d", g, bytes)
+	}
+	if c, ok := s.Lookup(testAddr("a2")); !ok || c.Extra["v"] != 1 {
+		t.Errorf("evicted entry not served from disk: %v %v", c, ok)
+	}
+}
+
+// TestStoreResidentConcurrent hammers GetOrCompute and Lookup on a
+// resident address from many goroutines; run under -race.
+func TestStoreResidentConcurrent(t *testing.T) {
+	s, err := NewStore(t.TempDir(), obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := testAddr("f2")
+	if err := s.Put(addr, testCell(9)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				c, err := s.GetOrCompute(context.Background(), addr,
+					func(context.Context) (experiments.CellResult, error) {
+						t.Error("resident entry recomputed")
+						return testCell(0), nil
+					})
+				if err != nil || c.Extra["v"] != 9 {
+					t.Errorf("GetOrCompute: %v, %v", c, err)
+					return
+				}
+				if c, ok := s.Lookup(addr); !ok || c.Extra["v"] != 9 {
+					t.Errorf("Lookup: %v %v", c, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestStoreFollowerCancellation(t *testing.T) {

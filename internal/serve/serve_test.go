@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -96,6 +98,21 @@ func waitTerminal(t *testing.T, srv *Server, sub SubmitResponse) StatusResponse 
 	}
 }
 
+// getResult fetches a finished job's rendered outputs.
+func getResult(t *testing.T, srv *Server, sub SubmitResponse) []ExperimentOutput {
+	t.Helper()
+	resp, err := http.Get(srv.URL() + sub.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var res ResultResponse
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	return res.Outputs
+}
+
 // TestServeByteIdenticalAndCached is the acceptance criterion: results
 // fetched through the service are byte-identical to the local run, and
 // a repeated submission performs zero new simulations.
@@ -117,19 +134,11 @@ func TestServeByteIdenticalAndCached(t *testing.T) {
 		if st.State != string(StateDone) {
 			t.Fatalf("job %s: state %s, error %q", st.ID, st.State, st.Error)
 		}
-		resp2, err := http.Get(srv.URL() + sub.Result)
-		if err != nil {
-			t.Fatal(err)
+		outs := getResult(t, srv, sub)
+		if len(outs) != 1 || outs[0].Experiment != "table3" {
+			t.Fatalf("outputs: %+v", outs)
 		}
-		defer resp2.Body.Close()
-		var res ResultResponse
-		if err := json.NewDecoder(resp2.Body).Decode(&res); err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Outputs) != 1 || res.Outputs[0].Experiment != "table3" {
-			t.Fatalf("outputs: %+v", res.Outputs)
-		}
-		return st, res.Outputs[0].Output
+		return st, outs[0].Output
 	}
 
 	st1, out1 := run()
@@ -340,6 +349,94 @@ func TestConcurrentIdenticalJobsSingleflight(t *testing.T) {
 	}
 	if st1.Cells.Done != st2.Cells.Done {
 		t.Errorf("cell counts differ: %+v vs %+v", st1.Cells, st2.Cells)
+	}
+}
+
+// TestSharedCellsImmutable runs the serve-mixed catalogue cold, then
+// twice more as two concurrent jobs that must be served entirely from
+// the memory tier. Every job of the warm round receives the very
+// values the cold round made resident, so an assembly step that wrote
+// through a shared Stats would change what later jobs render; the
+// check is that outputs stay byte-identical and that every resident
+// value still encodes to exactly the bytes written to disk when it was
+// computed. Run under -race it also covers concurrent sharing.
+func TestSharedCellsImmutable(t *testing.T) {
+	srv := newTestServer(t, nil)
+	const catalogue = `{"version":1,"experiments":["table2","table3","fig4","fig6","table4"]}`
+
+	// residentMatchesDisk compares every memory-resident value's
+	// encoding with its on-disk entry and returns the encodings.
+	residentMatchesDisk := func() map[string]string {
+		t.Helper()
+		st := srv.Store()
+		st.mu.Lock()
+		resident := make(map[string]experiments.CellResult, len(st.mem))
+		for addr, el := range st.mem {
+			resident[addr] = el.Value.(*memEntry).val
+		}
+		st.mu.Unlock()
+		enc := make(map[string]string, len(resident))
+		for addr, c := range resident {
+			data, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			disk, err := os.ReadFile(st.path(addr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(data)+"\n" != string(disk) {
+				t.Errorf("resident cell %s no longer encodes to its disk entry", addr)
+			}
+			enc[addr] = string(data)
+		}
+		return enc
+	}
+
+	cold, _ := postJob(t, srv, catalogue)
+	coldSt := waitTerminal(t, srv, cold)
+	if coldSt.State != string(StateDone) {
+		t.Fatalf("cold job: %+v", coldSt)
+	}
+	want := getResult(t, srv, cold)
+	before := residentMatchesDisk()
+	if len(before) == 0 {
+		t.Fatal("cold round left nothing resident")
+	}
+
+	hits := srv.reg.Counter("specctrl_serve_cache_hits_total", nil)
+	memHits := srv.reg.Counter("specctrl_serve_cache_mem_hits_total", nil)
+	hits0, memHits0 := hits.Value(), memHits.Value()
+	warm := []SubmitResponse{}
+	for i := 0; i < 2; i++ {
+		sub, resp := postJob(t, srv, catalogue)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("warm submit %d: HTTP %d", i, resp.StatusCode)
+		}
+		warm = append(warm, sub)
+	}
+	warmCells := 0
+	for _, sub := range warm {
+		st := waitTerminal(t, srv, sub)
+		if st.State != string(StateDone) {
+			t.Fatalf("warm job: %+v", st)
+		}
+		if st.Cells.Simulated != 0 || st.Cells.FromCache != coldSt.Cells.Done {
+			t.Errorf("warm job %s counts %+v, want all %d cells cached", st.ID, st.Cells, coldSt.Cells.Done)
+		}
+		warmCells += st.Cells.Done
+		if got := getResult(t, srv, sub); !reflect.DeepEqual(got, want) {
+			t.Errorf("warm job %s rendered differently from the cold round", st.ID)
+		}
+	}
+	if d := memHits.Value() - memHits0; d != uint64(warmCells) {
+		t.Errorf("warm round: %d memory hits, want %d (every cell)", d, warmCells)
+	}
+	if d := hits.Value() - hits0; d != uint64(warmCells) {
+		t.Errorf("warm round: %d hits, want %d", d, warmCells)
+	}
+	if after := residentMatchesDisk(); !reflect.DeepEqual(after, before) {
+		t.Error("resident cell encodings changed across the warm round")
 	}
 }
 

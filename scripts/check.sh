@@ -156,6 +156,13 @@ cmp "$SMOKE/local.txt" "$SMOKE/served2.txt"
 # for every cell (the stats line is "... N cells (C cached, S simulated)").
 grep -q '(0 cached' "$SMOKE/stats1.txt"
 grep -q ' 0 simulated)' "$SMOKE/stats2.txt"
+# ...and the resubmission's cells came from the in-memory tier of
+# decoded results, not from re-reading the disk tier.
+MEM_HITS=$(curl -s "$URL/metrics" | awk '/^specctrl_serve_cache_mem_hits_total/ {print $2}')
+[ -n "$MEM_HITS" ] && [ "$MEM_HITS" -ge 1 ] || {
+    echo "check.sh: no in-memory cell-cache hits after a resubmission (got '$MEM_HITS')" >&2
+    exit 1
+}
 
 # Served synth smoke: the server ingested compress.spbt at startup, so a
 # sweepspace job renders the trace-backed row byte-identically to the
@@ -188,6 +195,27 @@ cmp "$SMOKE/frontier-local.txt" "$SMOKE/frontier-served.txt"
 ! grep -q '(0 cached' "$SMOKE/fstats.txt"
 
 # Graceful drain: SIGTERM must exit 0.
+kill -TERM "$SERVED_PID"
+wait "$SERVED_PID"
+SERVED_PID=""
+
+# Restart smoke: a new server on the same -cache-dir starts with an
+# empty memory tier, so the disk tier alone must serve table3
+# byte-identically with zero simulations.
+rm -f "$SMOKE/addr"
+"$SMOKE/simserved" -addr 127.0.0.1:0 -addr-file "$SMOKE/addr" \
+    -cache-dir "$SMOKE/cache" -committed 60000 2> "$SMOKE/simserved2.log" &
+SERVED_PID=$!
+for _ in $(seq 1 100); do
+    [ -s "$SMOKE/addr" ] && break
+    sleep 0.1
+done
+[ -s "$SMOKE/addr" ] || { echo "check.sh: restarted simserved never published its address" >&2; cat "$SMOKE/simserved2.log" >&2; exit 1; }
+URL=$(cat "$SMOKE/addr")
+"$SMOKE/simctrl" -server "$URL" -exp table3 -committed 60000 \
+    > "$SMOKE/served3.txt" 2> "$SMOKE/stats3.txt"
+cmp "$SMOKE/local.txt" "$SMOKE/served3.txt"
+grep -q ' 0 simulated)' "$SMOKE/stats3.txt"
 kill -TERM "$SERVED_PID"
 wait "$SERVED_PID"
 SERVED_PID=""
