@@ -80,8 +80,19 @@ func (o *OnesCount) index(pc int64, info bpred.Info) int {
 
 // Estimate implements Estimator.
 func (o *OnesCount) Estimate(pc int64, info bpred.Info) bool {
-	return bits.OnesCount32(o.table[o.index(pc, info)]) >= o.cfg.Threshold
+	return o.Ones(pc, info) >= o.cfg.Threshold
 }
+
+// Ones returns the popcount of the CIR selected for a (pc, info) pair —
+// the level Estimate compares against the threshold.
+func (o *OnesCount) Ones(pc int64, info bpred.Info) int {
+	return bits.OnesCount32(o.table[o.index(pc, info)])
+}
+
+// Config returns the estimator's configuration. As for JRS, table state
+// depends only on the non-Threshold fields, so a replay evaluator can
+// share one table across a threshold sweep.
+func (o *OnesCount) Config() OnesCountConfig { return o.cfg }
 
 // Resolve implements Estimator: shift in the outcome bit.
 func (o *OnesCount) Resolve(pc int64, info bpred.Info, correct bool) {
@@ -137,8 +148,18 @@ func (g *GlobalMDCIndexed) index() int {
 // entry its own resolution trains — the pairing the hardware achieves by
 // latching the MDC value with the branch.
 func (g *GlobalMDCIndexed) Estimate(pc int64, info bpred.Info) bool {
-	return bits.OnesCount32(g.table[g.index()]) >= g.cfg.Threshold
+	return g.Ones() >= g.cfg.Threshold
 }
+
+// Ones returns the popcount of the CIR selected by the current global
+// distance — the level Estimate compares against the threshold.
+func (g *GlobalMDCIndexed) Ones() int {
+	return bits.OnesCount32(g.table[g.index()])
+}
+
+// Config returns the estimator's configuration; table state and the
+// global distance depend only on the non-Threshold fields.
+func (g *GlobalMDCIndexed) Config() OnesCountConfig { return g.cfg }
 
 // Resolve implements Estimator: train the CIR at the current distance,
 // then advance it — or reset it on a detected misprediction.

@@ -12,10 +12,12 @@ import (
 // and under direct simulation must be byte-identical. The selection
 // covers the replay-backed grid shapes — suite sweeps with stateful
 // sweep estimators (fig3), small fixed estimator sets (table3),
-// profiling-dependent builders (table2's static column), and
-// evalEstimators cells with a training profiler (patterns).
+// profiling-dependent builders (table2's static column), evalEstimators
+// cells with a training profiler (patterns), a grouped Distance sweep on
+// the event tier (table4), and one singleton of each threshold-grouped
+// family (cir).
 func TestReplayRenderMatchesDirect(t *testing.T) {
-	for _, exp := range []string{"table2", "table3", "fig3", "patterns"} {
+	for _, exp := range []string{"table2", "table3", "fig3", "patterns", "table4", "cir"} {
 		t.Run(exp, func(t *testing.T) {
 			direct := smallParams()
 			direct.Replay = ReplayOff

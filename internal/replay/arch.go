@@ -165,56 +165,23 @@ func ArchFromTrace(tr *Trace, committed uint64) *ArchTrace {
 	return t
 }
 
-// archStep applies one committed branch to every estimator: the
-// fetch-time quadrant updates, then the immediate resolve. In the
-// canonical trace-driven evaluation every branch is committed and
-// resolves before the next branch is fetched, so AllQ equals CommittedQ
-// and estimator tables train with no resolve lag.
-type archStep struct {
-	ests   []conf.Estimator
-	confs  []pipeline.ConfStats
-	dist   []int
-	groups []jrsGroup
-	solo   []int
-	fast   []estFast
-}
-
-func newArchStep(ests []conf.Estimator) *archStep {
-	s := &archStep{
-		ests:  ests,
-		confs: make([]pipeline.ConfStats, len(ests)),
-		dist:  make([]int, len(ests)),
-	}
-	for i, e := range ests {
-		s.confs[i].Name = e.Name()
-	}
-	s.groups, s.solo, s.fast = planReplay(ests)
-	return s
-}
-
-func (s *archStep) branch(pc int64, info bpred.Info, correct bool) {
-	for gi := range s.groups {
-		s.groups[gi].fetch(s.confs, s.dist, pc, info, correct, true)
-	}
-	for _, i := range s.solo {
-		hc := s.fast[i].estimate(s.ests, i, pc, info)
-		recordFetch(&s.confs[i], &s.dist[i], hc, correct, true)
-	}
-	for gi := range s.groups {
-		s.groups[gi].leader.Resolve(pc, info, correct)
-	}
-	for _, i := range s.solo {
-		s.fast[i].resolve(s.ests, i, pc, info, correct)
-	}
+// branch applies one committed branch of the canonical trace-driven
+// evaluation to every estimator: the fetch-time quadrant updates, then
+// the immediate resolve. Every branch is committed and resolves before
+// the next branch is fetched, so AllQ equals CommittedQ and estimator
+// state trains with no resolve lag.
+func (e *evaluator) branch(pc int64, info bpred.Info, correct bool) {
+	e.fetch(pc, info, correct, true)
+	e.resolve(pc, info, correct)
 }
 
 // ArchReplay evaluates a predictor model and a set of estimators
 // against the committed stream and returns one pipeline.ConfStats per
 // estimator. The predictor must be freshly constructed (untrained), as
-// must the estimators — the same requirement direct simulation imposes;
-// JRS estimators differing only in threshold share one table exactly as
-// in Replay (see jrsGroup), so non-leader instances should be discarded
-// after the call.
+// must the estimators — the same requirement direct simulation imposes.
+// JRS, CIR, gMDC-CIR and Distance estimators differing only in threshold
+// share one state exactly as in Replay (see thresholdGroup), so
+// non-leader instances should be discarded after the call.
 //
 // Per committed branch, in order: the predictor predicts, every
 // estimator observes the fetch (Estimate plus quadrant bookkeeping),
@@ -224,7 +191,7 @@ func (s *archStep) branch(pc int64, info bpred.Info, correct bool) {
 // (the PR 4 pattern — interface dispatch on Predict/Resolve dominates
 // the model cost); any other Predictor takes the generic path.
 func ArchReplay(t *ArchTrace, pred bpred.Predictor, ests []conf.Estimator) []pipeline.ConfStats {
-	s := newArchStep(ests)
+	s := newEvaluator(ests)
 	switch pr := pred.(type) {
 	case *bpred.Gshare:
 		for _, c := range t.chunks {

@@ -56,3 +56,24 @@ func BenchmarkReplaySolo(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReplayThresholdFamilies replays the same trace against an
+// auc-shaped batch: JRS, CIR, gMDC-CIR and Distance, 16 thresholds each.
+// Every family forms one threshold group, so the batch costs about four
+// estimators' state work, not sixty-four.
+func BenchmarkReplayThresholdFamilies(b *testing.B) {
+	tr, _ := recordRun(b, "gshare")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ests := make([]conf.Estimator, 0, 64)
+		for t := 1; t <= 16; t++ {
+			ests = append(ests,
+				conf.NewJRS(conf.JRSConfig{Entries: 4096, Bits: 4, Threshold: t, Enhanced: true}),
+				conf.NewOnesCount(conf.OnesCountConfig{Entries: 4096, Bits: 16, Threshold: t, Enhanced: true}),
+				conf.NewDistance(t-1),
+				conf.NewGlobalMDCIndexed(conf.OnesCountConfig{Entries: 64, Bits: 16, Threshold: t}))
+		}
+		Replay(tr, ests)
+	}
+}

@@ -213,6 +213,10 @@ type estKind uint8
 const (
 	estGeneric estKind = iota
 	estJRS
+	estCIR
+	estGMDC
+	estDist
+	estJRSMcF
 	estSat
 	estSatMcF
 	estPattern
@@ -225,15 +229,51 @@ const (
 type estFast struct {
 	kind estKind
 	jrs  *conf.JRS
+	cir  *conf.OnesCount
+	gmdc *conf.GlobalMDCIndexed
+	dist *conf.Distance
+	jmcf *conf.JRSMcFarling
 	satM conf.SatCountersMcFarling
 	pat  conf.PatternHistory
 	st   conf.Static
+}
+
+func newEstFast(e conf.Estimator) estFast {
+	switch v := e.(type) {
+	case *conf.JRS:
+		return estFast{kind: estJRS, jrs: v}
+	case *conf.OnesCount:
+		return estFast{kind: estCIR, cir: v}
+	case *conf.GlobalMDCIndexed:
+		return estFast{kind: estGMDC, gmdc: v}
+	case *conf.Distance:
+		return estFast{kind: estDist, dist: v}
+	case *conf.JRSMcFarling:
+		return estFast{kind: estJRSMcF, jmcf: v}
+	case conf.SatCounters:
+		return estFast{kind: estSat}
+	case conf.SatCountersMcFarling:
+		return estFast{kind: estSatMcF, satM: v}
+	case conf.PatternHistory:
+		return estFast{kind: estPattern, pat: v}
+	case conf.Static:
+		return estFast{kind: estStatic, st: v}
+	}
+	return estFast{}
 }
 
 func (f *estFast) estimate(ests []conf.Estimator, i int, pc int64, info bpred.Info) bool {
 	switch f.kind {
 	case estJRS:
 		return f.jrs.Estimate(pc, info)
+	case estCIR:
+		return f.cir.Estimate(pc, info)
+	case estGMDC:
+		return f.gmdc.Estimate(pc, info)
+	case estDist:
+		return f.dist.Estimate(pc, info)
+	case estJRSMcF:
+		return f.jmcf.Estimate(pc, info)
 	case estSat:
 		return conf.SatCounters{}.Estimate(pc, info)
 	case estSatMcF:
@@ -250,6 +290,14 @@ func (f *estFast) resolve(ests []conf.Estimator, i int, pc int64, info bpred.Inf
 	switch f.kind {
 	case estJRS:
 		f.jrs.Resolve(pc, info, correct)
+	case estCIR:
+		f.cir.Resolve(pc, info, correct)
+	case estGMDC:
+		f.gmdc.Resolve(pc, info, correct)
+	case estDist:
+		f.dist.Resolve(pc, info, correct)
+	case estJRSMcF:
+		f.jmcf.Resolve(pc, info, correct)
 	case estSat, estSatMcF, estPattern, estStatic:
 		// Value-type families keep no per-branch state; Resolve is empty.
 	default:
@@ -257,29 +305,78 @@ func (f *estFast) resolve(ests []conf.Estimator, i int, pc int64, info bpred.Inf
 	}
 }
 
-// jrsGroup is a set of JRS estimators identical except for their
-// threshold. A JRS table's evolution depends only on the index function
-// and the correct/incorrect sequence — the threshold is compared at
-// Estimate time, never stored — so every member's table is forever
-// identical and one lookup (and one Resolve) serves the whole group:
-// the sweep evaluates one counter read against many thresholds. This is
-// the replay path's structural advantage over direct simulation, where
-// each estimator is a black box behind the Estimator interface.
-type jrsGroup struct {
-	leader     *conf.JRS // first member; the only table that trains
-	members    []int     // estimator indices, sorted by threshold
-	thresholds []int     // members' thresholds, ascending, parallel to members
+// groupKey is a threshold-sweepable estimator's configuration minus its
+// threshold: estimators with equal keys keep identical state forever.
+type groupKey struct {
+	kind     estKind
+	entries  int
+	bits     uint
+	enhanced bool
 }
 
-// fetch applies one fetch event to every group member. With thresholds
-// ascending, one scan finds the high/low-confidence split for this
-// counter value; each side of the split then updates its quadrant cells
-// with the branchy decisions (correct × hc × misestimate) already made.
-func (g *jrsGroup) fetch(confs []pipeline.ConfStats, dist []int, pc int64, info bpred.Info, correct, committed bool) {
-	ctr := g.leader.Counter(pc, info)
+// sweepKey reports whether the estimator's state is independent of its
+// threshold and, if so, its group key and the level at or above which
+// it reports high confidence (see thresholdGroup.fetch). Distance
+// reports high confidence when its count exceeds the threshold, i.e.
+// from level Threshold+1.
+func (f *estFast) sweepKey() (key groupKey, hcFrom int, ok bool) {
+	switch f.kind {
+	case estJRS:
+		c := f.jrs.Config()
+		return groupKey{estJRS, c.Entries, c.Bits, c.Enhanced}, c.Threshold, true
+	case estCIR:
+		c := f.cir.Config()
+		return groupKey{estCIR, c.Entries, c.Bits, c.Enhanced}, c.Threshold, true
+	case estGMDC:
+		c := f.gmdc.Config()
+		return groupKey{estGMDC, c.Entries, c.Bits, c.Enhanced}, c.Threshold, true
+	case estDist:
+		return groupKey{kind: estDist}, f.dist.Threshold + 1, true
+	}
+	return groupKey{}, 0, false
+}
+
+// thresholdGroup is a set of estimators identical except for their
+// threshold. JRS, CIR, gMDC-CIR and Distance state evolves from the
+// index function and the fetch/resolve sequence alone — the threshold is
+// compared at Estimate time, never stored — so every member's state is
+// forever identical and one level read (and one Resolve) serves the
+// whole group: the sweep evaluates one level against many thresholds.
+// This is the replay path's structural advantage over direct
+// simulation, where each estimator is a black box behind the Estimator
+// interface.
+type thresholdGroup struct {
+	lead       estFast // first member's dispatch; the only state that trains
+	members    []int   // estimator indices, sorted by threshold
+	thresholds []int   // members' high-confidence levels (sweepKey), ascending, parallel to members
+}
+
+// fetch applies one fetch event to every group member. It reads the
+// leader's level once — the JRS counter, the selected CIR's popcount, or
+// the Distance count, which every member compares against its own
+// threshold. Distance counts the fetched branch as part of the read (its
+// Estimate advances the count whatever the threshold), so the leader
+// advances exactly once per fetch event, wrong-path fetches included.
+// With thresholds ascending, one scan then finds the high/low-confidence
+// split for this level; each side of the split updates its quadrant
+// cells with the branchy decisions (correct × hc × misestimate) already
+// made.
+func (g *thresholdGroup) fetch(confs []pipeline.ConfStats, dist []int, pc int64, info bpred.Info, correct, committed bool) {
+	var lvl int
+	switch f := &g.lead; f.kind { // inline: a separate level method measured slower on BenchmarkReplayJRSSweep
+	case estJRS:
+		lvl = f.jrs.Counter(pc, info)
+	case estCIR:
+		lvl = f.cir.Ones(pc, info)
+	case estGMDC:
+		lvl = f.gmdc.Ones()
+	default: // estDist
+		lvl = f.dist.Count()
+		f.dist.Estimate(pc, info)
+	}
 	ths := g.thresholds
 	split := 0
-	for split < len(ths) && ctr >= ths[split] {
+	for split < len(ths) && lvl >= ths[split] {
 		split++
 	}
 	mem := g.members
@@ -335,7 +432,7 @@ func (g *jrsGroup) fetch(confs []pipeline.ConfStats, dist []int, pc int64, info 
 
 // byThreshold sorts a group's parallel members/thresholds slices by
 // threshold, ties broken by estimator index for determinism.
-type byThreshold struct{ g *jrsGroup }
+type byThreshold struct{ g *thresholdGroup }
 
 func (s byThreshold) Len() int { return len(s.g.members) }
 func (s byThreshold) Less(a, b int) bool {
@@ -349,57 +446,87 @@ func (s byThreshold) Swap(a, b int) {
 	s.g.thresholds[a], s.g.thresholds[b] = s.g.thresholds[b], s.g.thresholds[a]
 }
 
-// planReplay splits ests into JRS threshold groups and solo estimators
-// with devirtualized dispatch. Grouping assumes group members have
-// identical table state — true whenever they were constructed fresh for
-// this replay (the same freshness direct simulation needs, since
-// estimators train during a run) and preserved by replay itself,
-// because identical call sequences keep the tables identical.
-func planReplay(ests []conf.Estimator) (groups []jrsGroup, solo []int, fast []estFast) {
-	fast = make([]estFast, len(ests))
-	byCfg := map[conf.JRSConfig]int{} // config minus threshold → groups index
-	for i, e := range ests {
-		switch v := e.(type) {
-		case *conf.JRS:
-			fast[i] = estFast{kind: estJRS, jrs: v}
-			key := v.Config()
-			key.Threshold = 0
-			gi, ok := byCfg[key]
-			if !ok {
-				gi = len(groups)
-				byCfg[key] = gi
-				groups = append(groups, jrsGroup{leader: v})
-			}
-			groups[gi].members = append(groups[gi].members, i)
-			groups[gi].thresholds = append(groups[gi].thresholds, v.Config().Threshold)
-			continue
-		case conf.SatCounters:
-			fast[i] = estFast{kind: estSat}
-		case conf.SatCountersMcFarling:
-			fast[i] = estFast{kind: estSatMcF, satM: v}
-		case conf.PatternHistory:
-			fast[i] = estFast{kind: estPattern, pat: v}
-		case conf.Static:
-			fast[i] = estFast{kind: estStatic, st: v}
-		}
-		solo = append(solo, i)
+// evaluator drives one estimator batch through a replayed stream for
+// both tiers: it owns the per-estimator results and the dispatch plan —
+// threshold groups plus devirtualized solo estimators. Grouping assumes
+// group members have identical state — true whenever they were
+// constructed fresh for this replay (the same freshness direct
+// simulation needs, since estimators train during a run) and preserved
+// by replay itself, because identical call sequences keep the state
+// identical.
+type evaluator struct {
+	ests   []conf.Estimator
+	fast   []estFast
+	groups []thresholdGroup
+	solo   []int // estimators estimated one by one
+	train  []int // estimators that resolve: solo plus each group's leader
+	confs  []pipeline.ConfStats
+	dist   []int
+}
+
+func newEvaluator(ests []conf.Estimator) *evaluator {
+	e := &evaluator{
+		ests:  ests,
+		fast:  make([]estFast, len(ests)),
+		confs: make([]pipeline.ConfStats, len(ests)),
+		dist:  make([]int, len(ests)),
 	}
-	// Singleton groups gain nothing from the shared-counter path; fold
-	// them back into the solo list to keep one dispatch shape per size.
-	kept := groups[:0]
+	var groups []thresholdGroup
+	byKey := map[groupKey]int{} // config minus threshold → groups index
+	for i, est := range ests {
+		e.confs[i].Name = est.Name()
+		e.fast[i] = newEstFast(est)
+		key, th, ok := e.fast[i].sweepKey()
+		if !ok {
+			e.solo = append(e.solo, i)
+			continue
+		}
+		gi, seen := byKey[key]
+		if !seen {
+			gi = len(groups)
+			byKey[key] = gi
+			groups = append(groups, thresholdGroup{lead: e.fast[i]})
+		}
+		groups[gi].members = append(groups[gi].members, i)
+		groups[gi].thresholds = append(groups[gi].thresholds, th)
+	}
 	for _, g := range groups {
+		// Singleton groups gain nothing from the shared-level path; fold
+		// them back into the solo list to keep one dispatch shape per size.
 		if len(g.members) == 1 {
-			solo = append(solo, g.members[0])
+			e.solo = append(e.solo, g.members[0])
 			continue
 		}
+		e.train = append(e.train, g.members[0]) // the leader, before sorting
 		// Ascending thresholds let fetch find the high/low-confidence
-		// boundary for a counter value with a single scan.
+		// boundary for a level with a single scan.
 		sort.Sort(byThreshold{&g})
-		kept = append(kept, g)
+		e.groups = append(e.groups, g)
 	}
-	groups = kept
-	sort.Ints(solo)
-	return groups, solo, fast
+	sort.Ints(e.solo)
+	e.train = append(e.train, e.solo...)
+	sort.Ints(e.train)
+	return e
+}
+
+// fetch applies one fetch event to every estimator: Estimate plus the
+// fetch-time quadrant bookkeeping.
+func (e *evaluator) fetch(pc int64, info bpred.Info, correct, committed bool) {
+	for gi := range e.groups {
+		e.groups[gi].fetch(e.confs, e.dist, pc, info, correct, committed)
+	}
+	for _, i := range e.solo {
+		hc := e.fast[i].estimate(e.ests, i, pc, info)
+		recordFetch(&e.confs[i], &e.dist[i], hc, correct, committed)
+	}
+}
+
+// resolve applies one resolved branch to each solo estimator and each
+// group's leader; the other members share the leader's state.
+func (e *evaluator) resolve(pc int64, info bpred.Info, correct bool) {
+	for _, i := range e.train {
+		e.fast[i].resolve(e.ests, i, pc, info, correct)
+	}
 }
 
 // recordFetch applies the simulator's fetch-time confidence bookkeeping
@@ -431,20 +558,16 @@ func recordFetch(cs *pipeline.ConfStats, dist *int, hc, correct, committed bool)
 // per fetch event in stream order, Resolve per resolve token with the
 // corresponding committed fetch's pc/Info/correctness. Stateful
 // estimators therefore train identically, with one deliberate
-// exception: JRS estimators that differ only in threshold share one
-// table (see jrsGroup), so only the group leader's table is trained —
-// the returned statistics are unaffected, but non-leader instances
-// should be discarded after the call. Estimators must be freshly
-// constructed (untrained), the same requirement direct simulation
-// imposes, and must not share mutable state with estimators being
+// exception: JRS, CIR (OnesCount), gMDC-CIR (GlobalMDCIndexed) and
+// Distance estimators that differ only in threshold share one state
+// (see thresholdGroup), so only the group leader trains — the returned
+// statistics are unaffected, but non-leader instances should be
+// discarded after the call. Estimators must be freshly constructed
+// (untrained), the same requirement direct simulation imposes, and must
+// not share mutable state with each other or with estimators being
 // replayed concurrently elsewhere.
 func Replay(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
-	confs := make([]pipeline.ConfStats, len(ests))
-	for i, e := range ests {
-		confs[i].Name = e.Name()
-	}
-	dist := make([]int, len(ests))
-	groups, solo, fast := planReplay(ests)
+	ev := newEvaluator(ests)
 
 	// FIFO of committed-but-unresolved fetches. Occupancy is bounded by
 	// the simulator's in-flight branch capacity (a few tens of entries);
@@ -460,12 +583,7 @@ func Replay(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
 					continue // tolerate a truncated decode; cannot happen on recorded traces
 				}
 				rr := &ring[head]
-				for gi := range groups {
-					groups[gi].leader.Resolve(rr.pc, rr.info, rr.correct)
-				}
-				for _, i := range solo {
-					fast[i].resolve(ests, i, rr.pc, rr.info, rr.correct)
-				}
+				ev.resolve(rr.pc, rr.info, rr.correct)
 				head = (head + 1) & (len(ring) - 1)
 				count--
 				continue
@@ -485,13 +603,7 @@ func Replay(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
 			fi++
 			correct := flg&fCorrect != 0
 			committed := flg&fCommitted != 0
-			for gi := range groups {
-				groups[gi].fetch(confs, dist, pc, info, correct, committed)
-			}
-			for _, i := range solo {
-				hc := fast[i].estimate(ests, i, pc, info)
-				recordFetch(&confs[i], &dist[i], hc, correct, committed)
-			}
+			ev.fetch(pc, info, correct, committed)
 			if committed {
 				if count == len(ring) {
 					ring = growRing(ring, head)
@@ -502,7 +614,7 @@ func Replay(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
 			}
 		}
 	}
-	return confs
+	return ev.confs
 }
 
 // growRing doubles a full ring, re-basing the occupied run at index 0.

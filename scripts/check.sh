@@ -81,6 +81,13 @@ cmp "$SMOKE/local.txt" "$SMOKE/direct.txt"
 cmp "$SMOKE/direct.txt" "$SMOKE/arch.txt"
 "$SMOKE/simctrl" -replay events -exp table3 -committed 60000 > "$SMOKE/events.txt"
 cmp "$SMOKE/direct.txt" "$SMOKE/events.txt"
+# table4 sweeps Distance thresholds 1..7, which replay evaluates as one
+# threshold group on the event tier; every mode must render the same bytes.
+for mode in off arch events; do
+    "$SMOKE/simctrl" -replay "$mode" -exp table4 -committed 60000 > "$SMOKE/table4-$mode.txt"
+done
+cmp "$SMOKE/table4-off.txt" "$SMOKE/table4-arch.txt"
+cmp "$SMOKE/table4-off.txt" "$SMOKE/table4-events.txt"
 
 # Span-tracing smoke: -trace-out must emit a Chrome trace-event file
 # that parses with per-cell spans, -profile-cells must print the
