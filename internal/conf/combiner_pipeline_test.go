@@ -1,6 +1,7 @@
 package conf_test
 
 import (
+	"io"
 	"testing"
 
 	"specctrl/internal/bpred"
@@ -8,6 +9,7 @@ import (
 	"specctrl/internal/isa"
 	"specctrl/internal/pipeline"
 	"specctrl/internal/rng"
+	"specctrl/internal/trace"
 )
 
 // mixProgram builds a small trace with both predictable and
@@ -52,21 +54,22 @@ func TestCombinerMatchesOracleOnTrace(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	cfg.MaxCommitted = 20_000
 	cfg.MaxCycles = 10_000_000
-	cfg.RecordEvents = true
+	sink := trace.NewSink(io.Discard)
+	cfg.Tracer = sink
 	cfg.Estimators = append(newMembers(),
 		&conf.Combiner{Rule: conf.CombineMin, Members: newMembers()},
 		&conf.Combiner{Rule: conf.CombineWeightedVote, Members: newMembers()},
 		&conf.Combiner{Rule: conf.CombineNoisyOR, Members: newMembers()},
 	)
-	st, err := pipeline.MustNew(cfg, mixProgram(1<<30), bpred.NewGshare(12)).Run()
-	if err != nil {
+	if _, err := pipeline.MustNew(cfg, mixProgram(1<<30), bpred.NewGshare(12)).Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Events) == 0 {
+	events := sink.Events()
+	if len(events) == 0 {
 		t.Fatal("no branch events recorded; the differential is vacuous")
 	}
 	var highs [3]int
-	for n, ev := range st.Events {
+	for n, ev := range events {
 		j := ev.ConfMask&(1<<0) != 0 // JRS
 		s := ev.ConfMask&(1<<1) != 0 // SatCnt
 		d := ev.ConfMask&(1<<2) != 0 // Dist(>3)
@@ -98,9 +101,9 @@ func TestCombinerMatchesOracleOnTrace(t *testing.T) {
 	// Guard against a vacuous pass: every combiner must have said both
 	// high and low at least once over the trace.
 	for i, h := range highs {
-		if h == 0 || h == len(st.Events) {
+		if h == 0 || h == len(events) {
 			t.Errorf("combiner %d was constant over %d events (%d high); trace too degenerate",
-				i, len(st.Events), h)
+				i, len(events), h)
 		}
 	}
 }

@@ -115,11 +115,14 @@ func AblationSpecHistory(p Params) (*AblationSpecHistoryResult, error) {
 		if err != nil {
 			return CellResult{}, err
 		}
-		pred := GshareSpec()
+		// The speculative-history cell is gshare's estimator-less run,
+		// which the recorded trace already holds.
+		var st *pipeline.Stats
 		if sp.Predictor == nonspec.Name {
-			pred = nonspec
+			st, err = p.runOne(w, nonspec)
+		} else {
+			st, err = p.baseStats(w, GshareSpec())
 		}
-		st, err := p.runOne(w, pred, false)
 		if err != nil {
 			return CellResult{}, fmt.Errorf("ablation %s: %w", sp.Key(), err)
 		}
@@ -266,7 +269,7 @@ func AblationIndirect(p Params) (*AblationIndirectResult, error) {
 			return CellResult{}, err
 		}
 		if sp.Variant == "base" {
-			st, err := p.runOne(w, GshareSpec(), false)
+			st, err := p.baseStats(w, GshareSpec())
 			if err != nil {
 				return CellResult{}, fmt.Errorf("ablation indirect base %s: %w", w.Name, err)
 			}

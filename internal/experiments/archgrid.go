@@ -45,14 +45,13 @@ import (
 // applies under these parameters. The check mirrors replayActive's
 // side-channel list (and is deliberately independent of Params.Replay:
 // the replay mode changes stream acquisition, never semantics): base
-// estimators, tracers, event logs, and site-stats collection need a
-// real simulation, and a speculation-control policy perturbs the
-// committed stream itself by changing what commits when.
+// estimators, tracers and site-stats collection need a real
+// simulation, and a speculation-control policy perturbs the committed
+// stream itself by changing what commits when.
 func (p Params) archEligible() bool {
 	return len(p.Pipeline.Estimators) == 0 &&
 		p.Pipeline.Tracer == nil &&
 		p.Pipeline.Policy == nil &&
-		!p.Pipeline.RecordEvents &&
 		!p.Pipeline.CollectSiteStats
 }
 

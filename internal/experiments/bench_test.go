@@ -44,7 +44,7 @@ func BenchmarkSweepDirect(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfgs := fig45Configs()
-		if _, err := p.runOne(w, spec, false, benchEstimators(cfgs, 0, len(cfgs))...); err != nil {
+		if _, err := p.runOne(w, spec, benchEstimators(cfgs, 0, len(cfgs))...); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,7 +7,7 @@ import (
 
 	"specctrl/internal/conf"
 	"specctrl/internal/metrics"
-	"specctrl/internal/pipeline"
+	"specctrl/internal/obs"
 	"specctrl/internal/runner"
 	"specctrl/internal/workload"
 )
@@ -34,47 +34,52 @@ type BoostResult struct {
 	Rows      []BoostRow
 }
 
-// boostFromEvents scans a committed-branch event stream and accumulates,
-// for every depth k, the number of length-k low-confidence runs and how
-// many contained at least one misprediction.
-func boostFromEvents(events []pipeline.BranchEvent, maxK int, groups, hits []uint64) {
-	// window[i] tracks the last i+1 committed estimates; we keep a run
-	// length of consecutive LC events and a count of mispredictions in
-	// the current window using a small ring buffer.
-	type ev struct{ lc, misp bool }
-	ring := make([]ev, maxK)
-	pos, filled := 0, 0
-	for _, e := range events {
-		if e.WrongPath {
-			continue
-		}
-		ring[pos] = ev{lc: !e.HighConf, misp: !e.Correct()}
-		pos = (pos + 1) % maxK
-		if filled < maxK {
-			filled++
-		}
-		// For each k, check whether the last k events are all LC.
-		for k := 1; k <= filled; k++ {
-			allLC, anyMisp := true, false
-			for j := 1; j <= k; j++ {
-				idx := (pos - j + maxK) % maxK
-				if !ring[idx].lc {
-					allLC = false
-					break
-				}
-				if ring[idx].misp {
-					anyMisp = true
-				}
-			}
-			if allLC {
-				groups[k-1]++
-				if anyMisp {
-					hits[k-1]++
-				}
-			}
+// boostFold is an obs.Tracer that accumulates, for every depth
+// k <= maxK, the number of length-k runs of consecutive committed
+// low-confidence estimates and how many of them contained at least one
+// misprediction. It folds the event stream as the run produces it, so
+// no event is ever retained. HighConf is the first estimator's
+// estimate; wrong-path events are skipped.
+type boostFold struct {
+	groups, hits []uint64 // indexed k-1
+	// run is the current run of low-confidence events, and sinceMisp
+	// the number of events since the last misprediction (0 = this one);
+	// both saturate at maxK, beyond which they no longer matter.
+	run, sinceMisp int
+}
+
+func newBoostFold(maxK int) *boostFold {
+	return &boostFold{groups: make([]uint64, maxK), hits: make([]uint64, maxK), sinceMisp: maxK}
+}
+
+// Branch implements obs.Tracer. The last k events form a low-confidence
+// group when k <= run, and the group holds a misprediction when the
+// most recent one is among those k events (sinceMisp < k).
+func (f *boostFold) Branch(e obs.BranchEvent) {
+	if e.WrongPath {
+		return
+	}
+	maxK := len(f.groups)
+	if e.HighConf {
+		f.run = 0
+	} else if f.run < maxK {
+		f.run++
+	}
+	if e.Pred != e.Outcome {
+		f.sinceMisp = 0
+	} else if f.sinceMisp < maxK {
+		f.sinceMisp++
+	}
+	for k := 1; k <= f.run; k++ {
+		f.groups[k-1]++
+		if f.sinceMisp < k {
+			f.hits[k-1]++
 		}
 	}
 }
+
+// Close implements obs.Tracer.
+func (f *boostFold) Close() error { return nil }
 
 // Boost measures boosting for the saturating-counters estimator on the
 // given predictor (the paper's motivating configuration: an inexpensive
@@ -83,27 +88,24 @@ func Boost(p Params, spec PredictorSpec, maxK int) (*BoostResult, error) {
 	if maxK < 1 || maxK > 8 {
 		return nil, fmt.Errorf("boost: k depth %d out of range", maxK)
 	}
-	// Each cell records its own event stream, folds it into per-k group
-	// counts, and drops the events before returning: the counts travel
-	// in CellResult.Extra, so a sharded dump stays small and the merge
-	// never re-reads the (multi-million-entry) event log.
+	// Each cell folds its run's event stream into per-k group counts as
+	// the run goes (boostFold): the counts travel in CellResult.Extra,
+	// so a sharded dump stays small and no event log is ever kept.
 	cell := func(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
 		w, err := workload.ByName(sp.Workload)
 		if err != nil {
 			return CellResult{}, err
 		}
-		st, err := p.runOne(w, spec, true, SatCntFor(spec, conf.BothStrong))
+		fold := newBoostFold(maxK)
+		p.Pipeline.Tracer = obs.MultiSink(fold, p.Pipeline.Tracer)
+		st, err := p.runOne(w, spec, SatCntFor(spec, conf.BothStrong))
 		if err != nil {
 			return CellResult{}, fmt.Errorf("boost %s/%s: %w", w.Name, spec.Name, err)
 		}
-		g := make([]uint64, maxK)
-		h := make([]uint64, maxK)
-		boostFromEvents(st.Events, maxK, g, h)
-		st.Events = nil
 		extra := make(map[string]float64, 2*maxK)
 		for k := 1; k <= maxK; k++ {
-			extra[fmt.Sprintf("groups_k%d", k)] = float64(g[k-1])
-			extra[fmt.Sprintf("hits_k%d", k)] = float64(h[k-1])
+			extra[fmt.Sprintf("groups_k%d", k)] = float64(fold.groups[k-1])
+			extra[fmt.Sprintf("hits_k%d", k)] = float64(fold.hits[k-1])
 		}
 		return CellResult{Stats: st, Extra: extra}, nil
 	}

@@ -39,7 +39,10 @@ var depthSweep = []int{2, 3, 5, 8}
 
 // depthCell simulates one (workload, predictor, depth) point. The depth
 // is carried in the spec variant ("d<depth>"); the gshare cells also run
-// the JRS estimator, the SAg cells run bare.
+// the JRS estimator, the SAg cells run bare. At the configured depth the
+// point is the pair's default run, so it is evaluated like every other
+// default-config cell (evalEstimators, baseStats) and shares the
+// recorded trace instead of simulating again.
 func depthCell(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
 	w, err := workload.ByName(sp.Workload)
 	if err != nil {
@@ -48,6 +51,18 @@ func depthCell(_ context.Context, p Params, sp runner.Spec) (CellResult, error) 
 	var depth int
 	if _, err := fmt.Sscanf(sp.Variant, "d%d", &depth); err != nil {
 		return CellResult{}, fmt.Errorf("depth: bad variant %q: %w", sp.Variant, err)
+	}
+	if depth == p.Pipeline.ResolveDelay {
+		var st *pipeline.Stats
+		if sp.Predictor == SAgSpec().Name {
+			st, err = p.baseStats(w, SAgSpec())
+		} else {
+			st, err = p.evalEstimators(w, GshareSpec(), conf.NewJRS(conf.DefaultJRS))
+		}
+		if err != nil {
+			return CellResult{}, fmt.Errorf("depth %d %s %s: %w", depth, w.Name, sp.Predictor, err)
+		}
+		return CellResult{Stats: st}, nil
 	}
 	cfg := p.Pipeline
 	cfg.ResolveDelay = depth

@@ -297,7 +297,7 @@ func buildProgram(w workload.Workload, iters int) *isa.Program {
 // estimators and returns the statistics. When Params carries an obs
 // registry or progress view, the run publishes live metrics under
 // {workload, predictor} labels.
-func (p Params) runOne(w workload.Workload, spec PredictorSpec, record bool, ests ...conf.Estimator) (*pipeline.Stats, error) {
+func (p Params) runOne(w workload.Workload, spec PredictorSpec, ests ...conf.Estimator) (*pipeline.Stats, error) {
 	var rs *span.Span
 	if p.Tracer != nil {
 		rs = p.Tracer.Child(p.SpanParent, "simulate",
@@ -307,7 +307,6 @@ func (p Params) runOne(w workload.Workload, spec PredictorSpec, record bool, est
 	}
 	cfg := p.Pipeline
 	cfg.MaxCommitted = p.MaxCommitted
-	cfg.RecordEvents = record
 	if p.Obs != nil {
 		cfg.Metrics = p.Obs
 		cfg.MetricsLabels = obs.Labels{"workload": w.Name, "predictor": spec.Name}
@@ -344,14 +343,15 @@ func (p Params) runOne(w workload.Workload, spec PredictorSpec, record bool, est
 	return st, err
 }
 
-// staticFor runs the profiling pass and builds the static estimator for
-// one (workload, predictor) pair.
+// staticFor builds the static estimator for one (workload, predictor)
+// pair from its site profile (sitesFor): a fold of the pair's recorded
+// trace when replay applies, a profiling simulation otherwise.
 func (p Params) staticFor(w workload.Workload, spec PredictorSpec) (conf.Static, error) {
-	cfg := p.Pipeline
-	cfg.MaxCommitted = p.MaxCommitted
-	p.progress("profile %-9s on %-9s", w.Name, spec.Name)
-	return profile.Collect(cfg, buildProgram(w, p.BuildIters), spec.New(p),
-		profile.Options{Threshold: p.StaticThreshold})
+	sites, err := p.sitesFor(w, spec)
+	if err != nil {
+		return conf.Static{}, err
+	}
+	return profile.FromSites(sites, profile.Options{Threshold: p.StaticThreshold}), nil
 }
 
 // suite returns the benchmark suite (indirection point for tests).

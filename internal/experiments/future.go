@@ -6,7 +6,6 @@ import (
 
 	"specctrl/internal/conf"
 	"specctrl/internal/metrics"
-	"specctrl/internal/pipeline"
 	"specctrl/internal/profile"
 	"specctrl/internal/workload"
 )
@@ -123,23 +122,15 @@ func Tuned(p Params) (*TunedResult, error) {
 	perCfg := make([][]metrics.Quadrant, len(grid))
 	stats, err := p.suiteStats("tuned", GshareSpec(), "main", len(grid),
 		func(p Params, w workload.Workload) ([]conf.Estimator, error) {
-			// Profile pass, inside the cell: the site stats never leave it.
-			cfg := p.Pipeline
-			cfg.MaxCommitted = p.MaxCommitted
-			cfg.CollectSiteStats = true
-			p.progress("profile %-9s for tuning", w.Name)
-			train, err := pipeline.New(cfg, buildProgram(w, p.BuildIters), GshareSpec().New(p))
-			if err != nil {
-				return nil, fmt.Errorf("tuned profile %s: %w", w.Name, err)
-			}
-			tst, err := train.Run()
+			// Profile, inside the cell: the site stats never leave it.
+			sites, err := p.sitesFor(w, GshareSpec())
 			if err != nil {
 				return nil, fmt.Errorf("tuned profile %s: %w", w.Name, err)
 			}
 			// Build one estimator per grid point and evaluate together.
 			ests := make([]conf.Estimator, len(grid))
 			for i, g := range grid {
-				est, err := profile.Tune(tst.Sites, g.goal, g.target)
+				est, err := profile.Tune(sites, g.goal, g.target)
 				if err != nil {
 					return nil, fmt.Errorf("tuned %s %s %.2f: %w", w.Name, g.name, g.target, err)
 				}

@@ -311,7 +311,7 @@ func (p Params) namedStats(experiment string, names []string, spec PredictorSpec
 			if err != nil {
 				return CellResult{}, err
 			}
-			st, err := p.runOne(w, spec, false, es...)
+			st, err := p.runOne(w, spec, es...)
 			if err != nil {
 				return CellResult{}, err
 			}

@@ -29,7 +29,9 @@ import (
 // a run share its cell through Params.Cache (serve's store, the cluster's
 // cell tier) or, when Cache is nil, through the process-wide
 // policiedMemo. A base-config Params.Pipeline.Policy never applies: a
-// cell installs only its own policy, and a baseline none.
+// cell installs only its own policy, and a baseline none. A baseline is
+// the pair's default run, so it comes from the recorded trace
+// (baseStats) rather than a simulation of its own.
 
 const (
 	policiedExperiment = "policied"
@@ -104,14 +106,17 @@ func (p Params) policiedStats(runs []policiedRun) ([]*pipeline.Stats, error) {
 	return stats, nil
 }
 
-// policiedCell simulates one policied run (or baseline) on gshare.
+// policiedCell simulates one policied run on gshare, or fetches the
+// workload's baseline.
 func policiedCell(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
 	w, err := workload.ByName(sp.Workload)
 	if err != nil {
 		return CellResult{}, err
 	}
-	var ests []conf.Estimator
-	if sp.Variant != policiedBaseline {
+	var st *pipeline.Stats
+	if sp.Variant == policiedBaseline {
+		st, err = p.baseStats(w, GshareSpec())
+	} else {
 		estName, spec, _ := strings.Cut(sp.Variant, "|")
 		mk := policiedEstimators[estName]
 		if mk == nil {
@@ -120,9 +125,8 @@ func policiedCell(_ context.Context, p Params, sp runner.Spec) (CellResult, erro
 		if p.Pipeline.Policy, err = policy.Parse(spec); err != nil {
 			return CellResult{}, fmt.Errorf("policied %s: %w", sp.Key(), err)
 		}
-		ests = []conf.Estimator{mk()}
+		st, err = p.runOne(w, GshareSpec(), mk())
 	}
-	st, err := p.runOne(w, GshareSpec(), false, ests...)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("policied %s: %w", sp.Key(), err)
 	}

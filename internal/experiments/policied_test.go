@@ -5,11 +5,13 @@ import (
 	"errors"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"specctrl/internal/policy"
+	"specctrl/internal/replay"
 	"specctrl/internal/runner"
 )
 
@@ -20,12 +22,12 @@ import (
 func TestPoliciedBaselineEstimatorFree(t *testing.T) {
 	p := frontierParams()
 	for _, w := range suite() {
-		bare, err := p.runOne(w, GshareSpec(), false)
+		bare, err := p.runOne(w, GshareSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, mk := range policiedEstimators {
-			st, err := p.runOne(w, GshareSpec(), false, mk())
+			st, err := p.runOne(w, GshareSpec(), mk())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,15 +86,25 @@ func TestPoliciedCellSharing(t *testing.T) {
 
 // TestPoliciedMemo: with Params.Cache nil, the process-wide memo shares
 // runs across experiments — abl-gating then frontier simulates exactly
-// 128 runs, and a repeat simulates none. The test swaps in a cold memo
-// so other tests cannot have warmed it.
+// the 120 policied runs and records the 8 baselines' traces (a baseline
+// is the recorded run's base stats), and a repeat does neither. The test
+// swaps in a cold memo and a fresh trace cache so other tests cannot
+// have warmed them.
 func TestPoliciedMemo(t *testing.T) {
 	defer func(m *memoCells) { policiedMemo = m }(policiedMemo)
 	policiedMemo = &memoCells{m: map[string]*memoCell{}}
 	p := frontierParams()
 	p.Jobs = 2
-	var runs atomic.Int64
-	p.Progress = func(string) { runs.Add(1) }
+	p.TraceCache = replay.NewCache(0, nil)
+	var runs, records atomic.Int64
+	p.Progress = func(msg string) {
+		switch {
+		case strings.HasPrefix(msg, "run "):
+			runs.Add(1)
+		case strings.HasPrefix(msg, "record "):
+			records.Add(1)
+		}
+	}
 	for i := 0; i < 2; i++ {
 		if _, err := AblationGating(p); err != nil {
 			t.Fatal(err)
@@ -100,8 +112,8 @@ func TestPoliciedMemo(t *testing.T) {
 		if _, err := Frontier(p); err != nil {
 			t.Fatal(err)
 		}
-		if got := runs.Load(); got != 128 {
-			t.Fatalf("pass %d: %d simulations, want 128", i+1, got)
+		if got, n := runs.Load(), records.Load(); got != 120 || n != 8 {
+			t.Fatalf("pass %d: %d simulations and %d recordings in total, want 120 and 8", i+1, got, n)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"specctrl/internal/obs"
 	"specctrl/internal/obs/span"
 	"specctrl/internal/pipeline"
+	"specctrl/internal/profile"
 	"specctrl/internal/replay"
 	"specctrl/internal/runner"
 	"specctrl/internal/workload"
@@ -35,8 +36,8 @@ import (
 // these parameters. Direct simulation is kept for the explicit
 // ReplayOff escape hatch, for configurations whose observation side
 // channels need the real run (base-config estimators or tracers,
-// per-branch event logs, site-statistics collection), and for policied
-// pipelines: a speculation-control policy perturbs fetch timing, so the
+// site-statistics collection), and for policied pipelines: a
+// speculation-control policy perturbs fetch timing, so the
 // estimator-visible event stream is no longer the unpolicied recording.
 func (p Params) replayActive() bool {
 	if p.Replay == ReplayOff {
@@ -45,7 +46,6 @@ func (p Params) replayActive() bool {
 	return len(p.Pipeline.Estimators) == 0 &&
 		p.Pipeline.Tracer == nil &&
 		p.Pipeline.Policy == nil &&
-		!p.Pipeline.RecordEvents &&
 		!p.Pipeline.CollectSiteStats
 }
 
@@ -64,7 +64,10 @@ func (p Params) traceCache() *replay.Cache {
 // recorder attached and returns the recording plus the run's base
 // statistics. The recorder reports high confidence on every branch, so
 // the base statistics are identical to an estimator-less run; its
-// Confidence entry is stripped before the stats are shared.
+// Confidence entry is stripped before the stats are shared. The
+// recording is therefore the pair's default run: baseStats serves its
+// stats and sitesFor its site profile to every cell that would
+// otherwise simulate that run again.
 func (p Params) recordTrace(w workload.Workload, spec PredictorSpec) (*replay.Trace, *pipeline.Stats, error) {
 	var rs *span.Span
 	if p.Tracer != nil {
@@ -179,18 +182,59 @@ func replayStats(base *pipeline.Stats, confs []pipeline.ConfStats) *pipeline.Sta
 }
 
 // evalEstimators is the replay-aware equivalent of
-// runOne(w, spec, false, ests...): grid cells that only need Stats for
-// a fixed estimator list call it and transparently share one recorded
+// runOne(w, spec, ests...): grid cells that only need Stats for a fixed
+// estimator list call it and transparently share one recorded
 // simulation per (workload, predictor) across cells and experiments.
 func (p Params) evalEstimators(w workload.Workload, spec PredictorSpec, ests ...conf.Estimator) (*pipeline.Stats, error) {
 	if !p.replayActive() {
-		return p.runOne(w, spec, false, ests...)
+		return p.runOne(w, spec, ests...)
+	}
+	if len(ests) == 0 {
+		return p.baseStats(w, spec)
 	}
 	confs, base, err := p.replayConfs(w, spec, ests)
 	if err != nil {
 		return nil, err
 	}
 	return replayStats(base, confs), nil
+}
+
+// baseStats returns the statistics of the pair's estimator-less run,
+// equal field for field to runOne(w, spec). When replay applies, that
+// run is the recording itself (see recordTrace), so the stats are a
+// copy of the trace cache's base stats and cost no simulation of their
+// own; otherwise the run simulates.
+func (p Params) baseStats(w workload.Workload, spec PredictorSpec) (*pipeline.Stats, error) {
+	if !p.replayActive() {
+		return p.runOne(w, spec)
+	}
+	_, base, err := p.traceFor(w, spec)
+	if err != nil {
+		return nil, err
+	}
+	st := *base
+	// A run without estimators reports an empty, not a nil, list.
+	st.Confidence = []pipeline.ConfStats{}
+	return &st, nil
+}
+
+// sitesFor returns the pair's per-branch-site prediction accuracy: the
+// static estimator's profile. When replay applies it is a fold of the
+// recording's committed fetches (replay.Trace.Sites), which is the
+// profile the recorded run would have collected; otherwise a profiling
+// simulation collects it.
+func (p Params) sitesFor(w workload.Workload, spec PredictorSpec) (map[int64]*pipeline.SiteStats, error) {
+	if !p.replayActive() {
+		cfg := p.Pipeline
+		cfg.MaxCommitted = p.MaxCommitted
+		p.progress("profile %-9s on %-9s", w.Name, spec.Name)
+		return profile.Sites(cfg, buildProgram(w, p.BuildIters), spec.New(p))
+	}
+	tr, _, err := p.traceFor(w, spec)
+	if err != nil {
+		return nil, err
+	}
+	return tr.Sites(), nil
 }
 
 // replayBatch is how many estimator configurations one replay cell
@@ -204,8 +248,9 @@ const replayBatch = 16
 
 // estsMemo builds one workload's estimator list exactly once per grid,
 // shared by that workload's replay-batch cells. Estimator construction
-// may itself run a profiling simulation (static, tuned, xinput), which
-// must not repeat per batch; construction is deterministic, so sharing
+// may itself fold a profile (static, tuned) or run a profiling
+// simulation (xinput's cross input), which must not repeat per batch;
+// construction is deterministic, so sharing
 // it preserves the grid's determinism contract even though the memo is
 // state shared between cells.
 type estsMemo struct {

@@ -14,10 +14,13 @@ import (
 // sweep estimators (fig3), small fixed estimator sets (table3),
 // profiling-dependent builders (table2's static column), evalEstimators
 // cells with a training profiler (patterns), a grouped Distance sweep on
-// the event tier (table4), and one singleton of each threshold-grouped
-// family (cir).
+// the event tier (table4), one singleton of each threshold-grouped
+// family (cir), and the cells served straight from a recording: base
+// stats (table1, abl-spechist, abl-indirect) and site profiles (tuned,
+// xinput).
 func TestReplayRenderMatchesDirect(t *testing.T) {
-	for _, exp := range []string{"table2", "table3", "fig3", "patterns", "table4", "cir"} {
+	for _, exp := range []string{"table2", "table3", "fig3", "patterns", "table4", "cir",
+		"table1", "abl-spechist", "abl-indirect", "tuned", "xinput"} {
 		t.Run(exp, func(t *testing.T) {
 			direct := smallParams()
 			direct.Replay = ReplayOff

@@ -6,7 +6,6 @@ import (
 
 	"specctrl/internal/conf"
 	"specctrl/internal/metrics"
-	"specctrl/internal/pipeline"
 	"specctrl/internal/profile"
 	"specctrl/internal/workload"
 )
@@ -39,33 +38,17 @@ func XInput(p Params) (*XInputResult, error) {
 	const altSeed = 0xA17E12
 	stats, err := p.suiteStats("xinput", GshareSpec(), "main", 2,
 		func(p Params, w workload.Workload) ([]conf.Estimator, error) {
-			// Profile pass on the reference input (self) and the
-			// alternative input (cross), both inside the cell.
-			profileOn := func(alt bool) (map[int64]*pipeline.SiteStats, error) {
-				cfg := p.Pipeline
-				cfg.MaxCommitted = p.MaxCommitted
-				cfg.CollectSiteStats = true
-				prog := buildProgram(w, p.BuildIters)
-				if alt {
-					prog = w.BuildSeeded(altSeed, p.BuildIters)
-				}
-				sim, err := pipeline.New(cfg, prog, GshareSpec().New(p))
-				if err != nil {
-					return nil, err
-				}
-				st, err := sim.Run()
-				if err != nil {
-					return nil, err
-				}
-				return st.Sites, nil
-			}
-			p.progress("xinput profile %s (self)", w.Name)
-			selfSites, err := profileOn(false)
+			// Profiles on the reference input (self: the pair's own
+			// recorded run) and the alternative input (cross: a
+			// different program, so it always simulates).
+			selfSites, err := p.sitesFor(w, GshareSpec())
 			if err != nil {
 				return nil, fmt.Errorf("xinput self %s: %w", w.Name, err)
 			}
 			p.progress("xinput profile %s (cross)", w.Name)
-			crossSites, err := profileOn(true)
+			cfg := p.Pipeline
+			cfg.MaxCommitted = p.MaxCommitted
+			crossSites, err := profile.Sites(cfg, w.BuildSeeded(altSeed, p.BuildIters), GshareSpec().New(p))
 			if err != nil {
 				return nil, fmt.Errorf("xinput cross %s: %w", w.Name, err)
 			}

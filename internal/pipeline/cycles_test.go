@@ -132,35 +132,6 @@ func TestCycleAccountingErrorPath(t *testing.T) {
 	}
 }
 
-// TestTracerHook checks the obs.Tracer sees exactly the events
-// RecordEvents captures, in the same order.
-func TestTracerHook(t *testing.T) {
-	var got []obs.BranchEvent
-	cfg := testConfig()
-	cfg.RecordEvents = true
-	cfg.Tracer = &funcTracer{fn: func(e obs.BranchEvent) { got = append(got, e) }}
-	st, _ := mustRun(t, cfg, loopProgram(3000), bpred.NewGshare(10),
-		conf.NewJRS(conf.DefaultJRS))
-	if len(got) != len(st.Events) {
-		t.Fatalf("tracer saw %d events, RecordEvents %d", len(got), len(st.Events))
-	}
-	for i, e := range st.Events {
-		want := obs.BranchEvent{PC: e.PC, Pred: e.Pred, Outcome: e.Outcome,
-			HighConf: e.HighConf, WrongPath: e.WrongPath, Cycle: e.Cycle,
-			ConfMask: e.ConfMask}
-		if got[i] != want {
-			t.Fatalf("event %d: tracer %+v != recorded %+v", i, got[i], want)
-		}
-	}
-}
-
-type funcTracer struct {
-	fn func(obs.BranchEvent)
-}
-
-func (f *funcTracer) Branch(e obs.BranchEvent) { f.fn(e) }
-func (f *funcTracer) Close() error             { return nil }
-
 // TestLiveMetricsPublish runs with an obs registry attached and checks
 // the final published gauges agree with the run statistics, cycle
 // buckets and estimator quadrants included.

@@ -76,9 +76,6 @@ type Config struct {
 	ExtraMispredictPenalty int
 	// ICache and DCache configure the L1 caches.
 	ICache, DCache cache.Config
-	// RecordEvents retains the full per-branch event trace in
-	// Stats.Events (costs memory on long runs).
-	RecordEvents bool
 	// CollectSiteStats accumulates per-branch-site prediction accuracy
 	// in Stats.Sites (used by the static estimator's profiling pass).
 	CollectSiteStats bool
@@ -100,11 +97,10 @@ type Config struct {
 
 	// Estimators is the set of confidence estimators observing the run
 	// (zero estimators disables confidence bookkeeping). The set is part
-	// of the validated configuration — estimators must be non-nil, at
-	// most 1024 are supported, and at most 64 with RecordEvents (events
-	// carry one confidence bit per estimator) — and
-	// experiments.CellAddress hashes the estimator names into a cell's
-	// content address along with every other field here.
+	// of the validated configuration — estimators must be non-nil and at
+	// most 1024 are supported — and experiments.CellAddress hashes the
+	// estimator names into a cell's content address along with every
+	// other field here.
 	Estimators []conf.Estimator
 
 	// Policy, when non-nil, is the speculation-control policy deciding
@@ -187,11 +183,6 @@ func (c Config) Validate() error {
 	if len(c.Estimators) > 1024 {
 		return &ConfigError{"Estimators", fmt.Sprintf("%d estimators exceed the limit of 1024", len(c.Estimators))}
 	}
-	if c.RecordEvents && len(c.Estimators) > 64 {
-		// BranchEvent.ConfMask carries one bit per estimator.
-		return &ConfigError{"Estimators", fmt.Sprintf(
-			"%d estimators with RecordEvents; events carry at most 64 confidence bits", len(c.Estimators))}
-	}
 	for i, e := range c.Estimators {
 		if e == nil {
 			return &ConfigError{fmt.Sprintf("Estimators[%d]", i), "estimator is nil"}
@@ -207,7 +198,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// BranchEvent records one fetched conditional branch.
+// BranchEvent records one fetched conditional branch: the record type
+// of the binary trace format (internal/trace), which its obs.Tracer
+// sink fills from the run's obs.BranchEvent stream.
 type BranchEvent struct {
 	PC        int64
 	Pred      bool // predicted direction
@@ -317,9 +310,6 @@ type Stats struct {
 	PreciseCommitted   DistanceHist
 	PerceivedAll       DistanceHist
 	PerceivedCommitted DistanceHist
-
-	// Events is the full branch trace when Config.RecordEvents is set.
-	Events []BranchEvent
 
 	// Sites is per-branch-site accuracy when Config.CollectSiteStats
 	// is set.
@@ -562,9 +552,6 @@ func New(cfg Config, prog *isa.Program, pred bpred.Predictor) (*Sim, error) {
 	}
 	if cfg.Metrics != nil {
 		s.gauges = newSimGauges(cfg.Metrics, cfg.MetricsLabels, s.stats.Confidence)
-	}
-	if cfg.RecordEvents {
-		s.stats.Events = make([]BranchEvent, 0, 4096)
 	}
 	return s, nil
 }
@@ -813,12 +800,6 @@ func (s *Sim) onCondBranch(pc int64, outcome bool, takenTarget, notTakenTarget i
 			}
 		}
 	}
-	if s.cfg.RecordEvents {
-		s.stats.Events = append(s.stats.Events, BranchEvent{
-			PC: pc, Pred: pred, Outcome: outcome, HighConf: hc0,
-			WrongPath: s.wrongPath, Cycle: s.cycle, ConfMask: confMask,
-		})
-	}
 	if s.cfg.Tracer != nil {
 		s.cfg.Tracer.Branch(obs.BranchEvent{
 			PC: pc, Pred: pred, Outcome: outcome, HighConf: hc0,
@@ -841,11 +822,12 @@ func (s *Sim) onCondBranch(pc int64, outcome bool, takenTarget, notTakenTarget i
 	if s.ras != nil {
 		rasCkpt = s.ras.Checkpoint()
 	}
-	*s.pending.push() = inflight{
+	lowConf := len(s.ests) > 0 && !hc0
+	*s.pending.push(lowConf) = inflight{
 		pc: pc, info: info, ckpt: ckpt, outcome: outcome, pred: pred,
 		resolveCycle: s.cycle + uint64(s.cfg.ResolveDelay),
 		mispredicted: !correct,
-		lowConf:      len(s.ests) > 0 && !hc0,
+		lowConf:      lowConf,
 		rasCkpt:      rasCkpt,
 	}
 	if correct {
@@ -976,16 +958,9 @@ func (s *Sim) Done() bool { return s.finished() }
 
 // PendingLowConf returns the number of in-flight (fetched, unresolved)
 // conditional branches whose first-estimator confidence estimate was low.
-// Pipeline gating and SMT fetch policies key off this occupancy count.
-func (s *Sim) PendingLowConf() int {
-	n := 0
-	for i := 0; i < s.pending.len(); i++ {
-		if s.pending.at(i).lowConf {
-			n++
-		}
-	}
-	return n
-}
+// Pipeline gating and SMT fetch policies key off this occupancy count,
+// which the pending ring keeps as a running count.
+func (s *Sim) PendingLowConf() int { return s.pending.lowConf() }
 
 // PendingBranches returns the number of in-flight conditional branches.
 func (s *Sim) PendingBranches() int { return s.pending.len() }
@@ -1174,7 +1149,7 @@ func (s *Sim) onIndirect(pc int64, predTarget, actual int64, isReturn bool, rasC
 		s.state.PC = predTarget
 		return
 	}
-	*s.pending.push() = inflight{
+	*s.pending.push(false) = inflight{
 		pc:           pc,
 		ckpt:         s.pred.Snapshot(),
 		resolveCycle: s.cycle + uint64(s.cfg.ResolveDelay),

@@ -166,34 +166,6 @@ func TestQuadrantTotalsMatchBranchCounts(t *testing.T) {
 	}
 }
 
-func TestEventTraceConsistency(t *testing.T) {
-	cfg := testConfig()
-	cfg.RecordEvents = true
-	st, _ := mustRun(t, cfg, loopProgram(1000), bpred.NewGshare(10),
-		conf.NewJRS(conf.DefaultJRS))
-	if uint64(len(st.Events)) != st.AllBr {
-		t.Fatalf("event count %d != AllBr %d", len(st.Events), st.AllBr)
-	}
-	var committed, wrong uint64
-	var q uint64
-	for _, e := range st.Events {
-		if e.WrongPath {
-			wrong++
-		} else {
-			committed++
-		}
-		if e.Correct() == (e.Pred == e.Outcome) {
-			q++
-		}
-	}
-	if committed != st.CommittedBr {
-		t.Errorf("committed events %d != CommittedBr %d", committed, st.CommittedBr)
-	}
-	if wrong != st.AllBr-st.CommittedBr {
-		t.Errorf("wrong-path events %d != %d", wrong, st.AllBr-st.CommittedBr)
-	}
-}
-
 // clusterProgram interleaves runs of correlated data-dependent branches
 // (all keyed to one random word) with long predictable stretches, so hard
 // branches — and therefore mispredictions — arrive in bursts.
@@ -455,36 +427,17 @@ func TestMultiEstimatorFanOut(t *testing.T) {
 	}
 }
 
-func TestEventConfMask(t *testing.T) {
-	cfg := testConfig()
-	cfg.RecordEvents = true
-	st, _ := mustRun(t, cfg, loopProgram(500), bpred.NewGshare(10),
-		conf.Always{High: true}, conf.Always{High: false})
-	for _, e := range st.Events {
-		if e.ConfMask&1 == 0 {
-			t.Fatal("estimator 0 (AlwaysHC) bit not set")
-		}
-		if e.ConfMask&2 != 0 {
-			t.Fatal("estimator 1 (AlwaysLC) bit set")
-		}
-		if !e.HighConf {
-			t.Fatal("HighConf should mirror estimator 0")
-		}
-	}
-}
-
 func TestTooManyEstimatorsError(t *testing.T) {
-	ests := make([]conf.Estimator, 65)
+	ests := make([]conf.Estimator, 1025)
 	for i := range ests {
 		ests[i] = conf.Always{High: true}
 	}
 	cfg := testConfig()
-	cfg.RecordEvents = true
 	cfg.Estimators = ests
 	_, err := New(cfg, loopProgram(1), bpred.NewGshare(8))
 	var ce *ConfigError
 	if !errors.As(err, &ce) {
-		t.Fatalf("New accepted 65 estimators with RecordEvents (err=%v)", err)
+		t.Fatalf("New accepted 1025 estimators (err=%v)", err)
 	}
 	if ce.Field != "Estimators" {
 		t.Errorf("ConfigError.Field = %q, want Estimators", ce.Field)

@@ -4,9 +4,8 @@ package pipeline
 // decides from, snapshotted at the top of each Tick — before that
 // cycle's branch resolutions, so a policy sees exactly what an external
 // per-cycle driver polling PendingLowConf before Tick would have seen.
-// Populating it costs one walk of the pending ring (bounded by
-// (ResolveDelay+1)*FetchWidth entries), the same price the old external
-// gating loop paid.
+// Populating it is O(1): the pending ring keeps its counts as entries
+// come and go.
 type FetchSignal struct {
 	// Cycle is the cycle about to execute (1-based).
 	Cycle uint64

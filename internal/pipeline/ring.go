@@ -17,6 +17,7 @@ type inflightRing struct {
 	buf  []inflight // len(buf) is a power of two
 	head int        // index of the oldest entry
 	n    int        // occupancy
+	low  int        // entries with lowConf set
 }
 
 // initRing allocates the backing buffer with capacity for at least min
@@ -27,18 +28,22 @@ func (r *inflightRing) init(min int) {
 		capacity <<= 1
 	}
 	r.buf = make([]inflight, capacity)
-	r.head, r.n = 0, 0
+	r.head, r.n, r.low = 0, 0, 0
 }
 
 // push appends one entry at the tail and returns a pointer to it, so
 // the caller writes the (large) inflight struct in place instead of
-// copying it through a temporary.
-func (r *inflightRing) push() *inflight {
+// copying it through a temporary. lowConf must equal the lowConf field
+// the caller writes; the ring counts it here.
+func (r *inflightRing) push(lowConf bool) *inflight {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
 	slot := &r.buf[(r.head+r.n)&(len(r.buf)-1)]
 	r.n++
+	if lowConf {
+		r.low++
+	}
 	return slot
 }
 
@@ -50,6 +55,9 @@ func (r *inflightRing) front() *inflight { return &r.buf[r.head] }
 // is pointer-free (all-POD), so stale entries cannot retain heap
 // objects, and push overwrites every field before the slot is read.
 func (r *inflightRing) popFront() {
+	if r.buf[r.head].lowConf {
+		r.low--
+	}
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 }
@@ -57,16 +65,14 @@ func (r *inflightRing) popFront() {
 // clear discards every entry (squash path); see popFront for why
 // slots stay dirty.
 func (r *inflightRing) clear() {
-	r.head, r.n = 0, 0
+	r.head, r.n, r.low = 0, 0, 0
 }
 
 // len reports the occupancy.
 func (r *inflightRing) len() int { return r.n }
 
-// at returns a pointer to the i-th oldest entry (0 = front).
-func (r *inflightRing) at(i int) *inflight {
-	return &r.buf[(r.head+i)&(len(r.buf)-1)]
-}
+// lowConf reports how many entries have lowConf set.
+func (r *inflightRing) lowConf() int { return r.low }
 
 // grow doubles the backing buffer, re-linearizing the entries.
 func (r *inflightRing) grow() {

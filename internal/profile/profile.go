@@ -41,21 +41,37 @@ func DefaultOptions() Options { return Options{Threshold: 0.90} }
 // site statistics enabled and returns the static estimator built from the
 // resulting profile. The predictor passed in is consumed by the training
 // run and must not be reused for evaluation — build a fresh one.
+//
+// Collect is the standalone entry point. The experiments layer instead
+// applies FromSites to a profile folded from the pair's recorded trace,
+// and simulates with Sites only when replay does not apply (as under
+// -replay off).
 func Collect(cfg pipeline.Config, prog *isa.Program, pred bpred.Predictor, opts Options) (conf.Static, error) {
 	if opts.Threshold < 0 || opts.Threshold > 1 {
 		return conf.Static{}, fmt.Errorf("profile: threshold %v out of [0,1]", opts.Threshold)
 	}
+	sites, err := Sites(cfg, prog, pred)
+	if err != nil {
+		return conf.Static{}, err
+	}
+	return FromSites(sites, opts), nil
+}
+
+// Sites is Collect's training run: it simulates prog under cfg with
+// site statistics enabled and returns the per-site accuracy profile.
+// replay.Trace.Sites folds the identical profile from a recording of
+// the same run.
+func Sites(cfg pipeline.Config, prog *isa.Program, pred bpred.Predictor) (map[int64]*pipeline.SiteStats, error) {
 	cfg.CollectSiteStats = true
-	cfg.RecordEvents = false
 	sim, err := pipeline.New(cfg, prog, pred)
 	if err != nil {
-		return conf.Static{}, fmt.Errorf("profile: bad pipeline config: %w", err)
+		return nil, fmt.Errorf("profile: bad pipeline config: %w", err)
 	}
 	st, err := sim.Run()
 	if err != nil {
-		return conf.Static{}, fmt.Errorf("profile: training run failed: %w", err)
+		return nil, fmt.Errorf("profile: training run failed: %w", err)
 	}
-	return FromSites(st.Sites, opts), nil
+	return st.Sites, nil
 }
 
 // FromSites builds the static estimator from an existing site-accuracy

@@ -77,6 +77,31 @@ func (t *Trace) Bytes() int {
 	return n
 }
 
+// Sites folds the trace's committed fetch events into per-branch-site
+// prediction accuracy: exactly the profile a run of the recorded
+// configuration accumulates under pipeline.Config.CollectSiteStats,
+// which counts the same committed fetches with the same correctness.
+func (t *Trace) Sites() map[int64]*pipeline.SiteStats {
+	sites := make(map[int64]*pipeline.SiteStats)
+	for _, c := range t.chunks {
+		for i, flg := range c.flg {
+			if flg&fCommitted == 0 {
+				continue
+			}
+			s := sites[c.pc[i]]
+			if s == nil {
+				s = &pipeline.SiteStats{}
+				sites[c.pc[i]] = s
+			}
+			s.Total++
+			if flg&fCorrect != 0 {
+				s.Correct++
+			}
+		}
+	}
+	return sites
+}
+
 // packInfo packs the three 2-bit counters of a bpred.Info.
 func packInfo(info bpred.Info) uint8 {
 	return uint8(info.C1&3) | uint8(info.C2&3)<<2 | uint8(info.Meta&3)<<4

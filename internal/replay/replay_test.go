@@ -142,6 +142,33 @@ func recordRun(t testing.TB, predName string) (*Trace, *pipeline.Stats) {
 	return tr, st
 }
 
+// TestTraceSitesMatchCollect: folding a recording's committed fetches
+// yields exactly the site profile a CollectSiteStats run of the same
+// configuration accumulates, on every predictor family, and a decoded
+// copy of the recording folds to the same profile.
+func TestTraceSitesMatchCollect(t *testing.T) {
+	for _, pred := range []string{"gshare", "mcfarling", "sag"} {
+		tr, _ := recordRun(t, pred)
+		want, err := profile.Sites(testConfig(), testProg(), testPred(t, pred))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: empty profile", pred)
+		}
+		if got := tr.Sites(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: trace sites (%d) differ from the profiling run's (%d)", pred, len(got), len(want))
+		}
+		dec, err := Decode(tr.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dec.Sites(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded trace sites differ from the profiling run's", pred)
+		}
+	}
+}
+
 // TestReplayMatchesDirect is the package's reason to exist: for every
 // estimator family, on every predictor family, replaying the recorded
 // event stream must reproduce the direct simulation's Stats.Confidence

@@ -11,8 +11,7 @@ import (
 // hook, making the compact format one sink among several (obs.JSONL
 // for debugging, nil for the null sink). The format's header carries
 // the event count, so the sink buffers events and serializes the
-// stream on Close — the same memory profile as Config.RecordEvents,
-// but without coupling callers to Stats.Events.
+// stream on Close.
 type Sink struct {
 	w      io.Writer
 	events []pipeline.BranchEvent

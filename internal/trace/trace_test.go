@@ -97,18 +97,18 @@ func TestCompactness(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	cfg.MaxCommitted = 100_000
 	cfg.MaxCycles = 10_000_000
-	cfg.RecordEvents = true
 	cfg.Estimators = []conf.Estimator{conf.NewJRS(conf.DefaultJRS)}
-	sim := pipeline.MustNew(cfg, w.Build(1<<30), bpred.NewGshare(12))
-	st, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := Write(&buf, st.Events); err != nil {
+	sink := NewSink(&buf)
+	cfg.Tracer = sink
+	sim := pipeline.MustNew(cfg, w.Build(1<<30), bpred.NewGshare(12))
+	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	perEvent := float64(buf.Len()) / float64(len(st.Events))
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	perEvent := float64(buf.Len()) / float64(sink.Count())
 	if perEvent > 8 {
 		t.Errorf("%.1f bytes/event, want < 8", perEvent)
 	}
@@ -122,15 +122,16 @@ func TestSimulationTraceRoundTrip(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	cfg.MaxCommitted = 50_000
 	cfg.MaxCycles = 10_000_000
-	cfg.RecordEvents = true
 	cfg.Estimators = []conf.Estimator{conf.SatCounters{}}
+	var buf bytes.Buffer
+	sink := NewSink(&buf)
+	cfg.Tracer = sink
 	sim := pipeline.MustNew(cfg, w.Build(1<<30), bpred.NewGshare(12))
 	st, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, st.Events); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(&buf)

@@ -88,6 +88,16 @@ for mode in off arch events; do
 done
 cmp "$SMOKE/table4-off.txt" "$SMOKE/table4-arch.txt"
 cmp "$SMOKE/table4-off.txt" "$SMOKE/table4-events.txt"
+# These experiments take default-config runs (base stats, site profiles)
+# from the recorded trace, and boost folds its events as they stream;
+# every mode must render the same bytes as direct simulation.
+for exp in boost boost-mcf abl-depth abl-indirect abl-spechist tuned xinput; do
+    for mode in off arch events; do
+        "$SMOKE/simctrl" -replay "$mode" -exp "$exp" -committed 60000 > "$SMOKE/$exp-$mode.txt"
+    done
+    cmp "$SMOKE/$exp-off.txt" "$SMOKE/$exp-arch.txt"
+    cmp "$SMOKE/$exp-off.txt" "$SMOKE/$exp-events.txt"
+done
 
 # Span-tracing smoke: -trace-out must emit a Chrome trace-event file
 # that parses with per-cell spans, -profile-cells must print the
