@@ -224,7 +224,6 @@ func main() {
 	p.Tracer = tracer
 	if *cacheMB != 0 || p.Obs != nil {
 		p.TraceCache = replay.NewCache(int64(*cacheMB)<<20, p.Obs)
-		p.ArchCache = replay.NewArchCache(int64(*cacheMB)<<20, p.Obs)
 	}
 
 	for _, name := range names {

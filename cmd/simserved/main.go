@@ -121,7 +121,6 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}) error {
 		JobTimeout:      *jobTO,
 		RetryAfter:      *retry,
 		TraceCacheBytes: int64(*cacheMB) << 20,
-		ArchCacheBytes:  int64(*cacheMB) << 20,
 		// serve.New installs a default tracer when the flags didn't ask
 		// for one, so /debug/traces always works on a running server.
 		Tracer: traceF.NewTracer(),

@@ -81,36 +81,32 @@ func CellsIn(fs *flag.FlagSet) *string {
 	return fs.String(CellsInFlag, "", "comma-separated cell JSON files to reuse instead of simulating")
 }
 
-// Replay registers -replay, the trace-tier mode selector.
+// Replay registers -replay, the estimator-evaluation mode selector.
 func Replay(fs *flag.FlagSet) *string {
-	return fs.String(ReplayFlag, experiments.ReplayArch,
-		"trace-tier mode: arch (committed-stream + event-stream caching), events (event-stream caching only), or off (simulate every cell directly)")
+	return fs.String(ReplayFlag, experiments.ReplayOn,
+		"estimator evaluation mode: on (record each simulation once, replay estimator sweeps) or off (simulate every cell directly)")
 }
 
 // ParseReplay validates a -replay value and returns the canonical
-// Params.Replay string. The legacy "auto" spelling (and the empty
-// string) canonicalize to arch, so pre-tri-state command lines keep
-// working.
+// Params.Replay string. The empty string and the legacy spellings
+// "auto", "arch" and "events" canonicalize to on, so older command
+// lines keep working.
 func ParseReplay(v string) (string, error) {
 	switch v {
-	case "", experiments.ReplayAuto, experiments.ReplayArch:
-		return experiments.ReplayArch, nil
-	case experiments.ReplayEvents:
-		return experiments.ReplayEvents, nil
+	case "", experiments.ReplayOn, "auto", "arch", "events":
+		return experiments.ReplayOn, nil
 	case experiments.ReplayOff:
 		return experiments.ReplayOff, nil
 	}
-	return "", fmt.Errorf("-%s must be %q, %q or %q, got %q",
-		ReplayFlag, experiments.ReplayArch, experiments.ReplayEvents, experiments.ReplayOff, v)
+	return "", fmt.Errorf("-%s must be %q or %q, got %q",
+		ReplayFlag, experiments.ReplayOn, experiments.ReplayOff, v)
 }
 
-// TraceCacheMB registers -trace-cache-mb, the in-process replay cache
-// budget (0 selects replay.DefaultCacheBytes). The budget applies to
-// each trace tier separately — the event-stream cache and the
-// committed-stream (arch) cache.
+// TraceCacheMB registers -trace-cache-mb, the in-process replay trace
+// cache budget (0 selects replay.DefaultCacheBytes).
 func TraceCacheMB(fs *flag.FlagSet) *int {
 	return fs.Int(TraceCacheMBFlag, 0,
-		"per-tier replay cache budget in MiB, applied to the event-stream and committed-stream caches (LRU by retained bytes; 0 = default 256)")
+		"replay trace cache budget in MiB (LRU by retained bytes; 0 = default 256)")
 }
 
 // PolicyFlags bundles the speculation-control policy flags shared by

@@ -124,14 +124,15 @@ func TestParseReplay(t *testing.T) {
 		in, want string
 		ok       bool
 	}{
-		{"", "arch", true},
-		{"auto", "arch", true},
-		{"arch", "arch", true},
-		{"events", "events", true},
+		{"", "on", true},
+		{"on", "on", true},
 		{"off", "off", true},
-		{"on", "", false},
+		{"auto", "on", true},
+		{"arch", "on", true},
+		{"events", "on", true},
+		{"ON", "", false},
 		{"AUTO", "", false},
-		{"ARCH", "", false},
+		{"bogus", "", false},
 	} {
 		got, err := ParseReplay(tc.in)
 		if tc.ok != (err == nil) {

@@ -193,29 +193,21 @@ func TestClusterByteIdenticalToLocal(t *testing.T) {
 }
 
 // TestClusterCrossNodeCacheHits: work one node did must be another
-// node's cache hit, on all three shared tiers. A table3 job (arch-
-// eligible: its workers record committed streams) and a fig5 job
-// (events-shaped: McFarling recordings) warm the coordinator's tiers;
-// then a fresh worker (cold local caches, the original workers
-// drained) runs misest — different cells, but the same committed
-// streams table3 recorded — and jrsmcf — different cells, the same
-// (workload, McFarling) event traces fig5 recorded — so it must fetch
-// both kinds of recording from the coordinator. Finally a table3
-// resubmission must be served from the shared cell tier.
+// node's cache hit, on both shared tiers. A table3 + fig5 job warms the
+// coordinator's tiers with (workload, McFarling) event traces; then a
+// fresh worker (cold local caches, the original workers drained) runs
+// misest and jrsmcf — different cells, but the same McFarling traces —
+// so it must fetch those recordings from the coordinator. Finally a
+// table3 resubmission must be served from the shared cell tier.
 func TestClusterCrossNodeCacheHits(t *testing.T) {
 	co, workers := newTestCluster(t, 2, nil)
 
 	first := submitJob(t, co, `{"version":1,"experiments":["table3","fig5"]}`)
 	waitDone(t, co, first)
-	// table3 is arch-eligible: the committed streams recorded on the
-	// workers were written through to the coordinator's arch tier.
-	if co.archTracePuts.Value() == 0 {
-		t.Error("no arch traces were uploaded to the shared tier")
-	}
-	// fig5 is events-shaped: its event recordings were written through
-	// to the coordinator's event-trace tier.
+	// Both experiments are replay-shaped: the recordings made on the
+	// workers were written through to the coordinator.
 	if co.tracePuts.Value() == 0 {
-		t.Error("no event traces were uploaded to the shared tier")
+		t.Error("no traces were uploaded to the shared tier")
 	}
 
 	for _, w := range workers {
@@ -241,9 +233,6 @@ func TestClusterCrossNodeCacheHits(t *testing.T) {
 
 	second := submitJob(t, co, `{"version":1,"experiments":["misest","jrsmcf"]}`)
 	waitDone(t, co, second)
-	if co.archTraceHits.Value() == 0 {
-		t.Error("no cross-node arch-trace hits recorded")
-	}
 	if co.traceHits.Value() == 0 {
 		t.Error("no cross-node trace-cache hits recorded")
 	}

@@ -66,13 +66,12 @@ type Config struct {
 // plus the /cluster/v1/ scheduling and cache-tier endpoints. Construct
 // with New; stop with Drain.
 type Coordinator struct {
-	cfg        Config
-	srv        *serve.Server
-	reg        *obs.Registry
-	tracer     *span.Tracer
-	store      *serve.Store
-	traces     *replay.Cache
-	archTraces *replay.ArchCache
+	cfg    Config
+	srv    *serve.Server
+	reg    *obs.Registry
+	tracer *span.Tracer
+	store  *serve.Store
+	traces *replay.Cache
 
 	mu         sync.Mutex
 	workers    map[string]*workerState
@@ -88,13 +87,12 @@ type Coordinator struct {
 	stop chan struct{} // closes when Drain begins; stops the reaper
 	done sync.WaitGroup
 
-	workersGauge                                  *obs.Gauge
-	unitsDone, unitsFailed                        *obs.Counter
-	unitsReassigned, steals                       *obs.Counter
-	workersLost                                   *obs.Counter
-	cellHits, cellMisses, cellPuts                *obs.Counter
-	traceHits, traceMisses, tracePuts             *obs.Counter
-	archTraceHits, archTraceMisses, archTracePuts *obs.Counter
+	workersGauge                      *obs.Gauge
+	unitsDone, unitsFailed            *obs.Counter
+	unitsReassigned, steals           *obs.Counter
+	workersLost                       *obs.Counter
+	cellHits, cellMisses, cellPuts    *obs.Counter
+	traceHits, traceMisses, tracePuts *obs.Counter
 }
 
 // workerState is the coordinator's view of one registered worker.
@@ -158,21 +156,17 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Serve.Params.TraceCache == nil {
 		cfg.Serve.Params.TraceCache = replay.NewCache(cfg.Serve.TraceCacheBytes, cfg.Serve.Registry)
 	}
-	if cfg.Serve.Params.ArchCache == nil {
-		cfg.Serve.Params.ArchCache = replay.NewArchCache(cfg.Serve.ArchCacheBytes, cfg.Serve.Registry)
-	}
 
 	reg := cfg.Serve.Registry
 	c := &Coordinator{
-		cfg:        cfg,
-		reg:        reg,
-		tracer:     cfg.Serve.Tracer,
-		traces:     cfg.Serve.Params.TraceCache,
-		archTraces: cfg.Serve.Params.ArchCache,
-		workers:    make(map[string]*workerState),
-		units:      make(map[string]*unit),
-		wake:       make(chan struct{}),
-		stop:       make(chan struct{}),
+		cfg:     cfg,
+		reg:     reg,
+		tracer:  cfg.Serve.Tracer,
+		traces:  cfg.Serve.Params.TraceCache,
+		workers: make(map[string]*workerState),
+		units:   make(map[string]*unit),
+		wake:    make(chan struct{}),
+		stop:    make(chan struct{}),
 
 		workersGauge:    reg.Gauge("specctrl_cluster_workers", nil),
 		unitsDone:       reg.Counter("specctrl_cluster_units_total", obs.Labels{"state": unitDone}),
@@ -186,9 +180,6 @@ func New(cfg Config) (*Coordinator, error) {
 		traceHits:       reg.Counter("specctrl_cluster_trace_hits_total", nil),
 		traceMisses:     reg.Counter("specctrl_cluster_trace_misses_total", nil),
 		tracePuts:       reg.Counter("specctrl_cluster_trace_puts_total", nil),
-		archTraceHits:   reg.Counter("specctrl_cluster_archtrace_hits_total", nil),
-		archTraceMisses: reg.Counter("specctrl_cluster_archtrace_misses_total", nil),
-		archTracePuts:   reg.Counter("specctrl_cluster_archtrace_puts_total", nil),
 	}
 	cfg.Serve.RunExperiment = c.runExperiment
 	cfg.Serve.Mount = c.mount

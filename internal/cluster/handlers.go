@@ -9,7 +9,6 @@ import (
 
 	"specctrl/internal/experiments"
 	"specctrl/internal/obs/span"
-	"specctrl/internal/replay"
 )
 
 // maxPollWait caps the long-poll duration a worker may request.
@@ -33,8 +32,6 @@ func (c *Coordinator) mount(mux *http.ServeMux) {
 	mux.Handle("PUT /cluster/v1/cells/{addr}", c.traced("cell-put", c.handleCellPut))
 	mux.Handle("GET /cluster/v1/traces/{addr}", c.traced("trace-get", c.handleTraceGet))
 	mux.Handle("PUT /cluster/v1/traces/{addr}", c.traced("trace-put", c.handleTracePut))
-	mux.Handle("GET /cluster/v1/archtraces/{addr}", c.traced("archtrace-get", c.handleArchTraceGet))
-	mux.Handle("PUT /cluster/v1/archtraces/{addr}", c.traced("archtrace-put", c.handleArchTracePut))
 	mux.Handle("GET /cluster/v1/status", c.traced("cluster-status", c.handleStatus))
 }
 
@@ -240,57 +237,6 @@ func (c *Coordinator) handleTracePut(w http.ResponseWriter, r *http.Request) {
 	}
 	c.traces.Put(addr, t, st)
 	c.tracePuts.Inc()
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleArchTraceGet serves the shared arch-trace tier: the committed
-// branch-outcome stream any node recorded replays on every node. The
-// body is the trace's own self-validating encoding (no stats sidecar —
-// the committed-instruction count rides inside the stream).
-func (c *Coordinator) handleArchTraceGet(w http.ResponseWriter, r *http.Request) {
-	addr := r.PathValue("addr")
-	if !validAddr(addr) {
-		clusterErrorf(w, http.StatusBadRequest, "malformed arch-trace address %q", addr)
-		return
-	}
-	t, ok := c.archTraces.Get(addr)
-	if !ok {
-		c.archTraceMisses.Inc()
-		if sp := span.FromContext(r.Context()); sp != nil {
-			sp.SetAttrs(span.Str("outcome", "miss"))
-		}
-		clusterErrorf(w, http.StatusNotFound, "no arch trace at %s", addr)
-		return
-	}
-	c.archTraceHits.Inc()
-	if sp := span.FromContext(r.Context()); sp != nil {
-		sp.SetAttrs(span.Str("outcome", "hit"))
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(t.Encode())
-}
-
-// handleArchTracePut is the write-through half of the arch-trace tier:
-// a worker that records a committed stream uploads it so every other
-// node's recording becomes a fetch.
-func (c *Coordinator) handleArchTracePut(w http.ResponseWriter, r *http.Request) {
-	addr := r.PathValue("addr")
-	if !validAddr(addr) {
-		clusterErrorf(w, http.StatusBadRequest, "malformed arch-trace address %q", addr)
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		clusterErrorf(w, http.StatusBadRequest, "read arch-trace body: %v", err)
-		return
-	}
-	t, err := replay.DecodeArch(data)
-	if err != nil {
-		clusterErrorf(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	c.archTraces.Put(addr, t)
-	c.archTracePuts.Inc()
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -55,7 +55,7 @@ type Unit struct {
 	Committed uint64 `json:"committed"`
 	// BaseSeed roots the cells' RNG streams (0 = runner default).
 	BaseSeed uint64 `json:"baseSeed"`
-	// Replay is the replay mode ("" / "auto" / "off"); it changes
+	// Replay is the replay mode ("" / "on" / "off"); it changes
 	// which cells a grid enumerates, so it is part of unit identity.
 	Replay string `json:"replay"`
 	// SynthN is the sweepspace generated-profile count (0 = default);

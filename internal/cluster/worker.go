@@ -35,10 +35,9 @@ type WorkerConfig struct {
 	Addr string
 	// Jobs is the runner pool width per unit (default: all CPUs).
 	Jobs int
-	// TraceCacheBytes bounds each of the worker's local replay caches —
-	// the event-trace cache and the arch-trace cache — (0 =
-	// replay.DefaultCacheBytes); the coordinator's matching tiers back
-	// them, so a local miss fetches before re-recording.
+	// TraceCacheBytes bounds the worker's local replay trace cache
+	// (0 = replay.DefaultCacheBytes); the coordinator's trace tier
+	// backs it, so a local miss fetches before re-recording.
 	TraceCacheBytes int64
 	// PollWait is the long-poll duration per scheduling request
 	// (default 10s; tests shrink it).
@@ -57,13 +56,12 @@ type WorkerConfig struct {
 // or Kill (abrupt: simulates a crash; the coordinator's lease TTL
 // recovers the units). Construct with NewWorker.
 type Worker struct {
-	cfg        WorkerConfig
-	client     *http.Client
-	reg        *obs.Registry
-	tracer     *span.Tracer
-	traces     *replay.Cache
-	archTraces *replay.ArchCache
-	hs         *obs.Server
+	cfg    WorkerConfig
+	client *http.Client
+	reg    *obs.Registry
+	tracer *span.Tracer
+	traces *replay.Cache
+	hs     *obs.Server
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -79,10 +77,9 @@ type Worker struct {
 	draining   bool
 	killed     bool
 
-	unitsDone, unitsFailed             *obs.Counter
-	fetchHits, fetchMisses, cellPuts   *obs.Counter
-	traceFetches, traceUploads         *obs.Counter
-	archTraceFetches, archTraceUploads *obs.Counter
+	unitsDone, unitsFailed           *obs.Counter
+	fetchHits, fetchMisses, cellPuts *obs.Counter
+	traceFetches, traceUploads       *obs.Counter
 }
 
 // NewWorker registers with the coordinator and starts the worker's
@@ -115,28 +112,24 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg: cfg,
 		// No client-level timeout: the poll long-polls; every other
 		// request carries its own context deadline.
-		client:     &http.Client{},
-		reg:        cfg.Registry,
-		tracer:     cfg.Tracer,
-		traces:     replay.NewCache(cfg.TraceCacheBytes, cfg.Registry),
-		archTraces: replay.NewArchCache(cfg.TraceCacheBytes, cfg.Registry),
+		client: &http.Client{},
+		reg:    cfg.Registry,
+		tracer: cfg.Tracer,
+		traces: replay.NewCache(cfg.TraceCacheBytes, cfg.Registry),
 
 		loopDone: make(chan struct{}),
 
-		unitsDone:        cfg.Registry.Counter("specctrl_worker_units_total", obs.Labels{"result": "done"}),
-		unitsFailed:      cfg.Registry.Counter("specctrl_worker_units_total", obs.Labels{"result": "failed"}),
-		fetchHits:        cfg.Registry.Counter("specctrl_worker_cell_fetch_hits_total", nil),
-		fetchMisses:      cfg.Registry.Counter("specctrl_worker_cell_fetch_misses_total", nil),
-		cellPuts:         cfg.Registry.Counter("specctrl_worker_cell_puts_total", nil),
-		traceFetches:     cfg.Registry.Counter("specctrl_worker_trace_fetches_total", nil),
-		traceUploads:     cfg.Registry.Counter("specctrl_worker_trace_uploads_total", nil),
-		archTraceFetches: cfg.Registry.Counter("specctrl_worker_archtrace_fetches_total", nil),
-		archTraceUploads: cfg.Registry.Counter("specctrl_worker_archtrace_uploads_total", nil),
+		unitsDone:    cfg.Registry.Counter("specctrl_worker_units_total", obs.Labels{"result": "done"}),
+		unitsFailed:  cfg.Registry.Counter("specctrl_worker_units_total", obs.Labels{"result": "failed"}),
+		fetchHits:    cfg.Registry.Counter("specctrl_worker_cell_fetch_hits_total", nil),
+		fetchMisses:  cfg.Registry.Counter("specctrl_worker_cell_fetch_misses_total", nil),
+		cellPuts:     cfg.Registry.Counter("specctrl_worker_cell_puts_total", nil),
+		traceFetches: cfg.Registry.Counter("specctrl_worker_trace_fetches_total", nil),
+		traceUploads: cfg.Registry.Counter("specctrl_worker_trace_uploads_total", nil),
 	}
 	w.ctx, w.cancel = context.WithCancel(context.Background())
 	w.loopCtx, w.loopStop = context.WithCancel(w.ctx)
 	w.traces.SetBacking(&remoteTraces{w: w})
-	w.archTraces.SetBacking(&remoteArchTraces{w: w})
 
 	if err := w.register(); err != nil {
 		w.cancel()
@@ -357,7 +350,6 @@ func (w *Worker) runUnit(ctx context.Context, u *Unit, parent span.Context) erro
 	p.Record = experiments.NewCellStore()
 	p.Cache = &remoteCells{w: w}
 	p.TraceCache = w.traces
-	p.ArchCache = w.archTraces
 	p.Obs = w.reg
 	p.Tracer = w.tracer
 	p.SpanParent = parent
@@ -588,64 +580,5 @@ func (rt *remoteTraces) Store(addr string, t *replay.Trace, st *pipeline.Stats) 
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusNoContent {
 		w.traceUploads.Inc()
-	}
-}
-
-// remoteArchTraces is the worker-side replay.ArchBacking over the
-// coordinator's arch-trace tier: a committed branch-outcome stream
-// recorded on any node is fetched instead of re-recorded here, and
-// local recordings are uploaded.
-type remoteArchTraces struct {
-	w *Worker
-}
-
-// Fetch implements replay.ArchBacking.
-func (rt *remoteArchTraces) Fetch(addr string) (*replay.ArchTrace, bool) {
-	w := rt.w
-	ctx, cancel := context.WithTimeout(w.ctx, 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.cfg.Coordinator+"/cluster/v1/archtraces/"+addr, nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, false
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, false
-	}
-	t, err := replay.DecodeArch(data)
-	if err != nil {
-		return nil, false
-	}
-	w.archTraceFetches.Inc()
-	return t, true
-}
-
-// Store implements replay.ArchBacking.
-func (rt *remoteArchTraces) Store(addr string, t *replay.ArchTrace) {
-	w := rt.w
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, w.cfg.Coordinator+"/cluster/v1/archtraces/"+addr, bytes.NewReader(t.Encode()))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		w.archTraceUploads.Inc()
 	}
 }

@@ -21,13 +21,17 @@ import (
 // v3: pipelineIdentity gained Policy (the Name() of the speculation-
 // control policy installed in pipeline.Config.Policy, "" when none).
 //
-// v4: the ConsumesCommitted experiments (table2, table2-detail,
-// table3, auc, patterns, misest) were redefined as canonical
-// trace-driven evaluations over the committed branch stream (see
-// internal/replay's arch tier and archgrid.go): their cell results
-// changed, so v3 addresses must never serve them — or any other cell,
-// since the version is shared — to a v4 build.
-const cellAddressVersion = 4
+// v4: table2, table2-detail, table3, auc, patterns and misest were
+// redefined as trace-driven evaluations over the committed branch
+// stream (a since-removed trace tier): their cell results changed, so
+// v3 addresses must never serve them — or any other cell, since the
+// version is shared — to a v4 build.
+//
+// v5: those six experiments went back to wrong-path-aware pipeline
+// evaluation (direct simulation or event-trace replay): their cell
+// results changed again under unchanged identities, so a v4 store must
+// never serve its trace-driven cells to a v5 build.
+const cellAddressVersion = 5
 
 // cacheIdentity is the determinism-relevant subset of cache.Config
 // (Name is cosmetic and excluded).
@@ -282,58 +286,6 @@ func (p Params) UnitAddress(experiment string, sh runner.Shard) string {
 	data, err := json.Marshal(id)
 	if err != nil {
 		panic("experiments: unit identity encoding: " + err.Error())
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// archTraceAddressVersion versions archIdentity the way
-// cellAddressVersion versions cellIdentity.
-const archTraceAddressVersion = 1
-
-// archIdentity is the canonical identity of one workload's committed
-// branch-outcome stream. Compared to traceIdentity it drops the
-// predictor axis entirely — the stream is recorded under the canonical
-// gshare configuration in every mode, so only that one geometry
-// (GshareBits) is part of the identity — which is exactly why one arch
-// trace serves every (predictor, estimator) combination of a workload.
-// The full pipeline identity stays: the stream's length depends on
-// fetch timing through the committed-instruction stop condition.
-type archIdentity struct {
-	AddressVersion int    `json:"addressVersion"`
-	Workload       string `json:"workload"`
-	BaseSeed       uint64 `json:"baseSeed"`
-
-	MaxCommitted uint64           `json:"maxCommitted"`
-	BuildIters   int              `json:"buildIters"`
-	GshareBits   uint             `json:"gshareBits"`
-	Pipeline     pipelineIdentity `json:"pipeline"`
-}
-
-// ArchTraceAddress returns the content address of the committed
-// branch-outcome stream a canonical recording run of the workload
-// under these parameters would capture: a hex SHA-256 of the canonical
-// JSON encoding of the stream's identity. Two (Params, workload) pairs
-// share an address exactly when their recordings produce bit-identical
-// streams, so the address keys the ArchCache (and the cluster's
-// arch-trace tier) the way TraceAddress keys the event-trace cache.
-func (p Params) ArchTraceAddress(workload string) string {
-	seed := p.BaseSeed
-	if seed == 0 {
-		seed = runner.DefaultBaseSeed
-	}
-	id := archIdentity{
-		AddressVersion: archTraceAddressVersion,
-		Workload:       workload,
-		BaseSeed:       seed,
-		MaxCommitted:   p.MaxCommitted,
-		BuildIters:     p.BuildIters,
-		GshareBits:     p.GshareBits,
-		Pipeline:       p.pipelineID(),
-	}
-	data, err := json.Marshal(id)
-	if err != nil {
-		panic("experiments: arch trace identity encoding: " + err.Error())
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])

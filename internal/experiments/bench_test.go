@@ -74,10 +74,10 @@ func BenchmarkSweepReplay(b *testing.B) {
 	}
 }
 
-// suiteCells is the arch-eligible evaluation shape the suite
-// benchmarks below measure: all three predictor families over one
-// workload, each with a small mixed estimator panel — the per-workload
-// work a table2-style grid does.
+// suiteCells is the evaluation shape BenchmarkSuiteEvents measures:
+// all three predictor families over one workload, each with a small
+// mixed estimator panel — the per-workload work a table2-style grid
+// does.
 var suiteCells = []string{"gshare", "mcfarling", "sag"}
 
 func suitePanel() []conf.Estimator {
@@ -89,43 +89,20 @@ func suitePanel() []conf.Estimator {
 	}
 }
 
-// BenchmarkSuiteEvents measures the event-tier strategy on the
-// arch-eligible shape, from a cold cache: one event recording per
-// predictor (the event stream is predictor-dependent), then an
-// estimator replay of each. It is the baseline BenchmarkSuiteArch is
-// gated against (the ≥2× pre_arch_seed entries in BENCH_PIPELINE.json).
+// BenchmarkSuiteEvents measures the record/replay strategy on that
+// shape, from a cold cache: one event recording per predictor (the
+// event stream is predictor-dependent), then an estimator replay of
+// each.
 func BenchmarkSuiteEvents(b *testing.B) {
 	w, _ := workload.ByName("gcc")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := DefaultParams()
 		p.MaxCommitted = 200_000
-		p.Replay = ReplayEvents
 		p.TraceCache = replay.NewCache(0, nil)
 		for _, pred := range suiteCells {
 			spec, _ := predictorByName(pred)
 			if _, err := p.evalEstimators(w, spec, suitePanel()...); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkSuiteArch measures the arch-tier strategy on the same shape,
-// from a cold cache: one committed-stream recording for the workload
-// (shared by every predictor) plus one trace-driven evaluation per
-// predictor.
-func BenchmarkSuiteArch(b *testing.B) {
-	w, _ := workload.ByName("gcc")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p := DefaultParams()
-		p.MaxCommitted = 200_000
-		p.Replay = ReplayArch
-		p.ArchCache = replay.NewArchCache(0, nil)
-		for _, pred := range suiteCells {
-			spec, _ := predictorByName(pred)
-			if _, err := p.archEval(w, spec, suitePanel()...); err != nil {
 				b.Fatal(err)
 			}
 		}

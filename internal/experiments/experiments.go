@@ -121,31 +121,21 @@ type Params struct {
 	// on-disk singleflight implementation.
 	Cache CellCache
 
-	// Replay selects which trace tiers back experiment evaluation.
-	// ReplayArch (also "" or the legacy ReplayAuto) enables both: the
-	// ConsumesCommitted experiments draw each workload's committed
-	// branch-outcome stream from the arch cache (one recording per
-	// workload), and estimator sweeps replay each (workload, predictor,
-	// pipeline) event-stream recording. ReplayEvents disables only the
-	// arch cache: ConsumesCommitted experiments derive their stream
-	// from the event-tier trace instead. ReplayOff disables all trace
-	// caching — direct simulation per cell (the escape hatch the
-	// differential smoke in scripts/check.sh uses). Rendered output is
-	// byte-identical in every mode; only wall-clock changes. Grid cell
-	// keys of the event-replay sweeps differ between modes, so sharded
-	// sweeps must use one mode consistently across shard and merge
-	// machines (docs/REGENERATING.md).
+	// Replay selects how experiments evaluate their estimators: "" or
+	// ReplayOn records each (workload, predictor, pipeline) simulation
+	// once and replays estimator configurations against the recorded
+	// branch-event trace; ReplayOff forces direct simulation of every
+	// cell (the escape hatch the differential smoke in scripts/check.sh
+	// uses). Rendered output is byte-identical in both modes; only
+	// wall-clock changes. Grid cell keys differ between modes, so
+	// sharded sweeps must use one mode consistently across shard and
+	// merge machines (docs/REGENERATING.md).
 	Replay string
 	// TraceCache holds recorded branch-event traces for replay; nil
 	// selects a process-wide shared cache with replay.DefaultCacheBytes
 	// of capacity and no metrics. Long-running servers pass their own
 	// cache to bound memory and publish hit/eviction counters.
 	TraceCache *replay.Cache
-	// ArchCache holds recorded committed branch-outcome streams (the
-	// upstream trace tier, keyed by ArchTraceAddress); nil selects a
-	// process-wide shared cache with replay.DefaultCacheBytes of
-	// capacity and no metrics, exactly like TraceCache.
-	ArchCache *replay.ArchCache
 
 	// SynthN is how many latin-hypercube profiles the sweepspace
 	// experiment generates (zero selects DefaultSynthN). Like BaseSeed
@@ -171,16 +161,11 @@ type Params struct {
 
 // Replay mode values for Params.Replay and the shared -replay flag.
 const (
-	// ReplayArch enables both trace tiers (the default).
-	ReplayArch = "arch"
-	// ReplayEvents enables only the event-stream tier.
-	ReplayEvents = "events"
-	// ReplayOff disables all trace caching.
+	// ReplayOn records each pair once and replays estimators (the
+	// default; "" means the same).
+	ReplayOn = "on"
+	// ReplayOff disables trace caching: every cell simulates directly.
 	ReplayOff = "off"
-	// ReplayAuto is the legacy spelling of ReplayArch, kept so old
-	// command lines and cluster configs keep working; cliflags
-	// canonicalizes it to ReplayArch at parse time.
-	ReplayAuto = "auto"
 )
 
 // DefaultParams returns the paper's configuration at a laptop-scale run

@@ -55,7 +55,7 @@ func TestGridCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	p := smallParams()
-	p.ArchCache = replay.NewArchCache(0, nil) // cold, so cells emit progress
+	p.TraceCache = replay.NewCache(0, nil) // cold, so cells emit progress
 	p.Ctx = ctx
 	p.Jobs = 4
 	var cells atomic.Int32 // bumped from concurrent runner workers
@@ -275,10 +275,9 @@ func TestShardRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Table3 is arch-eligible: the grid is one cell per workload under
-	// every replay mode (the arch cache dedups recordings below the
-	// cell layer, so there are no #record/#replay cells to shard).
-	if want := len(suite()); total != want {
+	// Default params run replay-shaped grids: per workload, one record
+	// cell plus one replay cell (Table3's two estimators fit one batch).
+	if want := 2 * len(suite()); total != want {
 		t.Fatalf("shards produced %d cells, want %d", total, want)
 	}
 	if want.Render() != got.Render() {

@@ -52,11 +52,7 @@ func misestCell(_ context.Context, p Params, sp runner.Spec) (CellResult, error)
 	default:
 		return CellResult{}, fmt.Errorf("misest: unknown variant %q", sp.Variant)
 	}
-	eval := p.evalEstimators
-	if p.archEligible() {
-		eval = p.archEval
-	}
-	st, err := eval(w, spec, est)
+	st, err := p.evalEstimators(w, spec, est)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("misest %s/%s: %w", w.Name, spec.Name, err)
 	}

@@ -51,11 +51,7 @@ func patternsCell(_ context.Context, p Params, sp runner.Spec) (CellResult, erro
 	}
 	bits := spec.HistBits(p)
 	prof := NewPatternCollector(bits)
-	eval := p.evalEstimators
-	if p.archEligible() {
-		eval = p.archEval
-	}
-	st, err := eval(w, spec, prof.Profiler, conf.NewPatternHistory(bits))
+	st, err := p.evalEstimators(w, spec, prof.Profiler, conf.NewPatternHistory(bits))
 	if err != nil {
 		return CellResult{}, fmt.Errorf("patterns %s/%s: %w", w.Name, spec.Name, err)
 	}

@@ -6,31 +6,12 @@ import "fmt"
 // paper-style text table. Every driver's result type implements it.
 type Renderer interface{ Render() string }
 
-// Consumes classifies what a registered experiment's results are a
-// function of, and therefore which execution tiers can serve it.
-type Consumes string
-
-const (
-	// ConsumesCommitted marks experiments defined over the committed
-	// branch-outcome stream alone: their canonical semantics is the
-	// trace-driven evaluation in archgrid.go, identical under every
-	// -replay mode, and the arch tier can serve them without running
-	// the pipeline at all.
-	ConsumesCommitted Consumes = "committed"
-	// ConsumesPipeline marks experiments that consume wrong-path or
-	// timing behaviour (cycles, squashes, gating, event logs, policy
-	// effects): they need the cycle simulator, at most accelerated by
-	// the event-stream replay tier.
-	ConsumesPipeline Consumes = "pipeline"
-)
-
 // Entry is one registered experiment: a stable name, a one-line
-// description, the consumption class, and the driver.
+// description, and the driver.
 type Entry struct {
-	Name     string
-	Desc     string
-	Consumes Consumes
-	Run      func(p Params) (Renderer, error)
+	Name string
+	Desc string
+	Run  func(p Params) (Renderer, error)
 }
 
 // detailed swaps a Table2Result's renderer for the per-application view.
@@ -53,19 +34,16 @@ var order = []string{
 	"sweepspace", "frontier",
 }
 
-func register(name, desc string, consumes Consumes, run func(p Params) (Renderer, error)) {
-	registry[name] = Entry{Name: name, Desc: desc, Consumes: consumes, Run: run}
+func register(name, desc string, run func(p Params) (Renderer, error)) {
+	registry[name] = Entry{Name: name, Desc: desc, Run: run}
 }
 
 func init() {
 	register("table1", "program characteristics: committed vs all instructions, misprediction rates",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return Table1(p) })
 	register("table2", "four confidence estimators x three predictors, suite means",
-		ConsumesCommitted,
 		func(p Params) (Renderer, error) { return Table2(p) })
 	register("table2-detail", "table2 with per-application drill-down (the paper's [5] detail)",
-		ConsumesCommitted,
 		func(p Params) (Renderer, error) {
 			r, err := Table2(p)
 			if err != nil {
@@ -74,94 +52,64 @@ func init() {
 			return detailed{r}, nil
 		})
 	register("table3", "Both-Strong vs Either-Strong saturating counters on McFarling",
-		ConsumesCommitted,
 		func(p Params) (Renderer, error) { return Table3(p) })
 	register("table4", "misprediction-distance estimator vs JRS / SatCnt / Static",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return Table4(p) })
 	register("fig1", "analytic PVP/PVN parameter curves",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return Fig1(p), nil })
 	register("fig3", "JRS base vs enhanced threshold sweep (gshare)",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return Fig3(p) })
 	register("fig4", "JRS design space: MDC entries x threshold (gshare)",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return Fig45(p, GshareSpec()) })
 	register("fig5", "JRS design space: MDC entries x threshold (McFarling)",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return Fig45(p, McFarlingSpec()) })
 	register("fig6", "precise misprediction distance (gshare)",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return FigDistance(p, GshareSpec(), false) })
 	register("fig7", "precise misprediction distance (McFarling)",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return FigDistance(p, McFarlingSpec(), false) })
 	register("fig8", "perceived misprediction distance (gshare)",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return FigDistance(p, GshareSpec(), true) })
 	register("fig9", "perceived misprediction distance (McFarling)",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return FigDistance(p, McFarlingSpec(), true) })
 	register("misest", "confidence mis-estimation clustering (section 4.1)",
-		ConsumesCommitted,
 		func(p Params) (Renderer, error) { return Misest(p) })
 	register("boost", "consecutive-low-confidence boosting (section 4.2)",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return Boost(p, GshareSpec(), 4) })
 	register("boost-mcf", "boosting on the McFarling predictor",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return Boost(p, McFarlingSpec(), 4) })
 	register("abl-width", "ablation: JRS miss-distance-counter width",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return AblationWidth(p) })
 	register("abl-spechist", "ablation: speculative vs non-speculative gshare history update",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return AblationSpecHistory(p) })
 	register("abl-gating", "ablation: pipeline gating estimator x threshold design space",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return AblationGating(p) })
 	register("abl-indirect", "ablation: perfect vs BTB/RAS-predicted indirect targets",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return AblationIndirect(p) })
 	register("cost", "estimator implementation-cost inventory",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return Cost(p), nil })
 	register("cir", "indexing-structure comparison: JRS vs CIR vs global-MDC-indexed CIR",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return CIR(p) })
 	register("jrsmcf", "future work: McFarling-structured two-table JRS",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return JRSMcf(p) })
 	register("tuned", "future work: static confidence tuned to SPEC/PVN targets",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return Tuned(p) })
 	register("metrics", "section 2.1: paper metrics vs Jacobsen rate, with the rank inversion",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return MetricsCmp(p) })
 	register("abl-depth", "ablation: fetch-to-resolve depth vs speculation ratio, SAg staleness",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return AblationDepth(p) })
 	register("patterns", "section 3.2: history-pattern dominance under gshare vs SAg",
-		ConsumesCommitted,
 		func(p Params) (Renderer, error) { return Patterns(p) })
 	register("frontier", "application: speculation-control policy frontier, cycles saved vs IPC lost",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return Frontier(p) })
 	register("sweepspace", "estimator panel over generated workload profiles (-synth-n, -synth-profile)",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return SweepSpace(p) })
 	register("smt", "application: SMT fetch policies over thread mixes",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return SMTStudy(p) })
 	register("eager", "application: eager-execution cost model estimator ranking",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return EagerStudy(p) })
 	register("xinput", "static estimator: self-profiled (paper's best case) vs cross-input training",
-		ConsumesPipeline,
 		func(p Params) (Renderer, error) { return XInput(p) })
 	register("auc", "estimator-family ROC AUC: threshold-independent comparison",
-		ConsumesCommitted,
 		func(p Params) (Renderer, error) { return AUCStudy(p) })
 }
 

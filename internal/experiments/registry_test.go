@@ -38,41 +38,6 @@ func TestRegistryEntries(t *testing.T) {
 	}
 }
 
-// TestRegistryConsumesDrift pins each experiment's consumption class.
-// Every entry must declare one, and the committed set — the experiments
-// the arch tier may serve without running the pipeline — is enumerated
-// here so that reclassifying an experiment (or registering a new one
-// without thinking about its class) is a deliberate, reviewed change:
-// marking a timing-dependent experiment ConsumesCommitted would
-// silently change its semantics to the trace-driven evaluation.
-func TestRegistryConsumesDrift(t *testing.T) {
-	wantCommitted := map[string]bool{
-		"table2":        true,
-		"table2-detail": true,
-		"table3":        true,
-		"auc":           true,
-		"patterns":      true,
-		"misest":        true,
-	}
-	for name, e := range registry {
-		switch e.Consumes {
-		case ConsumesCommitted, ConsumesPipeline:
-		default:
-			t.Errorf("registry entry %q declares no consumption class (Consumes=%q)", name, e.Consumes)
-			continue
-		}
-		if got, want := e.Consumes == ConsumesCommitted, wantCommitted[name]; got != want {
-			t.Errorf("registry entry %q: Consumes=%q, but the pinned committed set says committed=%v",
-				name, e.Consumes, want)
-		}
-	}
-	for name := range wantCommitted {
-		if _, ok := registry[name]; !ok {
-			t.Errorf("pinned committed experiment %q missing from registry", name)
-		}
-	}
-}
-
 func TestLookupAndRunUnknown(t *testing.T) {
 	if _, ok := Lookup("no-such-experiment"); ok {
 		t.Error("Lookup accepted an unknown name")

@@ -13,11 +13,12 @@ import (
 // covers the replay-backed grid shapes — suite sweeps with stateful
 // sweep estimators (fig3), small fixed estimator sets (table3),
 // profiling-dependent builders (table2's static column), evalEstimators
-// cells with a training profiler (patterns), a grouped Distance sweep on
-// the event tier (table4), one singleton of each threshold-grouped
-// family (cir), and the cells served straight from a recording: base
-// stats (table1, abl-spechist, abl-indirect) and site profiles (tuned,
-// xinput).
+// cells with a training profiler (patterns), a grouped Distance sweep
+// (table4), one singleton of each threshold-grouped family (cir), and
+// the cells served straight from a recording: base stats (table1,
+// abl-spechist, abl-indirect) and site profiles (tuned, xinput). The
+// remaining committed-stream experiments are covered, with a shared
+// cache, by TestCommittedByteIdenticalAcrossModes.
 func TestReplayRenderMatchesDirect(t *testing.T) {
 	for _, exp := range []string{"table2", "table3", "fig3", "patterns", "table4", "cir",
 		"table1", "abl-spechist", "abl-indirect", "tuned", "xinput"} {
@@ -44,65 +45,93 @@ func TestReplayRenderMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestReplayTraceSharedAcrossExperiments: both trace tiers are keyed
-// below the experiment, so a second experiment touching the same
-// workloads evaluates entirely from cache — zero new recordings. This
-// is the property that lets `-exp all` simulate each (workload,
-// predictor) pair at most once, and each workload's committed stream
-// exactly once.
-func TestReplayTraceSharedAcrossExperiments(t *testing.T) {
-	t.Run("arch", func(t *testing.T) {
-		cache := replay.NewArchCache(0, nil)
-		records := func(exp string) int {
-			p := smallParams()
-			p.ArchCache = cache
-			n := 0
-			p.Progress = func(msg string) {
-				if strings.HasPrefix(msg, "arch ") {
-					n++
-				}
-			}
-			if _, err := Run(exp, p); err != nil {
+// TestCommittedByteIdenticalAcrossModes is the differential gate on the
+// experiments that consume only the committed stream (table2,
+// table2-detail, table3, patterns, misest, auc): each must render
+// byte-identically under -replay on, under -replay off, and under
+// parallel execution. Unlike TestReplayRenderMatchesDirect, the trace
+// cache is shared across the subtests, exactly as one `-exp all`
+// process shares it across experiments, so a trace recorded by one
+// experiment and replayed by another is checked too.
+func TestCommittedByteIdenticalAcrossModes(t *testing.T) {
+	cache := replay.NewCache(0, nil)
+	for _, exp := range []string{"table2", "table2-detail", "table3", "patterns", "misest", "auc"} {
+		t.Run(exp, func(t *testing.T) {
+			off := smallParams()
+			off.Replay = ReplayOff
+			want, err := Run(exp, off)
+			if err != nil {
 				t.Fatal(err)
 			}
-			return n
-		}
 
-		if n := records("table3"); n != len(suite()) {
-			t.Fatalf("table3 recorded %d arch traces, want one per workload (%d)", n, len(suite()))
+			on := smallParams()
+			on.TraceCache = cache
+			got, err := Run(exp, on)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Render() != want.Render() {
+				t.Errorf("replay render differs from direct:\n--- direct ---\n%s\n--- replay ---\n%s",
+					want.Render(), got.Render())
+			}
+
+			wide := smallParams()
+			wide.TraceCache = cache
+			wide.Jobs = 8
+			gotWide, err := Run(exp, wide)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotWide.Render() != want.Render() {
+				t.Error("replay render differs between Jobs=1 and Jobs=8")
+			}
+		})
+	}
+}
+
+// TestReplayTraceSharedAcrossExperiments: the trace cache is keyed
+// below the experiment, so a second experiment touching the same
+// (workload, predictor) pairs replays entirely from cache — zero new
+// recordings. This is the property that lets `-exp all` simulate each
+// pair once.
+func TestReplayTraceSharedAcrossExperiments(t *testing.T) {
+	records := func(t *testing.T, cache *replay.Cache, exp string) int {
+		p := smallParams()
+		p.TraceCache = cache
+		n := 0
+		p.Progress = func(msg string) {
+			if strings.HasPrefix(msg, "record ") {
+				n++
+			}
 		}
-		// The arch tier is keyed below the predictor too: misest sweeps
-		// gshare and McFarling cells, all served by table3's recordings.
-		if n := records("misest"); n != 0 {
-			t.Fatalf("misest after table3 recorded %d arch traces, want 0", n)
+		if _, err := Run(exp, p); err != nil {
+			t.Fatal(err)
 		}
-		if c := cache.Len(); c != len(suite()) {
-			t.Fatalf("arch cache holds %d traces, want %d", c, len(suite()))
+		return n
+	}
+
+	t.Run("table3-misest", func(t *testing.T) {
+		cache := replay.NewCache(0, nil)
+		if n := records(t, cache, "table3"); n != len(suite()) {
+			t.Fatalf("table3 recorded %d traces, want one per workload (%d)", n, len(suite()))
+		}
+		// misest sweeps gshare and McFarling cells: only the gshare
+		// pairs are new, the McFarling ones replay table3's recordings.
+		if n := records(t, cache, "misest"); n != len(suite()) {
+			t.Fatalf("misest after table3 recorded %d traces, want %d (gshare only)", n, len(suite()))
+		}
+		if c := cache.Len(); c != 2*len(suite()) {
+			t.Fatalf("trace cache holds %d traces, want %d", c, 2*len(suite()))
 		}
 	})
 
 	t.Run("events", func(t *testing.T) {
 		cache := replay.NewCache(0, nil)
-		records := func(exp string) int {
-			p := smallParams()
-			p.TraceCache = cache
-			n := 0
-			p.Progress = func(msg string) {
-				if strings.HasPrefix(msg, "record ") {
-					n++
-				}
-			}
-			if _, err := Run(exp, p); err != nil {
-				t.Fatal(err)
-			}
-			return n
-		}
-
-		if n := records("fig3"); n != len(suite()) {
+		if n := records(t, cache, "fig3"); n != len(suite()) {
 			t.Fatalf("fig3 recorded %d traces, want one per workload (%d)", n, len(suite()))
 		}
 		// Same workloads, same predictor: everything replays from cache.
-		if n := records("fig3"); n != 0 {
+		if n := records(t, cache, "fig3"); n != 0 {
 			t.Fatalf("second fig3 run recorded %d traces, want 0", n)
 		}
 		if c := cache.Len(); c != len(suite()) {
@@ -132,39 +161,6 @@ func TestReplayDeterminismAcrossJobs(t *testing.T) {
 	}
 	if r1.Render() != r8.Render() {
 		t.Fatal("fig3 replay render differs between Jobs=1 and Jobs=8")
-	}
-}
-
-// TestArchTraceAddressExcludesPredictorIdentity: the arch address is
-// per-workload — the signature takes no predictor spec (which is what
-// lets misest's per-predictor cells share table3's recordings), and
-// estimator-facing knobs must not perturb it, while anything shaping
-// the committed stream (horizon, seed, workload, the canonical
-// recorder's gshare sizing, pipeline identity) must.
-func TestArchTraceAddressExcludesPredictorIdentity(t *testing.T) {
-	base := smallParams()
-	addr := base.ArchTraceAddress("gcc")
-
-	same := base
-	same.StaticThreshold = 0.5 // estimator construction knob only
-	if same.ArchTraceAddress("gcc") != addr {
-		t.Error("StaticThreshold changed the arch trace address")
-	}
-
-	for name, mutate := range map[string]func(*Params){
-		"MaxCommitted": func(p *Params) { p.MaxCommitted++ },
-		"BaseSeed":     func(p *Params) { p.BaseSeed++ },
-		"GshareBits":   func(p *Params) { p.GshareBits++ },
-		"FetchWidth":   func(p *Params) { p.Pipeline.FetchWidth++ },
-	} {
-		p := base
-		mutate(&p)
-		if p.ArchTraceAddress("gcc") == addr {
-			t.Errorf("%s change did not change the arch trace address", name)
-		}
-	}
-	if base.ArchTraceAddress("perl") == addr {
-		t.Error("workload change did not change the arch trace address")
 	}
 }
 
@@ -206,5 +202,48 @@ func TestTraceAddressExcludesEstimatorIdentity(t *testing.T) {
 	}
 	if base.TraceAddress("gcc", mcf) == addr {
 		t.Error("predictor change did not change the trace address")
+	}
+}
+
+// TestCommittedStreamExperimentsSeeWrongPath: table2, table3, auc,
+// patterns and misest evaluate their estimators in the wrong-path-aware
+// pipeline — simulated directly or replayed from an event trace — never
+// over the committed branch stream alone. Every cell they record is a
+// timed run (Cycles > 0) that fetched wrong-path branches (AllBr >
+// CommittedBr). Replay batch cells carry only per-estimator statistics,
+// so there every estimator's AllQ must count more branches than its
+// CommittedQ.
+func TestCommittedStreamExperimentsSeeWrongPath(t *testing.T) {
+	for _, mode := range []string{ReplayOn, ReplayOff} {
+		for _, exp := range []string{"table2", "table3", "auc", "patterns", "misest"} {
+			t.Run(mode+"/"+exp, func(t *testing.T) {
+				p := smallParams()
+				p.Replay = mode
+				p.TraceCache = replay.NewCache(0, nil)
+				p.Record = NewCellStore()
+				if _, err := Run(exp, p); err != nil {
+					t.Fatal(err)
+				}
+				if p.Record.Len() == 0 {
+					t.Fatal("no cells recorded")
+				}
+				for key, c := range p.Record.m {
+					st := c.Stats
+					if strings.Contains(key, "#replay") {
+						for _, cs := range st.Confidence {
+							if cs.AllQ.Total() <= cs.CommittedQ.Total() {
+								t.Errorf("%s: estimator %s saw %d branches, %d committed: no wrong path",
+									key, cs.Name, cs.AllQ.Total(), cs.CommittedQ.Total())
+							}
+						}
+						continue
+					}
+					if st.Cycles == 0 || st.AllBr <= st.CommittedBr {
+						t.Errorf("%s: Cycles=%d AllBr=%d CommittedBr=%d, want a timed wrong-path-aware run",
+							key, st.Cycles, st.AllBr, st.CommittedBr)
+					}
+				}
+			})
+		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 
 	"specctrl/internal/conf"
 	"specctrl/internal/metrics"
-	"specctrl/internal/replay"
 	"specctrl/internal/runner"
 	"specctrl/internal/workload"
 )
@@ -54,11 +53,8 @@ func table2Estimators(p Params, spec PredictorSpec) []conf.Estimator {
 	}
 }
 
-// table2Cell evaluates one (workload, predictor) cell. On the
-// canonical arch path the cell is two passes over the workload's
-// committed stream: one profiling pass building the static estimator
-// (archStatic) and one evaluation pass for all four estimators. On the
-// fallback path it is a profiling simulation plus one evaluation run.
+// table2Cell simulates one (workload, predictor) cell: a profiling pass
+// for the static estimator, then one run evaluating all four estimators.
 func table2Cell(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
 	w, err := workload.ByName(sp.Workload)
 	if err != nil {
@@ -67,14 +63,6 @@ func table2Cell(_ context.Context, p Params, sp runner.Spec) (CellResult, error)
 	spec, err := predictorByName(sp.Predictor)
 	if err != nil {
 		return CellResult{}, err
-	}
-	if p.archEligible() {
-		t, err := p.archStreamFor(w)
-		if err != nil {
-			return CellResult{}, fmt.Errorf("table2 %s/%s: %w", w.Name, spec.Name, err)
-		}
-		ests := append(table2Estimators(p, spec), p.archStatic(t, spec))
-		return CellResult{Stats: archStats(t, replay.ArchReplay(t, spec.New(p), ests))}, nil
 	}
 	static, err := p.staticFor(w, spec)
 	if err != nil {

@@ -26,9 +26,9 @@ type Table3Result struct {
 }
 
 // Table3 runs one McFarling cell per workload with both variants
-// attached, through the arch tier when eligible.
+// attached.
 func Table3(p Params) (*Table3Result, error) {
-	stats, err := p.suiteStatsArch("table3", McFarlingSpec(), "main", 2,
+	stats, err := p.suiteStats("table3", McFarlingSpec(), "main", 2,
 		func(_ Params, _ workload.Workload) ([]conf.Estimator, error) {
 			return []conf.Estimator{
 				conf.SatCountersMcFarling{Variant: conf.BothStrong},

@@ -11,15 +11,17 @@
 //	  ntok   uvarint            // tokens in chunk, 1..chunkTokens
 //	  kinds  ⌈ntok/64⌉ uvarints // token-kind bitset words
 //	  pc     one zigzag varint per fetch, delta from previous fetch pc
-//	  hist   one uvarint per fetch
+//	         (the running pc must stay within int32)
+//	  hist   one uvarint per fetch, at most 32 bits
 //	  ctr    one raw byte per fetch
 //	  flg    one raw byte per fetch
 //
 // Decode validates structure, not just syntax: kind-bit counts must
 // match payload counts, padding bits must be zero, reserved flag bits
-// must be zero, and the running committed-minus-resolved balance must
-// never go negative — so a successfully decoded trace is safe to hand
-// to Replay, and Encode∘Decode is the identity on Decode's output.
+// must be zero, pcs and histories must fit their 32-bit columns, and
+// the running committed-minus-resolved balance must never go negative
+// — so a successfully decoded trace is safe to hand to Replay, and
+// Encode∘Decode is the identity on Decode's output.
 
 package replay
 
@@ -27,6 +29,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -74,11 +77,11 @@ func (t *Trace) Encode() []byte {
 			buf = binary.AppendUvarint(buf, c.kinds[w])
 		}
 		for _, pc := range c.pc {
-			buf = binary.AppendUvarint(buf, zigzag(pc-prevPC))
-			prevPC = pc
+			buf = binary.AppendUvarint(buf, zigzag(int64(pc)-prevPC))
+			prevPC = int64(pc)
 		}
 		for _, h := range c.hist {
-			buf = binary.AppendUvarint(buf, h)
+			buf = binary.AppendUvarint(buf, uint64(h))
 		}
 		buf = append(buf, c.ctr...)
 		buf = append(buf, c.flg...)
@@ -167,22 +170,30 @@ func Decode(data []byte) (*Trace, error) {
 				return nil, corruptf("chunk %d: kind bits set past token count", ci)
 			}
 		}
-		c.pc = make([]int64, fetches)
-		c.hist = make([]uint64, fetches)
+		c.pc = make([]int32, fetches)
+		c.hist = make([]uint32, fetches)
 		for i := range c.pc {
 			dv, err := d.uvarint()
 			if err != nil {
 				return nil, err
 			}
+			// prevPC stays within int32, so the sum cannot wrap back
+			// into range.
 			prevPC += unzigzag(dv)
-			c.pc[i] = prevPC
+			if prevPC != int64(int32(prevPC)) {
+				return nil, corruptf("chunk %d: pc %d of fetch %d out of int32 range", ci, prevPC, i)
+			}
+			c.pc[i] = int32(prevPC)
 		}
 		for i := range c.hist {
 			h, err := d.uvarint()
 			if err != nil {
 				return nil, err
 			}
-			c.hist[i] = h
+			if h > math.MaxUint32 {
+				return nil, corruptf("chunk %d: history %#x of fetch %d wider than 32 bits", ci, h, i)
+			}
+			c.hist[i] = uint32(h)
 		}
 		if c.ctr, err = d.bytes(fetches); err != nil {
 			return nil, err

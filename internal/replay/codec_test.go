@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -77,6 +78,9 @@ func TestDecodeErrors(t *testing.T) {
 		{"reserved flag bits", corruptKinds, ErrCorrupt},
 		{"zero tokens in chunk", []byte("SPRT\x01\x01\x00"), ErrCorrupt},
 		{"resolve with nothing pending", []byte("SPRT\x01\x01\x01\x00"), ErrCorrupt},
+		{"pc above int32", oneFetch(zigzag(1<<31), 0), ErrCorrupt},
+		{"pc below int32", oneFetch(zigzag(-1<<31-1), 0), ErrCorrupt},
+		{"history over 32 bits", oneFetch(0, 1<<32), ErrCorrupt},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Decode(tc.data)
@@ -89,6 +93,20 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(valid); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
+	for _, data := range [][]byte{oneFetch(zigzag(1<<31-1), 1<<32-1), oneFetch(zigzag(-1<<31), 0)} {
+		if _, err := Decode(data); err != nil {
+			t.Fatalf("in-range fetch rejected: %v", err)
+		}
+	}
+}
+
+// oneFetch encodes a one-chunk trace holding a single committed fetch
+// event with the given encoded pc delta and history.
+func oneFetch(pcDelta, hist uint64) []byte {
+	b := append([]byte(traceMagic), traceVersion, 1, 1, 1) // 1 chunk, 1 token, kind word 1
+	b = binary.AppendUvarint(b, pcDelta)
+	b = binary.AppendUvarint(b, hist)
+	return append(b, 0, fCommitted)
 }
 
 // TestDecodeEmptyTrace: a recorder that saw no events encodes to a

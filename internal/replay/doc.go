@@ -1,12 +1,6 @@
-// Package replay records branch streams of a pipeline simulation and
-// re-evaluates predictors and confidence estimators against the
-// recordings without re-running the pipeline. It provides two trace
-// tiers, one per reuse boundary:
-//
-//	arch tier    ArchTrace  per workload              (pc, outcome)
-//	events tier  Trace      per (workload, predictor) full fetch events
-//
-// # Events tier
+// Package replay records the estimator-visible branch event stream of
+// one pipeline simulation and re-evaluates confidence estimators
+// against the recording without re-running the pipeline.
 //
 // The paper's estimators are passive observers: the simulator calls
 // Estimate for every fetched conditional branch (in fetch order) and
@@ -40,27 +34,12 @@
 // internal/experiments, and end to end by the results_full.txt
 // byte-identity gate in scripts/check.sh).
 //
-// # Arch tier
+// The trace carries no timing and no committed-only shortcut: wrong-path
+// fetches are in the stream, and each committed branch resolves where
+// the simulator resolved it, so replayed statistics are the pipeline's,
+// not a trace-driven approximation of them.
 //
-// One stage further upstream, an ArchTrace records only the committed
-// branch-outcome stream — (pc, taken) per committed conditional branch
-// in program order — which is independent of the predictor too, so one
-// recording per workload serves every (predictor, estimator)
-// combination. ArchReplay re-runs a predictor model over the stream
-// (devirtualized fast paths for the paper's three predictors) while
-// feeding estimator tables through the same grouped/solo machinery the
-// events tier uses; ArchSites derives the per-site accuracy profile
-// the static estimator needs. Because the stream carries no timing,
-// the arch tier defines a canonical trace-driven evaluation: every
-// branch is committed, and every branch resolves immediately after its
-// fetch (no resolve lag). The experiments layer routes the experiments
-// that consume only committed-branch statistics through this tier and
-// guarantees that all three acquisition modes — cached arch trace,
-// derivation from an events-tier trace (ArchFromTrace), or a fresh
-// recording — produce byte-identical results, because they reconstruct
-// the identical stream and share one evaluation loop.
-//
-// Each tier has a binary codec (magics "SPRT" and "SPAT") for shipping
-// traces between cluster nodes, and an LRU cache (Cache, ArchCache)
-// with singleflight recording and an optional backing tier.
+// Traces have a binary codec (magic "SPRT") for shipping them between
+// cluster nodes, and an LRU Cache with singleflight recording and an
+// optional backing tier.
 package replay

@@ -132,9 +132,9 @@ func TestThresholdGroupPlan(t *testing.T) {
 	}
 }
 
-// TestThresholdGroupsMatchDirect: on the event tier, grouped replay must
-// reproduce a direct simulation with the same estimators attached bit
-// for bit, on every predictor family.
+// TestThresholdGroupsMatchDirect: grouped replay must reproduce a
+// direct simulation with the same estimators attached bit for bit, on
+// every predictor family.
 func TestThresholdGroupsMatchDirect(t *testing.T) {
 	for _, predName := range []string{"gshare", "mcfarling", "sag"} {
 		t.Run(predName, func(t *testing.T) {
@@ -146,28 +146,6 @@ func TestThresholdGroupsMatchDirect(t *testing.T) {
 				for i := range confs {
 					if !reflect.DeepEqual(direct[i], confs[i]) {
 						t.Errorf("%s: %s replayed stats differ from direct simulation", tc.name, confs[i].Name)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestThresholdGroupsMatchSoloArch: on the arch tier, grouped replay
-// must match replaying each estimator alone with a fresh instance — the
-// ungrouped reference. Arch replay has no direct-simulation twin, so
-// this is the only check on its grouping.
-func TestThresholdGroupsMatchSoloArch(t *testing.T) {
-	tr := archRecordRun(t, "gshare")
-	for _, predName := range []string{"gshare", "mcfarling", "sag"} {
-		t.Run(predName, func(t *testing.T) {
-			for _, tc := range groupCases {
-				b := tc.batch()
-				confs := ArchReplay(tr, testPred(t, predName), b.build())
-				for i, mk := range b {
-					alone := ArchReplay(tr, testPred(t, predName), []conf.Estimator{mk()})[0]
-					if !reflect.DeepEqual(alone, confs[i]) {
-						t.Errorf("%s: %s grouped stats differ from a solo replay", tc.name, confs[i].Name)
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package replay
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"specctrl/internal/bpred"
@@ -28,12 +29,15 @@ const (
 
 // chunk is one fixed-capacity run of tokens. kinds holds one bit per
 // token (set = fetch event, clear = resolve event); the columnar
-// slices hold one entry per *fetch* token, in token order.
+// slices hold one entry per *fetch* token, in token order. pc and hist
+// are stored narrow: PCs are instruction indices and predictor
+// histories are masked to at most 30 bits, so both fit 32 bits (the
+// recorder rejects a value that does not, rather than truncating it).
 type chunk struct {
 	n     int      // tokens used
 	kinds []uint64 // ⌈n/64⌉ words of token-kind bits
-	pc    []int64
-	hist  []uint64
+	pc    []int32
+	hist  []uint32
 	ctr   []uint8 // packed counters: C1 | C2<<2 | Meta<<4
 	flg   []uint8 // fPred | fP1 | fP2 | fCorrect | fCommitted
 }
@@ -49,7 +53,7 @@ func (c *chunk) isFetch(i int) bool { return c.kinds[i>>6]&(1<<(uint(i)&63)) != 
 
 // bytes estimates the chunk's retained memory from slice capacities.
 func (c *chunk) bytes() int {
-	return cap(c.kinds)*8 + cap(c.pc)*8 + cap(c.hist)*8 + cap(c.ctr) + cap(c.flg)
+	return cap(c.kinds)*8 + cap(c.pc)*4 + cap(c.hist)*4 + cap(c.ctr) + cap(c.flg)
 }
 
 // Trace is one simulation's recorded branch event stream. A Trace is
@@ -88,10 +92,11 @@ func (t *Trace) Sites() map[int64]*pipeline.SiteStats {
 			if flg&fCommitted == 0 {
 				continue
 			}
-			s := sites[c.pc[i]]
+			pc := int64(c.pc[i])
+			s := sites[pc]
 			if s == nil {
 				s = &pipeline.SiteStats{}
-				sites[c.pc[i]] = s
+				sites[pc] = s
 			}
 			s.Total++
 			if flg&fCorrect != 0 {
@@ -117,6 +122,9 @@ func packInfo(info bpred.Info) uint8 {
 //     fan-out for the same branch) completes the fetch event with the
 //     prediction's correctness and the committed/wrong-path flag;
 //   - Resolve appends a payload-free resolve token.
+//
+// A pc outside int32 or a history wider than 32 bits fails the
+// recording (see chunk) instead of being stored truncated.
 //
 // Estimate always returns high confidence, so the base Stats of the
 // recording run (CommittedQ/AllQ and every estimator-independent
@@ -160,6 +168,13 @@ func (r *Recorder) Branch(ev obs.BranchEvent) {
 		return
 	}
 	r.havePend = false
+	if r.pendPC != int64(int32(r.pendPC)) || r.pendInfo.Hist > math.MaxUint32 {
+		if r.err == nil {
+			r.err = fmt.Errorf("replay: fetch event (pc=%#x, hist=%#x) does not fit the trace's 32-bit columns",
+				r.pendPC, r.pendInfo.Hist)
+		}
+		return
+	}
 	var flg uint8
 	if r.pendInfo.Pred {
 		flg |= fPred
@@ -179,8 +194,8 @@ func (r *Recorder) Branch(ev obs.BranchEvent) {
 	c := r.chunk()
 	c.setFetch(c.n)
 	c.n++
-	c.pc = append(c.pc, r.pendPC)
-	c.hist = append(c.hist, r.pendInfo.Hist)
+	c.pc = append(c.pc, int32(r.pendPC))
+	c.hist = append(c.hist, uint32(r.pendInfo.Hist))
 	c.ctr = append(c.ctr, packInfo(r.pendInfo))
 	c.flg = append(c.flg, flg)
 	r.t.fetches++
@@ -471,9 +486,9 @@ func (s byThreshold) Swap(a, b int) {
 	s.g.thresholds[a], s.g.thresholds[b] = s.g.thresholds[b], s.g.thresholds[a]
 }
 
-// evaluator drives one estimator batch through a replayed stream for
-// both tiers: it owns the per-estimator results and the dispatch plan —
-// threshold groups plus devirtualized solo estimators. Grouping assumes
+// evaluator drives one estimator batch through a replayed stream: it
+// owns the per-estimator results and the dispatch plan — threshold
+// groups plus devirtualized solo estimators. Grouping assumes
 // group members have identical state — true whenever they were
 // constructed fresh for this replay (the same freshness direct
 // simulation needs, since estimators train during a run) and preserved
@@ -613,12 +628,12 @@ func Replay(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
 				count--
 				continue
 			}
-			pc := c.pc[fi]
+			pc := int64(c.pc[fi])
 			flg := c.flg[fi]
 			ctr := c.ctr[fi]
 			info := bpred.Info{
 				Pred: flg&fPred != 0,
-				Hist: c.hist[fi],
+				Hist: uint64(c.hist[fi]),
 				C1:   bpred.Counter2(ctr & 3),
 				C2:   bpred.Counter2(ctr >> 2 & 3),
 				Meta: bpred.Counter2(ctr >> 4 & 3),

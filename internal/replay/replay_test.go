@@ -337,6 +337,23 @@ func TestRecorderPairingErrors(t *testing.T) {
 			t.Fatal("Trace accepted a recording ending mid-fetch")
 		}
 	})
+	for name, ev := range map[string]struct {
+		pc   int64
+		hist uint64
+	}{
+		"pc above int32":      {1 << 31, 0},
+		"pc below int32":      {-1<<31 - 1, 0},
+		"history over 32 bit": {1, 1 << 32},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := NewRecorder()
+			r.Estimate(ev.pc, bpred.Info{Hist: ev.hist})
+			r.Branch(obs.BranchEvent{PC: ev.pc})
+			if _, err := r.Trace(); err == nil {
+				t.Fatal("Trace accepted a fetch event that does not fit the 32-bit columns")
+			}
+		})
+	}
 	t.Run("clean recorder", func(t *testing.T) {
 		r := NewRecorder()
 		synthFetch(r, 1, true)

@@ -29,11 +29,9 @@ func TestDrainCheckpointsJobs(t *testing.T) {
 	// state a real SIGTERM interrupts.
 	inSecondCell := make(chan struct{})
 	release := make(chan struct{})
-	// Direct mode pins the cell count the assertions below rely on:
-	// with the trace tiers off, every table3 cell records its own
-	// committed stream and emits exactly one Progress line (cached
-	// modes dedup recordings below the cell layer, so later cells go
-	// silent).
+	// Direct mode pins the cell count the assertions below rely on
+	// (replay-mode grids interleave record and replay cells, and only
+	// record cells emit the Progress line this test gates on).
 	params := testParams()
 	params.Replay = experiments.ReplayOff
 	cfg := Config{
@@ -137,13 +135,12 @@ func TestDrainCheckpointsJobs(t *testing.T) {
 	if r.Render() == "" {
 		t.Error("resumed run rendered nothing")
 	}
-	// Each direct-mode table3 cell emits exactly one "arch ..." progress
-	// line (its own committed-stream recording), so the hard invariant
-	// is the count: the resume simulates exactly the cells the
-	// checkpoint is missing.
+	// Each table3 cell emits exactly one "run ..." progress line, so the
+	// hard invariant is the count: the resume simulates exactly the
+	// cells the checkpoint is missing.
 	total := 0
 	for _, msg := range resimulated {
-		if strings.HasPrefix(msg, "arch ") {
+		if strings.HasPrefix(msg, "run ") {
 			total++
 		}
 	}
@@ -151,7 +148,7 @@ func TestDrainCheckpointsJobs(t *testing.T) {
 	pf := testParams()
 	pf.Replay = experiments.ReplayOff
 	pf.Progress = func(msg string) {
-		if strings.HasPrefix(msg, "arch ") {
+		if strings.HasPrefix(msg, "run ") {
 			fullRun++
 		}
 	}

@@ -52,12 +52,6 @@ type Config struct {
 	// a long-running server's memory stays bounded no matter how many
 	// distinct (workload, predictor, scale) traces jobs record.
 	TraceCacheBytes int64
-	// ArchCacheBytes bounds the in-process arch-trace cache New installs
-	// on Params when Params.ArchCache is nil (0 selects
-	// replay.DefaultCacheBytes). Arch traces are the upstream committed
-	// branch-outcome streams; like the event-trace cache the budget is
-	// retained bytes under LRU.
-	ArchCacheBytes int64
 	// Registry receives the service metrics (created when nil). It is
 	// also what /metrics on the server's mux exposes.
 	Registry *obs.Registry
@@ -153,9 +147,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Params.TraceCache == nil {
 		cfg.Params.TraceCache = replay.NewCache(cfg.TraceCacheBytes, cfg.Registry)
-	}
-	if cfg.Params.ArchCache == nil {
-		cfg.Params.ArchCache = replay.NewArchCache(cfg.ArchCacheBytes, cfg.Registry)
 	}
 	if cfg.runExperiment == nil {
 		if cfg.RunExperiment != nil {

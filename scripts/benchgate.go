@@ -52,15 +52,13 @@ type Entry struct {
 // the pre-optimization measurements for the record (the ≥30% wall-clock
 // improvement claim in DESIGN.md is against these numbers); PreReplay
 // likewise preserves the direct-simulation sweep cost the record/replay
-// layer's ≥2× claim is measured against, and PreArch the event-tier
-// suite cost the arch tier's ≥2× claim is measured against. -update
-// carries all three forward untouched.
+// layer's ≥2× claim is measured against. -update carries both forward
+// untouched.
 type Baseline struct {
 	Note        string           `json:"note"`
 	Benchmarks  map[string]Entry `json:"benchmarks"`
 	PreOverhaul map[string]Entry `json:"pre_overhaul_seed,omitempty"`
 	PreReplay   map[string]Entry `json:"pre_replay_seed,omitempty"`
-	PreArch     map[string]Entry `json:"pre_arch_seed,omitempty"`
 }
 
 // suite is one `go test -bench` invocation. Fixed -benchtime iteration
@@ -93,9 +91,7 @@ type suite struct {
 var suites = []suite{
 	{".", "^BenchmarkRunnerSerial$", "3x", 3, 0.10},
 	{"./internal/experiments", "^BenchmarkSweep(Direct|Replay)$", "3x", 3, 0.10},
-	{"./internal/experiments", "^BenchmarkSuite(Arch|Events)$", "3x", 3, 0.10},
-	{"./internal/replay", "^BenchmarkArchReplay$", "300x", 3, 0.10},
-	{"./internal/replay", "^BenchmarkArchRecord$", "5000000x", 5, 0},
+	{"./internal/experiments", "^BenchmarkSuiteEvents$", "3x", 3, 0.10},
 	{"./internal/experiments", "^BenchmarkSweepSpace$", "3x", 3, 0.10},
 	{"./internal/synth", "^BenchmarkSynthBuild$", "1000x", 5, 0.10},
 	{"./internal/pipeline", "^(BenchmarkPipelineTick(Traced|NoEstimators)?|BenchmarkPolicyOverhead(Nil|Gate))$", "8000000x", 5, 0},
@@ -303,7 +299,6 @@ func writeBaseline(path string, measured map[string]Entry) error {
 	if prev, err := readBaseline(path); err == nil {
 		b.PreOverhaul = prev.PreOverhaul
 		b.PreReplay = prev.PreReplay
-		b.PreArch = prev.PreArch
 	}
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {

@@ -72,31 +72,20 @@ go build -o "$SMOKE/simtrace" ./cmd/simtrace
 
 "$SMOKE/simctrl" -exp table3 -committed 60000 > "$SMOKE/local.txt"
 
-# Record/replay smoke: table3 is a committed-stream experiment, so all
-# three -replay modes — arch (the default), events, and off — must
-# render the exact same bytes.
+# Record/replay smoke: replay (the default) must render the exact bytes
+# of -replay off. The selection covers the committed-stream
+# experiments (table2, table2-detail, table3, auc, patterns, misest),
+# table4's Distance sweep (thresholds 1..7, one threshold group on
+# replay), the experiments that take default-config runs (base stats,
+# site profiles) from the recorded trace, and boost, which folds its
+# events as they stream.
 "$SMOKE/simctrl" -replay off -exp table3 -committed 60000 > "$SMOKE/direct.txt"
 cmp "$SMOKE/local.txt" "$SMOKE/direct.txt"
-"$SMOKE/simctrl" -replay arch -exp table3 -committed 60000 > "$SMOKE/arch.txt"
-cmp "$SMOKE/direct.txt" "$SMOKE/arch.txt"
-"$SMOKE/simctrl" -replay events -exp table3 -committed 60000 > "$SMOKE/events.txt"
-cmp "$SMOKE/direct.txt" "$SMOKE/events.txt"
-# table4 sweeps Distance thresholds 1..7, which replay evaluates as one
-# threshold group on the event tier; every mode must render the same bytes.
-for mode in off arch events; do
-    "$SMOKE/simctrl" -replay "$mode" -exp table4 -committed 60000 > "$SMOKE/table4-$mode.txt"
-done
-cmp "$SMOKE/table4-off.txt" "$SMOKE/table4-arch.txt"
-cmp "$SMOKE/table4-off.txt" "$SMOKE/table4-events.txt"
-# These experiments take default-config runs (base stats, site profiles)
-# from the recorded trace, and boost folds its events as they stream;
-# every mode must render the same bytes as direct simulation.
-for exp in boost boost-mcf abl-depth abl-indirect abl-spechist tuned xinput; do
-    for mode in off arch events; do
-        "$SMOKE/simctrl" -replay "$mode" -exp "$exp" -committed 60000 > "$SMOKE/$exp-$mode.txt"
-    done
-    cmp "$SMOKE/$exp-off.txt" "$SMOKE/$exp-arch.txt"
-    cmp "$SMOKE/$exp-off.txt" "$SMOKE/$exp-events.txt"
+for exp in table2 table2-detail auc patterns misest table4 \
+    boost boost-mcf abl-depth abl-indirect abl-spechist tuned xinput; do
+    "$SMOKE/simctrl" -exp "$exp" -committed 60000 > "$SMOKE/$exp-on.txt"
+    "$SMOKE/simctrl" -replay off -exp "$exp" -committed 60000 > "$SMOKE/$exp-off.txt"
+    cmp "$SMOKE/$exp-off.txt" "$SMOKE/$exp-on.txt"
 done
 
 # Span-tracing smoke: -trace-out must emit a Chrome trace-event file
@@ -290,11 +279,11 @@ WORKER1_PID=""
 wait "$SUBMIT_PID"
 cmp "$SMOKE/local90.txt" "$SMOKE/cluster90.txt"
 
-# Arch-tier cross-node smoke: the chaos job's committed streams were
-# written through to the coordinator's shared arch tier. Replace the
-# fleet with one cold worker and submit misest at the same scale — the
-# arch address excludes the predictor, so the cold worker must serve
-# its units by fetching those streams from the coordinator instead of
+# Trace-tier cross-node smoke: the chaos job's (workload, McFarling)
+# event traces were written through to the coordinator's shared trace
+# tier. Replace the fleet with one cold worker and submit misest at the
+# same scale — its McFarling cells replay those same traces, so the
+# cold worker must fetch them from the coordinator instead of
 # re-simulating, and /metrics must show the traffic.
 "$SMOKE/simctrl" -exp misest -committed 90000 > "$SMOKE/misest-local.txt"
 kill -TERM "$WORKER2_PID"
@@ -309,14 +298,14 @@ for _ in $(seq 1 100); do
 done
 "$SMOKE/simctrl" -server "$CURL" -exp misest -committed 90000 > "$SMOKE/misest-cluster.txt"
 cmp "$SMOKE/misest-local.txt" "$SMOKE/misest-cluster.txt"
-ARCH_PUTS=$(curl -s "$CURL/metrics" | awk '/^specctrl_cluster_archtrace_puts_total/ {print $2}')
-[ -n "$ARCH_PUTS" ] && [ "$ARCH_PUTS" -ge 1 ] || {
-    echo "check.sh: no arch traces were written through to the coordinator (got '$ARCH_PUTS')" >&2
+TRACE_PUTS=$(curl -s "$CURL/metrics" | awk '/^specctrl_cluster_trace_puts_total/ {print $2}')
+[ -n "$TRACE_PUTS" ] && [ "$TRACE_PUTS" -ge 1 ] || {
+    echo "check.sh: no traces were written through to the coordinator (got '$TRACE_PUTS')" >&2
     exit 1
 }
-ARCH_HITS=$(curl -s "$CURL/metrics" | awk '/^specctrl_cluster_archtrace_hits_total/ {print $2}')
-[ -n "$ARCH_HITS" ] && [ "$ARCH_HITS" -ge 1 ] || {
-    echo "check.sh: the cold worker never hit the coordinator's arch tier (got '$ARCH_HITS')" >&2
+TRACE_HITS=$(curl -s "$CURL/metrics" | awk '/^specctrl_cluster_trace_hits_total/ {print $2}')
+[ -n "$TRACE_HITS" ] && [ "$TRACE_HITS" -ge 1 ] || {
+    echo "check.sh: the cold worker never hit the coordinator's trace tier (got '$TRACE_HITS')" >&2
     exit 1
 }
 
