@@ -823,13 +823,18 @@ func (s *Sim) onCondBranch(pc int64, outcome bool, takenTarget, notTakenTarget i
 		rasCkpt = s.ras.Checkpoint()
 	}
 	lowConf := len(s.ests) > 0 && !hc0
-	*s.pending.push(lowConf) = inflight{
-		pc: pc, info: info, ckpt: ckpt, outcome: outcome, pred: pred,
-		resolveCycle: s.cycle + uint64(s.cfg.ResolveDelay),
-		mispredicted: !correct,
-		lowConf:      lowConf,
-		rasCkpt:      rasCkpt,
-	}
+	// Field-by-field stores through the slot pointer: assigning a
+	// composite literal builds the whole entry on the stack and
+	// block-copies it into the ring. Every field is written, so no
+	// stale value from the slot's previous occupant survives.
+	e := s.pending.push(lowConf)
+	e.pc, e.info, e.ckpt = pc, info, ckpt
+	e.outcome, e.pred = outcome, pred
+	e.resolveCycle = s.cycle + uint64(s.cfg.ResolveDelay)
+	e.mispredicted = !correct
+	e.lowConf = lowConf
+	e.indirect, e.isReturn, e.target = false, false, 0
+	e.rasCkpt = rasCkpt
 	if correct {
 		return predTarget
 	}
@@ -1149,16 +1154,15 @@ func (s *Sim) onIndirect(pc int64, predTarget, actual int64, isReturn bool, rasC
 		s.state.PC = predTarget
 		return
 	}
-	*s.pending.push(false) = inflight{
-		pc:           pc,
-		ckpt:         s.pred.Snapshot(),
-		resolveCycle: s.cycle + uint64(s.cfg.ResolveDelay),
-		mispredicted: mispredicted,
-		indirect:     true,
-		isReturn:     isReturn,
-		target:       actual,
-		rasCkpt:      rasCkpt,
-	}
+	// Field by field, every field written (see onCondBranch).
+	e := s.pending.push(false)
+	e.pc, e.info, e.ckpt = pc, bpred.Info{}, s.pred.Snapshot()
+	e.outcome, e.pred = false, false
+	e.resolveCycle = s.cycle + uint64(s.cfg.ResolveDelay)
+	e.mispredicted = mispredicted
+	e.lowConf = false
+	e.indirect, e.isReturn, e.target = true, isReturn, actual
+	e.rasCkpt = rasCkpt
 	if !mispredicted {
 		return
 	}

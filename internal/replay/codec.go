@@ -117,8 +117,8 @@ func (d *decoder) bytes(n int) ([]byte, error) {
 
 // Decode parses and validates an encoded trace. The returned trace is
 // structurally sound: every invariant Replay relies on has been
-// checked, so replaying it cannot index out of range or underflow the
-// resolve FIFO.
+// checked, so replaying it cannot index out of range or meet a resolve
+// token with no committed fetch to pair it with.
 func Decode(data []byte) (*Trace, error) {
 	if len(data) < len(traceMagic)+1 {
 		return nil, ErrBadMagic
@@ -209,8 +209,9 @@ func Decode(data []byte) (*Trace, error) {
 				return nil, corruptf("chunk %d: reserved flag bits set in fetch %d", ci, i)
 			}
 		}
-		// Replay pops a committed fetch per resolve token; a stream
-		// that resolves more than it committed is not a recording.
+		// Replay pairs each resolve token with the oldest unresolved
+		// committed fetch; a stream that resolves more than it
+		// committed is not a recording.
 		fi := 0
 		for k := 0; k < c.n; k++ {
 			if c.isFetch(k) {

@@ -19,11 +19,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SPR"))
 	f.Add([]byte("SPRT"))
-	f.Add([]byte("SPCT\x01\x00"))           // the branch-trace format's magic
-	f.Add([]byte("SPRT\x02\x00"))           // future version
-	f.Add([]byte("SPRT\x01\xff\xff\x7f"))   // absurd chunk count
-	f.Add([]byte("SPRT\x01\x01\x00"))       // zero-token chunk
-	f.Add([]byte("SPRT\x01\x01\x01\x00"))   // lone resolve token
+	f.Add([]byte("SPCT\x01\x00"))                         // the branch-trace format's magic
+	f.Add([]byte("SPRT\x02\x00"))                         // future version
+	f.Add([]byte("SPRT\x01\xff\xff\x7f"))                 // absurd chunk count
+	f.Add([]byte("SPRT\x01\x01\x00"))                     // zero-token chunk
+	f.Add([]byte("SPRT\x01\x01\x01\x00"))                 // lone resolve token
 	f.Add([]byte("SPRT\x01\x01\x01\x01\x00\x00\x00\x20")) // lone fetch
 	for _, n := range []int{0, 1, 7, 300, chunkTokens + 5} {
 		f.Add(recordSynthetic(n).Encode())
@@ -41,7 +41,7 @@ func FuzzDecode(f *testing.F) {
 			}
 			return
 		}
-		// A decoded trace is safe to replay: the FIFO cannot underflow,
+		// A decoded trace is safe to replay: every resolve pairs with a fetch,
 		// column indexing cannot go out of range.
 		Replay(tr, []conf.Estimator{conf.SatCounters{}})
 

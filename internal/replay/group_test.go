@@ -94,38 +94,48 @@ var groupCases = []struct {
 	groups int
 }{
 	{"sweeps", thresholdSweeps, sweepGroups},
-	{"singletons", singletons, 0},
+	{"singletons", singletons, 4},
 }
 
 // TestThresholdGroupPlan pins the plan the differential tests below
-// exercise: sweeps form one group per configuration, singletons take
-// the solo path, and exactly one instance per group trains.
+// exercise: sweeps form one group per configuration with levels
+// ascending, singletons of the grouped families form one-member groups,
+// every estimator belongs to exactly one unit, and no estimator the
+// kernel knows takes interface dispatch.
 func TestThresholdGroupPlan(t *testing.T) {
 	for _, tc := range groupCases {
 		t.Run(tc.name, func(t *testing.T) {
 			ests := tc.batch().build()
-			ev := newEvaluator(ests)
-			if len(ev.groups) != tc.groups {
-				t.Fatalf("%d threshold groups, want %d", len(ev.groups), tc.groups)
-			}
-			grouped := 0
-			for _, g := range ev.groups {
-				grouped += len(g.members)
-				for k := 1; k < len(g.thresholds); k++ {
-					if g.thresholds[k-1] > g.thresholds[k] {
-						t.Fatalf("group thresholds not ascending: %v", g.thresholds)
+			units := plan(&Trace{}, ests)
+			groups := 0
+			seen := make([]bool, len(ests))
+			for _, u := range units {
+				if _, _, grouped := u.sweepKey(); grouped {
+					groups++
+					for k := 1; k < len(u.members); k++ {
+						if u.members[k-1].level > u.members[k].level {
+							t.Fatalf("group levels not ascending: %+v", u.members)
+						}
 					}
+				} else if len(u.members) != 1 {
+					t.Fatalf("solo unit with %d members", len(u.members))
+				}
+				if u.kind == estGeneric {
+					t.Errorf("%s takes interface dispatch", u.est.Name())
+				}
+				for _, m := range u.members {
+					if seen[m.est] {
+						t.Fatalf("estimator %d planned twice", m.est)
+					}
+					seen[m.est] = true
 				}
 			}
-			if grouped+len(ev.solo) != len(ests) {
-				t.Fatalf("%d grouped + %d solo estimators, want %d", grouped, len(ev.solo), len(ests))
+			if groups != tc.groups {
+				t.Fatalf("%d threshold groups, want %d", groups, tc.groups)
 			}
-			if want := len(ev.groups) + len(ev.solo); len(ev.train) != want {
-				t.Fatalf("%d training estimators, want one per group plus each solo (%d)", len(ev.train), want)
-			}
-			for _, i := range ev.solo {
-				if ev.fast[i].kind == estGeneric {
-					t.Errorf("solo %s takes interface dispatch", ests[i].Name())
+			for i, ok := range seen {
+				if !ok {
+					t.Fatalf("estimator %d (%s) not planned", i, ests[i].Name())
 				}
 			}
 		})

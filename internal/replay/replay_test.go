@@ -242,7 +242,7 @@ func TestTraceCounts(t *testing.T) {
 // scripted estimator for synthetic-stream tests: records every call.
 type capture struct {
 	estimates []int64
-	resolves  []resolveRec
+	resolves  []oracleRec
 }
 
 func (c *capture) Name() string { return "capture" }
@@ -251,19 +251,20 @@ func (c *capture) Estimate(pc int64, info bpred.Info) bool {
 	return true
 }
 func (c *capture) Resolve(pc int64, info bpred.Info, correct bool) {
-	c.resolves = append(c.resolves, resolveRec{pc: pc, info: info, correct: correct})
+	c.resolves = append(c.resolves, oracleRec{pc: pc, info: info, correct: correct})
 }
 
-// synthEvent drives a recorder with one fetch event (and its resolve
-// when committed), the way the pipeline would.
+// synthFetch drives a recorder with one fetch event, committed or
+// wrong-path, the way the pipeline would; callers add the resolves.
 func synthFetch(r *Recorder, pc int64, committed bool) {
 	r.Estimate(pc, bpred.Info{Pred: true})
 	r.Branch(obs.BranchEvent{PC: pc, Pred: true, Outcome: true, WrongPath: !committed})
 }
 
 // TestReplayResolveFIFO: resolves replay in committed-fetch order with
-// fetch-time arguments, across a ring-growth boundary (more than 64
-// committed fetches outstanding) and across chunk boundaries.
+// fetch-time arguments, with more committed fetches outstanding than a
+// view window's scratch holds (so the view's columns grow), and across
+// window and chunk boundaries.
 func TestReplayResolveFIFO(t *testing.T) {
 	r := NewRecorder()
 	const n = 3 * chunkTokens / 4 // enough tokens to cross a chunk boundary after resolves

@@ -75,13 +75,16 @@ go build -o "$SMOKE/simtrace" ./cmd/simtrace
 # Record/replay smoke: replay (the default) must render the exact bytes
 # of -replay off. The selection covers the committed-stream
 # experiments (table2, table2-detail, table3, auc, patterns, misest),
-# table4's Distance sweep (thresholds 1..7, one threshold group on
-# replay), the experiments that take default-config runs (base stats,
-# site profiles) from the recorded trace, and boost, which folds its
-# events as they stream.
+# the threshold-group consumers (table4's Distance sweep, fig3 and
+# fig5's JRS sweeps, cir's CIR and gMDC-CIR sweeps, abl-width's
+# counter-width sweeps, jrsmcf's JRS/McFarling hybrids), the
+# experiments that take default-config runs (base stats, site
+# profiles) from the recorded trace, and boost, which folds its events
+# as they stream.
 "$SMOKE/simctrl" -replay off -exp table3 -committed 60000 > "$SMOKE/direct.txt"
 cmp "$SMOKE/local.txt" "$SMOKE/direct.txt"
 for exp in table2 table2-detail auc patterns misest table4 \
+    fig3 fig5 cir abl-width jrsmcf \
     boost boost-mcf abl-depth abl-indirect abl-spechist tuned xinput; do
     "$SMOKE/simctrl" -exp "$exp" -committed 60000 > "$SMOKE/$exp-on.txt"
     "$SMOKE/simctrl" -replay off -exp "$exp" -committed 60000 > "$SMOKE/$exp-off.txt"
