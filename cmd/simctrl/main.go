@@ -67,6 +67,38 @@ func printRendered(w io.Writer, out string) {
 	}
 }
 
+// localOnly holds the flags that configure only a local run; -server
+// rejects each of them rather than silently ignoring it.
+type localOnly struct {
+	shard, cellsIn, policy, policyLevels, ingestTrace string
+}
+
+// serverConflict returns an error naming the first local-run-only flag
+// given alongside -server, or nil when there is none.
+func serverConflict(f localOnly) error {
+	const atServer = "start simserved with it instead"
+	for _, c := range []struct{ flag, value, hint string }{
+		// A shard's cells exist only in its -cells-out file; a job
+		// computes (or serves from the cache) every cell it renders.
+		{cliflags.ShardFlag, f.shard, "run each shard locally with -" + cliflags.CellsOutFlag +
+			" and merge with -" + cliflags.CellsInFlag},
+		// Job submissions carry no cells; merge shard files locally.
+		{cliflags.CellsInFlag, f.cellsIn, "merge cell files without -server"},
+		// Job submissions carry no pipeline configuration; the server's
+		// base policy is fixed at startup.
+		{cliflags.PolicyFlag, f.policy, atServer},
+		{cliflags.PolicyLevelsFlag, f.policyLevels, atServer},
+		// Trace files cannot travel in a job submission (only profile
+		// vectors can); ingest them on the server instead.
+		{cliflags.IngestTraceFlag, f.ingestTrace, atServer},
+	} {
+		if c.value != "" {
+			return fmt.Errorf("-%s is a local-run option; %s", c.flag, c.hint)
+		}
+	}
+	return nil
+}
+
 func main() {
 	var (
 		exp       = flag.String("exp", "", "experiment to run (see -list), or 'all'")
@@ -118,22 +150,14 @@ func main() {
 	tracer := traceF.NewTracer()
 
 	if *server != "" {
-		if *shard != "" {
-			fmt.Fprintln(os.Stderr, "simctrl: -shard is a local-run option; the server shards internally")
-			os.Exit(2)
-		}
-		if *policyF.Spec != "" || *policyF.Levels != "" {
-			// Job submissions carry no pipeline configuration; the
-			// server's base policy is fixed at startup.
-			fmt.Fprintf(os.Stderr, "simctrl: -%s is a local-run option; start simserved with it instead\n",
-				cliflags.PolicyFlag)
-			os.Exit(2)
-		}
-		if *synthF.Traces != "" {
-			// Trace files cannot travel in a job submission (only
-			// profile vectors can); ingest them on the server instead.
-			fmt.Fprintf(os.Stderr, "simctrl: -%s is a local-run option; start simserved with it instead\n",
-				cliflags.IngestTraceFlag)
+		if err := serverConflict(localOnly{
+			shard:        *shard,
+			cellsIn:      *cellsIn,
+			policy:       *policyF.Spec,
+			policyLevels: *policyF.Levels,
+			ingestTrace:  *synthF.Traces,
+		}); err != nil {
+			fmt.Fprintf(os.Stderr, "simctrl: %v\n", err)
 			os.Exit(2)
 		}
 		synthProfiles, err := synthF.LoadProfiles()

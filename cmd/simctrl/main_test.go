@@ -25,6 +25,30 @@ func TestPrintRendered(t *testing.T) {
 	}
 }
 
+// TestServerConflict: every local-run-only flag given alongside -server
+// is rejected with an error naming it, never silently ignored.
+func TestServerConflict(t *testing.T) {
+	for _, tc := range []struct {
+		flags localOnly
+		want  string // flag the error must name; "" = accepted
+	}{
+		{localOnly{}, ""},
+		{localOnly{shard: "0/2"}, "-shard"},
+		{localOnly{cellsIn: "x.json"}, "-cells-in"},
+		{localOnly{policy: "gate:2"}, "-policy"},
+		{localOnly{policyLevels: "4,2,1"}, "-policy-levels"},
+		{localOnly{ingestTrace: "t.spbt"}, "-ingest-trace"},
+	} {
+		err := serverConflict(tc.flags)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%+v: unexpected error %v", tc.flags, err)
+		case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want+" ")):
+			t.Errorf("%+v: error %v, want one naming %s", tc.flags, err, tc.want)
+		}
+	}
+}
+
 // TestServerModeRoundTrip drives the -server client path end-to-end
 // against a real in-process simserved: the analytic fig1 experiment
 // (no simulation, so the test is fast) must render byte-identically to

@@ -40,11 +40,6 @@ const (
 	TraceOutFlag     = "trace-out"
 	ProfileCellsFlag = "profile-cells"
 	SpanSampleFlag   = "span-sample"
-	CoordinatorFlag  = "coordinator"
-	WorkerFlag       = "worker"
-	JoinFlag         = "join"
-	NodeFlag         = "node"
-	HeartbeatFlag    = "heartbeat"
 	SynthProfileFlag = "synth-profile"
 	SynthNFlag       = "synth-n"
 	IngestTraceFlag  = "ingest-trace"
@@ -156,47 +151,6 @@ func (p PolicyFlags) Load() (pipeline.Policy, error) {
 	return pol, nil
 }
 
-// Cluster bundles the multi-node flags (docs/CLUSTER.md): simserved
-// runs as a plain single-process service by default, as the cluster
-// head with -coordinator, or as a worker with -worker -join <url>.
-type Cluster struct {
-	Coordinator *bool
-	Worker      *bool
-	Join        *string
-	Node        *string
-	Heartbeat   *time.Duration
-}
-
-// RegisterCluster registers -coordinator, -worker, -join, -node and
-// -heartbeat.
-func RegisterCluster(fs *flag.FlagSet) Cluster {
-	return Cluster{
-		Coordinator: fs.Bool(CoordinatorFlag, false,
-			"run as a cluster coordinator: accept jobs and scatter grids across joined workers (docs/CLUSTER.md)"),
-		Worker: fs.Bool(WorkerFlag, false,
-			"run as a cluster worker executing shard units from a coordinator (requires -join)"),
-		Join: fs.String(JoinFlag, "",
-			"coordinator base URL a -worker joins (e.g. http://head:8344)"),
-		Node: fs.String(NodeFlag, "",
-			"worker's self-reported node name (default: hostname)"),
-		Heartbeat: fs.Duration(HeartbeatFlag, 0,
-			"coordinator: worker heartbeat interval; a worker silent for 3 intervals is declared gone (0 = default 2s)"),
-	}
-}
-
-// Validate rejects contradictory cluster mode combinations.
-func (c Cluster) Validate() error {
-	switch {
-	case *c.Coordinator && *c.Worker:
-		return fmt.Errorf("-%s and -%s are mutually exclusive", CoordinatorFlag, WorkerFlag)
-	case *c.Worker && *c.Join == "":
-		return fmt.Errorf("-%s requires -%s <coordinator URL>", WorkerFlag, JoinFlag)
-	case !*c.Worker && *c.Join != "":
-		return fmt.Errorf("-%s only applies with -%s", JoinFlag, WorkerFlag)
-	}
-	return nil
-}
-
 // Synth bundles the workload-generation flags (docs/WORKLOADS.md):
 // -synth-profile registers generator vectors from JSON files,
 // -ingest-trace registers recorded branch traces as replayable
@@ -235,9 +189,7 @@ func splitList(v string) []string {
 // Load reads and registers every -synth-profile vector and every
 // -ingest-trace file, returning the registered workload names in flag
 // order (profiles first) plus the parsed -synth-n. Call it after flag
-// parsing in every mode that runs experiments — including cluster
-// workers, which must resolve the same workload names the coordinator
-// scatters.
+// parsing in every mode that runs experiments.
 func (s Synth) Load() (names []string, n int, err error) {
 	if s.N != nil {
 		if *s.N < 0 {

@@ -28,7 +28,6 @@ func TestFlagNamesPinned(t *testing.T) {
 	Replay(fs)
 	TraceCacheMB(fs)
 	RegisterTrace(fs)
-	RegisterCluster(fs)
 	RegisterSynth(fs)
 	RegisterPolicy(fs)
 
@@ -37,8 +36,6 @@ func TestFlagNamesPinned(t *testing.T) {
 		"committed": true, "metrics-addr": true, "progress": true,
 		"replay": true, "trace-cache-mb": true,
 		"trace-out": true, "profile-cells": true, "span-sample": true,
-		"coordinator": true, "worker": true, "join": true, "node": true,
-		"heartbeat":     true,
 		"synth-profile": true, "synth-n": true, "ingest-trace": true,
 		"policy": true, "policy-levels": true,
 	}
@@ -90,32 +87,6 @@ func TestObsZeroValueStartsNothing(t *testing.T) {
 	defer s.Stop()
 	if s.Registry != nil || s.Run != nil {
 		t.Error("zero Obs started observability")
-	}
-}
-
-// TestClusterValidate: the mode matrix must reject contradictory
-// combinations with a flag-named error instead of silently picking one.
-func TestClusterValidate(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		ok   bool
-	}{
-		{nil, true},
-		{[]string{"-coordinator"}, true},
-		{[]string{"-worker", "-join", "http://h:1"}, true},
-		{[]string{"-coordinator", "-worker", "-join", "http://h:1"}, false},
-		{[]string{"-worker"}, false},
-		{[]string{"-join", "http://h:1"}, false},
-	} {
-		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		c := RegisterCluster(fs)
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatalf("parse %v: %v", tc.args, err)
-		}
-		if err := c.Validate(); tc.ok != (err == nil) {
-			t.Errorf("Validate(%v) error = %v, want ok=%v", tc.args, err, tc.ok)
-		}
 	}
 }
 

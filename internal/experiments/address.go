@@ -208,89 +208,6 @@ type traceIdentity struct {
 	Pipeline     pipelineIdentity `json:"pipeline"`
 }
 
-// unitAddressVersion versions unitIdentity the way cellAddressVersion
-// versions cellIdentity.
-//
-// v2: unitIdentity gained SynthN and SynthWorkloads (the sweepspace
-// experiment's grid enumeration depends on both).
-//
-// v3: pipelineIdentity gained Policy.
-const unitAddressVersion = 3
-
-// unitIdentity is the canonical identity of one cluster work unit: a
-// shard of one experiment's grid under one parameter set. It reuses
-// pipelineIdentity and the cell-relevant scalars, plus the shard
-// coordinates and — unlike cellIdentity — the replay mode, because
-// replay changes which cells a grid enumerates (#record/#replay
-// variants), so the same shard under different modes is different work.
-type unitIdentity struct {
-	AddressVersion int    `json:"addressVersion"`
-	Experiment     string `json:"experiment"`
-	ShardIndex     int    `json:"shardIndex"`
-	ShardCount     int    `json:"shardCount"`
-	Replay         string `json:"replay"`
-	BaseSeed       uint64 `json:"baseSeed"`
-
-	// SynthN and SynthWorkloads shape the sweepspace grid the way
-	// Replay shapes every replay-backed grid: they change which cells
-	// the experiment enumerates, so the same shard under different
-	// synth parameters is different work. SynthWorkloads is non-nil so
-	// the canonical encoding is stable ([] vs null).
-	SynthN         int      `json:"synthN"`
-	SynthWorkloads []string `json:"synthWorkloads"`
-
-	MaxCommitted    uint64           `json:"maxCommitted"`
-	BuildIters      int              `json:"buildIters"`
-	GshareBits      uint             `json:"gshareBits"`
-	McFBits         uint             `json:"mcfBits"`
-	SAgBHTBits      uint             `json:"sagBHTBits"`
-	SAgHistBits     uint             `json:"sagHistBits"`
-	StaticThreshold float64          `json:"staticThreshold"`
-	Pipeline        pipelineIdentity `json:"pipeline"`
-}
-
-// UnitAddress returns the content address of one cluster work unit —
-// shard sh of the named experiment's grid under these parameters: a
-// hex SHA-256 of the canonical JSON encoding of the unit's identity.
-// Two (Params, experiment, shard) triples share an address exactly when
-// they enumerate the same cells with the same results, so the address
-// is a stable dedup and reassignment key for cluster scheduling the
-// way CellAddress keys the result cache.
-func (p Params) UnitAddress(experiment string, sh runner.Shard) string {
-	seed := p.BaseSeed
-	if seed == 0 {
-		seed = runner.DefaultBaseSeed
-	}
-	synthWs := p.SynthWorkloads
-	if synthWs == nil {
-		synthWs = []string{}
-	}
-	id := unitIdentity{
-		AddressVersion:  unitAddressVersion,
-		Experiment:      experiment,
-		ShardIndex:      sh.Index,
-		ShardCount:      sh.Count,
-		Replay:          p.Replay,
-		BaseSeed:        seed,
-		SynthN:          p.SynthN,
-		SynthWorkloads:  synthWs,
-		MaxCommitted:    p.MaxCommitted,
-		BuildIters:      p.BuildIters,
-		GshareBits:      p.GshareBits,
-		McFBits:         p.McFBits,
-		SAgBHTBits:      p.SAgBHTBits,
-		SAgHistBits:     p.SAgHistBits,
-		StaticThreshold: p.StaticThreshold,
-		Pipeline:        p.pipelineID(),
-	}
-	data, err := json.Marshal(id)
-	if err != nil {
-		panic("experiments: unit identity encoding: " + err.Error())
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
 // TraceAddress returns the content address of the branch-event trace a
 // (workload, predictor) simulation under these parameters would record:
 // a hex SHA-256 of the canonical JSON encoding of the trace's identity.

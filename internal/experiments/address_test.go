@@ -135,61 +135,3 @@ func TestCellAddressIgnoresSideChannels(t *testing.T) {
 		}
 	}
 }
-
-// TestUnitAddressStable: the same parameters and shard always address
-// identically — the cluster uses this as the identity of one scatter
-// work unit.
-func TestUnitAddressStable(t *testing.T) {
-	sh := runner.Shard{Index: 1, Count: 4}
-	a1 := DefaultParams().UnitAddress("table3", sh)
-	a2 := DefaultParams().UnitAddress("table3", sh)
-	if a1 != a2 {
-		t.Fatalf("same unit produced different addresses: %s vs %s", a1, a2)
-	}
-	if len(a1) != 64 {
-		t.Fatalf("address %q is not a hex SHA-256", a1)
-	}
-}
-
-// TestUnitAddressSensitivity: every component of unit identity —
-// experiment, shard coordinates, replay mode, budget, seed — must move
-// the address, or two different work units would collide.
-func TestUnitAddressSensitivity(t *testing.T) {
-	sh := runner.Shard{Index: 1, Count: 4}
-	base := DefaultParams().UnitAddress("table3", sh)
-	seen := map[string]string{"base": base}
-	check := func(name, addr string) {
-		if addr == base {
-			t.Errorf("%s: perturbation did not change the address", name)
-		}
-		if prev, dup := seen[addr]; dup {
-			t.Errorf("%s collides with %s", name, prev)
-		}
-		seen[addr] = name
-	}
-
-	check("experiment", DefaultParams().UnitAddress("table2", sh))
-	check("shard index", DefaultParams().UnitAddress("table3", runner.Shard{Index: 2, Count: 4}))
-	check("shard count", DefaultParams().UnitAddress("table3", runner.Shard{Index: 1, Count: 8}))
-	p := DefaultParams()
-	p.MaxCommitted = 1
-	check("committed", p.UnitAddress("table3", sh))
-	p = DefaultParams()
-	p.BaseSeed = 999
-	check("seed", p.UnitAddress("table3", sh))
-	p = DefaultParams()
-	p.Replay = "off"
-	check("replay mode", p.UnitAddress("table3", sh))
-}
-
-// TestUnitAddressZeroSeedCanonical mirrors the cell-address rule:
-// BaseSeed 0 and an explicit DefaultBaseSeed are one identity.
-func TestUnitAddressZeroSeedCanonical(t *testing.T) {
-	sh := runner.Shard{Index: 0, Count: 2}
-	zero := DefaultParams()
-	explicit := DefaultParams()
-	explicit.BaseSeed = runner.DefaultBaseSeed
-	if zero.UnitAddress("table3", sh) != explicit.UnitAddress("table3", sh) {
-		t.Error("BaseSeed 0 and explicit DefaultBaseSeed address differently")
-	}
-}

@@ -138,15 +138,14 @@ type Params struct {
 	TraceCache *replay.Cache
 
 	// SynthN is how many latin-hypercube profiles the sweepspace
-	// experiment generates (zero selects DefaultSynthN). Like BaseSeed
-	// it is part of a cluster unit's identity: it changes which cells a
-	// sweepspace grid enumerates.
+	// experiment generates (zero selects DefaultSynthN). It changes
+	// which cells a sweepspace grid enumerates.
 	SynthN int
 	// SynthWorkloads names extra dynamically registered workloads
 	// (synth profiles from -synth-profile, ingested traces from
 	// -ingest-trace) the sweepspace experiment appends to its generated
 	// set. Names must already be registered in internal/workload when
-	// the experiment runs. Also part of a cluster unit's identity.
+	// the experiment runs.
 	SynthWorkloads []string
 
 	// Tracer, when non-nil, records spans for every grid cell (queue

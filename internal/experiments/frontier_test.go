@@ -122,7 +122,7 @@ func TestFrontierShardRoundTrip(t *testing.T) {
 
 // TestFrontierCellCache: resubmitting the frontier through one CellCache
 // computes nothing the second time and renders identically — the
-// property the serve/cluster result stores rely on.
+// property the serve result store relies on.
 func TestFrontierCellCache(t *testing.T) {
 	cc := &countingCache{}
 	first := frontierParams()
@@ -165,7 +165,7 @@ func TestFrontierRender(t *testing.T) {
 }
 
 // TestPolicyChangesCellAddress: two parameter sets differing only in the
-// installed base-config policy must never share cell, trace, or unit
+// installed base-config policy must never share cell or trace
 // addresses — policies perturb timing.
 func TestPolicyChangesCellAddress(t *testing.T) {
 	plain := frontierParams()
@@ -180,9 +180,6 @@ func TestPolicyChangesCellAddress(t *testing.T) {
 	}
 	if plain.TraceAddress("compress", GshareSpec()) == policied.TraceAddress("compress", GshareSpec()) {
 		t.Error("trace address ignores the installed policy")
-	}
-	if plain.UnitAddress("table3", plain.Shard) == policied.UnitAddress("table3", policied.Shard) {
-		t.Error("unit address ignores the installed policy")
 	}
 	// And a policied base config must force direct simulation: the
 	// unpolicied recording no longer matches the policied timing.

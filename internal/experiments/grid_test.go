@@ -234,53 +234,62 @@ func (c *countingCache) m2cells(t *testing.T) map[string]CellResult {
 	return out
 }
 
-// TestShardRun checks that a sharded run returns ErrShardOnly, records
-// only its own cells, and that merging all shards reproduces the full
-// grid.
+// TestShardRun is the multi-machine guarantee: for every grid
+// experiment, two shard runs each return ErrShardOnly and record only
+// their own cells, the cells survive the -cells-out/-cells-in JSON
+// round trip, and merging them renders exactly the bytes of a direct
+// run.
 func TestShardRun(t *testing.T) {
-	merged := map[string]CellResult{}
-	total := 0
-	for i := 0; i < 3; i++ {
-		p := smallParams()
-		p.Shard.Index, p.Shard.Count = i, 3
-		p.Record = NewCellStore()
-		_, err := Table3(p)
-		if !errors.Is(err, ErrShardOnly) {
-			t.Fatalf("shard %d: got %v, want ErrShardOnly", i, err)
+	for _, e := range Experiments() {
+		if e.Name == "fig1" || e.Name == "cost" {
+			continue // analytic: no grid to shard
 		}
-		data, err := p.Record.MarshalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells, err := UnmarshalCells(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(cells)
-		for k, c := range cells {
-			if _, dup := merged[k]; dup {
-				t.Fatalf("cell %s computed by two shards", k)
+		t.Run(e.Name, func(t *testing.T) {
+			merged := map[string]CellResult{}
+			total := 0
+			for i := 0; i < 2; i++ {
+				p := smallParams()
+				p.Shard = runner.Shard{Index: i, Count: 2}
+				p.Record = NewCellStore()
+				if _, err := e.Run(p); !errors.Is(err, ErrShardOnly) {
+					t.Fatalf("shard %d: got %v, want ErrShardOnly", i, err)
+				}
+				data, err := p.Record.MarshalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cells, err := UnmarshalCells(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += len(cells)
+				for k, c := range cells {
+					if _, dup := merged[k]; dup {
+						t.Fatalf("cell %s computed by two shards", k)
+					}
+					merged[k] = c
+				}
 			}
-			merged[k] = c
-		}
-	}
-	full := smallParams()
-	full.Cells = merged
-	direct := smallParams()
-	want, err := Table3(direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Table3(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Default params run replay-shaped grids: per workload, one record
-	// cell plus one replay cell (Table3's two estimators fit one batch).
-	if want := 2 * len(suite()); total != want {
-		t.Fatalf("shards produced %d cells, want %d", total, want)
-	}
-	if want.Render() != got.Render() {
-		t.Fatal("merged shard render differs from direct run")
+			// Default params run replay-shaped grids: per workload,
+			// one record cell plus one replay cell (Table3's two
+			// estimators fit one batch).
+			if want := 2 * len(suite()); e.Name == "table3" && total != want {
+				t.Fatalf("shards produced %d cells, want %d", total, want)
+			}
+			want, err := e.Run(smallParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := smallParams()
+			full.Cells = merged
+			full.Progress = func(msg string) { t.Errorf("merge simulated a cell: %s", msg) }
+			got, err := e.Run(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Render() != got.Render() {
+				t.Fatal("merged shard render differs from direct run")
+			}
+		})
 	}
 }

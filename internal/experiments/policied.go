@@ -26,9 +26,8 @@ import (
 //	policied/<workload>/gshare/baseline               the baseline
 //
 // independent of which experiment asks for it, so experiments that share
-// a run share its cell through Params.Cache (serve's store, the cluster's
-// cell tier) or, when Cache is nil, through the process-wide
-// policiedMemo. A base-config Params.Pipeline.Policy never applies: a
+// a run share its cell through Params.Cache (serve's store) or, when
+// Cache is nil, through the process-wide policiedMemo. A base-config Params.Pipeline.Policy never applies: a
 // cell installs only its own policy, and a baseline none. A baseline is
 // the pair's default run, so it comes from the recorded trace
 // (baseStats) rather than a simulation of its own.

@@ -17,8 +17,8 @@
 // The package also defines Factories, the options struct every
 // speculation-control driver (internal/gating, internal/smt,
 // internal/eager) takes in place of positional constructor arguments,
-// and Parse, the canonical spec-string form the CLIs and the cluster
-// wire protocol use ("gate:2", "throttle:4,2,1", "boost:2,8").
+// and Parse, the canonical spec-string form the CLIs use ("gate:2",
+// "throttle:4,2,1", "boost:2,8").
 // Policy.Name() returns exactly that spec string, so names round-trip
 // through Parse and are stable enough to hash into experiment cell
 // addresses.

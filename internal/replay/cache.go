@@ -36,10 +36,9 @@ type Cache struct {
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
 	flights map[string]*traceFlight
-	backing Backing
 
-	records, hits, fetches, evictions *obs.Counter
-	gauge                             *obs.Gauge
+	records, hits, evictions *obs.Counter
+	gauge                    *obs.Gauge
 }
 
 // cacheEntry is one resident trace; the lru list owns these.
@@ -56,34 +55,6 @@ type traceFlight struct {
 	trace *Trace
 	stats *pipeline.Stats
 	err   error
-}
-
-// Backing is an optional second-level store behind a Cache — typically
-// a cluster coordinator's trace tier reached over HTTP. On a local
-// miss the cache consults Fetch before recording; after a successful
-// recording it offers the trace to Store. Both calls are best-effort:
-// Fetch returning false and Store failing silently only cost a
-// re-recording, never correctness, because the trace is a deterministic
-// function of its address.
-//
-// Implementations must be safe for concurrent use. The *Trace and
-// *Stats exchanged are shared and treated as immutable, matching the
-// cache's own contract.
-type Backing interface {
-	// Fetch returns the trace stored under addr, reporting whether
-	// the backing tier had it.
-	Fetch(addr string) (*Trace, *pipeline.Stats, bool)
-	// Store offers a freshly recorded trace to the backing tier.
-	Store(addr string, t *Trace, st *pipeline.Stats)
-}
-
-// SetBacking installs (or clears, with nil) the cache's second-level
-// store. Safe to call concurrently with cache use; traces already
-// resident are unaffected.
-func (c *Cache) SetBacking(b Backing) {
-	c.mu.Lock()
-	c.backing = b
-	c.mu.Unlock()
 }
 
 // NewCache returns a cache holding at most maxBytes of trace data
@@ -103,7 +74,6 @@ func NewCache(maxBytes int64, reg *obs.Registry) *Cache {
 	if reg != nil {
 		c.records = reg.Counter("specctrl_trace_records_total", nil)
 		c.hits = reg.Counter("specctrl_trace_hits_total", nil)
-		c.fetches = reg.Counter("specctrl_trace_fetches_total", nil)
 		c.evictions = reg.Counter("specctrl_trace_evictions_total", nil)
 		c.gauge = reg.Gauge("specctrl_trace_cache_bytes", nil)
 	}
@@ -136,9 +106,6 @@ const (
 	// OutcomeWait: another caller was already recording; this call
 	// waited for that flight and shared its result.
 	OutcomeWait Outcome = "wait"
-	// OutcomeFetch: the trace came from the backing tier (another
-	// node's recording) instead of a local recording.
-	OutcomeFetch Outcome = "fetch"
 )
 
 // GetOrRecord returns the trace cached under addr, running record to
@@ -174,19 +141,9 @@ func (c *Cache) GetOrRecordOutcome(addr string, record func() (*Trace, *pipeline
 	}
 	f := &traceFlight{done: make(chan struct{})}
 	c.flights[addr] = f
-	backing := c.backing
 	c.mu.Unlock()
 
-	outcome := OutcomeRecord
-	if backing != nil {
-		if t, st, ok := backing.Fetch(addr); ok {
-			f.trace, f.stats = t, st
-			outcome = OutcomeFetch
-		}
-	}
-	if outcome != OutcomeFetch {
-		f.trace, f.stats, f.err = record()
-	}
+	f.trace, f.stats, f.err = record()
 
 	c.mu.Lock()
 	delete(c.flights, addr)
@@ -195,52 +152,10 @@ func (c *Cache) GetOrRecordOutcome(addr string, record func() (*Trace, *pipeline
 	}
 	c.mu.Unlock()
 	close(f.done)
-	if f.err == nil {
-		switch outcome {
-		case OutcomeFetch:
-			if c.fetches != nil {
-				c.fetches.Inc()
-			}
-		case OutcomeRecord:
-			if c.records != nil {
-				c.records.Inc()
-			}
-			if backing != nil {
-				// Best-effort write-through: a recording made here
-				// becomes every other node's fetch hit.
-				backing.Store(addr, f.trace, f.stats)
-			}
-		}
+	if f.err == nil && c.records != nil {
+		c.records.Inc()
 	}
-	return f.trace, f.stats, outcome, f.err
-}
-
-// Get returns the trace resident under addr without recording on a
-// miss and without consulting the backing tier. It counts as a use for
-// LRU purposes but not as a hit in the metrics.
-func (c *Cache) Get(addr string) (*Trace, *pipeline.Stats, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[addr]
-	if !ok {
-		return nil, nil, false
-	}
-	c.lru.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.trace, e.stats, true
-}
-
-// Put inserts a trace produced elsewhere (e.g. uploaded by a cluster
-// worker) under addr, subject to the usual LRU budget. An existing
-// entry is left in place: the trace at an address is deterministic, so
-// first write wins and the duplicate is dropped.
-func (c *Cache) Put(addr string, t *Trace, st *pipeline.Stats) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[addr]; ok {
-		return
-	}
-	c.insertLocked(addr, t, st)
+	return f.trace, f.stats, OutcomeRecord, f.err
 }
 
 // insertLocked adds an entry and evicts from the LRU tail until the

@@ -58,7 +58,6 @@
 // the simulator resolved it, so replayed statistics are the pipeline's,
 // not a trace-driven approximation of them.
 //
-// Traces have a binary codec (magic "SPRT") for shipping them between
-// cluster nodes, and an LRU Cache with singleflight recording and an
-// optional backing tier.
+// Traces have a binary codec (magic "SPRT") and an LRU Cache with
+// singleflight recording.
 package replay

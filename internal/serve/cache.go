@@ -173,14 +173,6 @@ func (s *Store) memPut(addr string, c experiments.CellResult, size int64) {
 	}
 }
 
-// Put stores a cell computed elsewhere (e.g. uploaded by a cluster
-// worker) under addr. The write is atomic and idempotent: the result
-// at an address is deterministic, so a concurrent or repeated Put of
-// the same address simply rewrites identical bytes.
-func (s *Store) Put(addr string, c experiments.CellResult) error {
-	return s.save(addr, c)
-}
-
 // save writes the cell atomically (temp file + rename in the same
 // directory), then makes it resident in memory.
 func (s *Store) save(addr string, c experiments.CellResult) error {

@@ -27,6 +27,15 @@ func testCell(v float64) experiments.CellResult {
 	}
 }
 
+// seed stores c under addr through GetOrCompute, as a computed miss.
+func seed(t *testing.T, s *Store, addr string, c experiments.CellResult) {
+	t.Helper()
+	if _, err := s.GetOrCompute(context.Background(), addr,
+		func(context.Context) (experiments.CellResult, error) { return c, nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := NewStore(t.TempDir(), reg)
@@ -237,9 +246,7 @@ func TestStoreMemoryBudget(t *testing.T) {
 	}
 	put := func(tag string) int64 {
 		t.Helper()
-		if err := s.Put(testAddr(tag), testCell(1)); err != nil {
-			t.Fatal(err)
-		}
+		seed(t, s, testAddr(tag), testCell(1))
 		fi, err := os.Stat(s.path(testAddr(tag)))
 		if err != nil {
 			t.Fatal(err)
@@ -287,9 +294,7 @@ func TestStoreResidentConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := testAddr("f2")
-	if err := s.Put(addr, testCell(9)); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, s, addr, testCell(9))
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

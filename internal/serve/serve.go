@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -61,19 +60,8 @@ type Config struct {
 	// Created with default options when nil, so a served job's trace is
 	// always inspectable on /debug/traces.
 	Tracer *span.Tracer
-	// RunExperiment, when non-nil, replaces experiments.Run as the
-	// function each job invokes per experiment. The cluster coordinator
-	// uses it to scatter grids across workers before the deterministic
-	// local assembly; it must preserve the byte-identity contract
-	// (return exactly what experiments.Run would).
-	RunExperiment func(name string, p experiments.Params) (experiments.Renderer, error)
-	// Mount, when non-nil, is called with the server's mux after the
-	// job API routes are registered, so embedders (the cluster
-	// coordinator) can add endpoints on the same listener.
-	Mount func(mux *http.ServeMux)
 
-	// runExperiment is a test seam; nil means RunExperiment, then
-	// experiments.Run.
+	// runExperiment is a test seam; nil means experiments.Run.
 	runExperiment func(name string, p experiments.Params) (experiments.Renderer, error)
 }
 
@@ -149,11 +137,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Params.TraceCache = replay.NewCache(cfg.TraceCacheBytes, cfg.Registry)
 	}
 	if cfg.runExperiment == nil {
-		if cfg.RunExperiment != nil {
-			cfg.runExperiment = cfg.RunExperiment
-		} else {
-			cfg.runExperiment = experiments.Run
-		}
+		cfg.runExperiment = experiments.Run
 	}
 
 	store, err := NewStore(cfg.CacheDir, cfg.Registry)
@@ -176,9 +160,6 @@ func New(cfg Config) (*Server, error) {
 
 	mux := obs.NewMux(cfg.Registry, cfg.Tracer)
 	s.routes(mux)
-	if cfg.Mount != nil {
-		cfg.Mount(mux)
-	}
 	hs, err := obs.ServeHandler(cfg.Addr, mux)
 	if err != nil {
 		return nil, err
@@ -198,9 +179,6 @@ func (s *Server) URL() string { return s.hs.URL() }
 // Tracer returns the server's span tracer (never nil after New), for
 // exporting the accumulated spans at shutdown.
 func (s *Server) Tracer() *span.Tracer { return s.cfg.Tracer }
-
-// Store returns the server's content-addressed result cache.
-func (s *Server) Store() *Store { return s.store }
 
 // job looks up a job by id.
 func (s *Server) job(id string) (*Job, bool) {

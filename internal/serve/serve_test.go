@@ -368,7 +368,7 @@ func TestSharedCellsImmutable(t *testing.T) {
 	// encoding with its on-disk entry and returns the encodings.
 	residentMatchesDisk := func() map[string]string {
 		t.Helper()
-		st := srv.Store()
+		st := srv.store
 		st.mu.Lock()
 		resident := make(map[string]experiments.CellResult, len(st.mem))
 		for addr, el := range st.mem {

@@ -28,8 +28,8 @@
 // Register publishes a generated workload through internal/workload
 // under the content-addressed name "synth:<profile-hash>", which flows
 // into experiments.CellAddress and TraceAddress unchanged — the cell
-// cache, replay trace cache, and cluster cache tiers compose with
-// generated workloads automatically. Measure runs a program on the
+// cache and the replay trace cache compose with generated workloads
+// automatically. Measure runs a program on the
 // architectural emulator with a reference gshare predictor and reports
 // its realized characterization; PaperTargets pins one checked-in
 // profile per paper benchmark to that benchmark's Table 1 band, the

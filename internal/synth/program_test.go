@@ -85,8 +85,4 @@ func TestRegisterIdempotent(t *testing.T) {
 	if !ok || got != p {
 		t.Fatalf("ProfileFor(%q) = %+v, %v", name1, got, ok)
 	}
-	ns, ps := ProfilesFor([]string{"nope", name1})
-	if len(ns) != 1 || ns[0] != name1 || len(ps) != 1 || ps[0] != p {
-		t.Fatalf("ProfilesFor = %v, %v", ns, ps)
-	}
 }

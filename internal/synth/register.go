@@ -10,8 +10,8 @@ import (
 )
 
 // profiles is the name → Profile side table behind ProfileFor: the
-// cluster coordinator uses it to ship the profiles backing a job's
-// synth workload names to workers, which re-register them locally.
+// sweepspace experiment reads it to label generated workloads with
+// their characterization vectors.
 var (
 	profilesMu sync.Mutex
 	profiles   = map[string]Profile{}
@@ -22,8 +22,7 @@ var (
 // internal/workload under its content-addressed name. Registering the
 // same profile twice is idempotent — the name is a hash of the vector,
 // so a duplicate-name collision can only be the same generator output —
-// which lets CLI flags, job submissions, and cluster workers all
-// register freely.
+// which lets CLI flags and job submissions both register freely.
 func Register(p Profile) (string, error) {
 	if err := p.Validate(); err != nil {
 		return "", err
@@ -62,19 +61,4 @@ func ProfileFor(name string) (Profile, bool) {
 	defer profilesMu.Unlock()
 	p, ok := profiles[name]
 	return p, ok
-}
-
-// ProfilesFor returns the subset of names that are registered generated
-// profiles, with their vectors, preserving order. Trace-backed and
-// unknown names are skipped: they cannot be shipped as vectors.
-func ProfilesFor(names []string) ([]string, []Profile) {
-	var outNames []string
-	var outProfs []Profile
-	for _, n := range names {
-		if p, ok := ProfileFor(n); ok {
-			outNames = append(outNames, n)
-			outProfs = append(outProfs, p)
-		}
-	}
-	return outNames, outProfs
 }

@@ -22,19 +22,14 @@ go test -race -count=1 ./internal/runner
 go test -race -count=1 ./internal/replay
 go test -race -count=1 -run 'TestReplay' ./internal/experiments
 
-# Cluster gates: N-worker byte-identity vs the local run, chaos kill
-# mid-job with lease-TTL reassignment, graceful drain hand-back — all
-# in-process, under the race detector (the real-process smoke is below).
-go test -race -count=1 ./internal/cluster
-
-# Godoc contract: the serving/cluster stack is the operational surface;
+# Godoc contract: the serving stack is the operational surface;
 # every exported identifier there must carry a doc comment, and the
 # package comment must live in doc.go.
-go run ./scripts/doccheck internal/serve internal/runner internal/replay internal/obs/span internal/cluster internal/synth
+go run ./scripts/doccheck internal/serve internal/runner internal/replay internal/obs/span internal/synth
 
 # RNG hygiene: experiment cells must take randomness from spec.Seed only;
 # a process-global RNG would break cross-job determinism silently.
-if grep -rn 'math/rand' internal/experiments internal/runner internal/workload internal/serve internal/cluster internal/synth; then
+if grep -rn 'math/rand' internal/experiments internal/runner internal/workload internal/serve internal/synth; then
     echo "check.sh: process-global RNG import found (use seed-derived rng streams)" >&2
     exit 1
 fi
@@ -51,12 +46,10 @@ go run ./scripts/benchgate.go
 # the content-addressed cache (zero new simulations).
 SMOKE=$(mktemp -d)
 SERVED_PID=""
-COORD_PID=""
-WORKER1_PID=""
-WORKER2_PID=""
-WORKER3_PID=""
+SHARD0_PID=""
+SHARD1_PID=""
 cleanup() {
-    for pid in "$SERVED_PID" "$WORKER1_PID" "$WORKER2_PID" "$WORKER3_PID" "$COORD_PID"; do
+    for pid in "$SERVED_PID" "$SHARD0_PID" "$SHARD1_PID"; do
         if [ -n "$pid" ]; then
             kill -TERM "$pid" 2>/dev/null || true
             wait "$pid" || true
@@ -140,6 +133,26 @@ if cmp -s "$SMOKE/local.txt" "$SMOKE/policied.txt"; then
     echo "check.sh: -policy gate:2 left table3 unchanged; the policy was not installed" >&2
     exit 1
 fi
+
+# Shard smoke, the multi-machine path: two concurrent processes each
+# compute one -shard of the grid into a -cells-out file, and merging
+# the files with -cells-in must render the exact bytes of the local run.
+for exp in table3 frontier; do
+    "$SMOKE/simctrl" -exp "$exp" -committed 60000 -shard 0/2 \
+        -cells-out "$SMOKE/$exp-s0.json" 2> "$SMOKE/$exp-s0.log" &
+    SHARD0_PID=$!
+    "$SMOKE/simctrl" -exp "$exp" -committed 60000 -shard 1/2 \
+        -cells-out "$SMOKE/$exp-s1.json" 2> "$SMOKE/$exp-s1.log" &
+    SHARD1_PID=$!
+    wait "$SHARD0_PID"
+    SHARD0_PID=""
+    wait "$SHARD1_PID"
+    SHARD1_PID=""
+    "$SMOKE/simctrl" -exp "$exp" -committed 60000 \
+        -cells-in "$SMOKE/$exp-s0.json,$SMOKE/$exp-s1.json" > "$SMOKE/$exp-merged.txt"
+done
+cmp "$SMOKE/local.txt" "$SMOKE/table3-merged.txt"
+cmp "$SMOKE/frontier-local.txt" "$SMOKE/frontier-merged.txt"
 
 "$SMOKE/simserved" -addr 127.0.0.1:0 -addr-file "$SMOKE/addr" \
     -cache-dir "$SMOKE/cache" -committed 60000 \
@@ -228,95 +241,3 @@ grep -q ' 0 simulated)' "$SMOKE/stats3.txt"
 kill -TERM "$SERVED_PID"
 wait "$SERVED_PID"
 SERVED_PID=""
-
-# Cluster smoke: a coordinator + 2 real worker processes must render
-# byte-identically to the local run, keep doing so after a worker is
-# SIGKILLed mid-job, and show cross-node cache-tier traffic on /metrics.
-"$SMOKE/simserved" -coordinator -addr 127.0.0.1:0 -addr-file "$SMOKE/caddr" \
-    -cache-dir "$SMOKE/ccache" -committed 60000 -heartbeat 250ms \
-    2> "$SMOKE/coordinator.log" &
-COORD_PID=$!
-for _ in $(seq 1 100); do
-    [ -s "$SMOKE/caddr" ] && break
-    sleep 0.1
-done
-[ -s "$SMOKE/caddr" ] || { echo "check.sh: coordinator never published its address" >&2; cat "$SMOKE/coordinator.log" >&2; exit 1; }
-CURL=$(cat "$SMOKE/caddr")
-
-"$SMOKE/simserved" -worker -join "$CURL" -addr 127.0.0.1:0 -node smoke-1 \
-    2> "$SMOKE/worker1.log" &
-WORKER1_PID=$!
-"$SMOKE/simserved" -worker -join "$CURL" -addr 127.0.0.1:0 -node smoke-2 \
-    2> "$SMOKE/worker2.log" &
-WORKER2_PID=$!
-for _ in $(seq 1 100); do
-    [ "$(curl -s "$CURL/cluster/v1/status" | grep -o '"node"' | wc -l)" -ge 2 ] && break
-    sleep 0.1
-done
-
-# Healthy path: 2-worker output is byte-identical to the local run, and
-# the resubmission makes the workers hit the shared cell tier.
-"$SMOKE/simctrl" -server "$CURL" -exp table3 -committed 60000 > "$SMOKE/cluster1.txt"
-cmp "$SMOKE/local.txt" "$SMOKE/cluster1.txt"
-"$SMOKE/simctrl" -server "$CURL" -exp table3 -committed 60000 > "$SMOKE/cluster2.txt"
-cmp "$SMOKE/local.txt" "$SMOKE/cluster2.txt"
-CELL_HITS=$(curl -s "$CURL/metrics" | awk '/^specctrl_cluster_cell_hits_total/ {print $2}')
-[ -n "$CELL_HITS" ] && [ "$CELL_HITS" -ge 1 ] || {
-    echo "check.sh: no cross-node cell-cache hits after a resubmission (got '$CELL_HITS')" >&2
-    exit 1
-}
-
-# Chaos path: SIGKILL one worker while a fresh-scale job is in flight;
-# the lease TTL reassigns its units and the bytes must not change.
-"$SMOKE/simctrl" -exp table3 -committed 90000 > "$SMOKE/local90.txt"
-"$SMOKE/simctrl" -server "$CURL" -exp table3 -committed 90000 > "$SMOKE/cluster90.txt" &
-SUBMIT_PID=$!
-# Wait (briefly) for a unit to be leased so the kill lands mid-grid.
-for _ in $(seq 1 50); do
-    curl -s "$CURL/cluster/v1/status" | grep -q '"leased":\["u-' && break
-    sleep 0.05
-done
-kill -KILL "$WORKER1_PID"
-wait "$WORKER1_PID" || true
-WORKER1_PID=""
-wait "$SUBMIT_PID"
-cmp "$SMOKE/local90.txt" "$SMOKE/cluster90.txt"
-
-# Trace-tier cross-node smoke: the chaos job's (workload, McFarling)
-# event traces were written through to the coordinator's shared trace
-# tier. Replace the fleet with one cold worker and submit misest at the
-# same scale — its McFarling cells replay those same traces, so the
-# cold worker must fetch them from the coordinator instead of
-# re-simulating, and /metrics must show the traffic.
-"$SMOKE/simctrl" -exp misest -committed 90000 > "$SMOKE/misest-local.txt"
-kill -TERM "$WORKER2_PID"
-wait "$WORKER2_PID"
-WORKER2_PID=""
-"$SMOKE/simserved" -worker -join "$CURL" -addr 127.0.0.1:0 -node smoke-cold \
-    2> "$SMOKE/worker3.log" &
-WORKER3_PID=$!
-for _ in $(seq 1 100); do
-    curl -s "$CURL/cluster/v1/status" | grep -q 'smoke-cold' && break
-    sleep 0.1
-done
-"$SMOKE/simctrl" -server "$CURL" -exp misest -committed 90000 > "$SMOKE/misest-cluster.txt"
-cmp "$SMOKE/misest-local.txt" "$SMOKE/misest-cluster.txt"
-TRACE_PUTS=$(curl -s "$CURL/metrics" | awk '/^specctrl_cluster_trace_puts_total/ {print $2}')
-[ -n "$TRACE_PUTS" ] && [ "$TRACE_PUTS" -ge 1 ] || {
-    echo "check.sh: no traces were written through to the coordinator (got '$TRACE_PUTS')" >&2
-    exit 1
-}
-TRACE_HITS=$(curl -s "$CURL/metrics" | awk '/^specctrl_cluster_trace_hits_total/ {print $2}')
-[ -n "$TRACE_HITS" ] && [ "$TRACE_HITS" -ge 1 ] || {
-    echo "check.sh: the cold worker never hit the coordinator's trace tier (got '$TRACE_HITS')" >&2
-    exit 1
-}
-
-# Graceful teardown: the surviving worker and the coordinator drain on
-# SIGTERM and exit 0.
-kill -TERM "$WORKER3_PID"
-wait "$WORKER3_PID"
-WORKER3_PID=""
-kill -TERM "$COORD_PID"
-wait "$COORD_PID"
-COORD_PID=""

@@ -3,11 +3,11 @@
 // carry a doc comment, and the package comment must live in doc.go
 // (one canonical place, not whichever file happens to sort first).
 //
-// check.sh runs it over the serving/cluster stack — the packages an
+// check.sh runs it over the serving stack — the packages an
 // operator reads first — so documentation drift fails the build the
 // same way a broken test does:
 //
-//	go run ./scripts/doccheck internal/serve internal/cluster ...
+//	go run ./scripts/doccheck internal/serve internal/runner ...
 //
 // Exit status is nonzero when any package violates the contract; every
 // violation is reported as file:line so the fix is one click away.
