@@ -1,22 +1,28 @@
 // Command simtrace works with workload programs and branch traces:
 // disassemble a benchmark, record a speculative branch trace (the
-// paper's §3.1 instrumentation) to a compact binary file or a JSONL
+// paper's §3.1 instrumentation) to a replayable binary file or a JSONL
 // debugging stream, or summarize a recorded trace without
 // re-simulating.
 //
 // Usage:
 //
 //	simtrace -w compress -dis                     # disassemble
-//	simtrace -w gcc -record /tmp/gcc.trc -committed 500000
+//	simtrace -w gcc -record /tmp/gcc.sprt -committed 500000
 //	simtrace -w gcc -record-jsonl /tmp/gcc.jsonl  # greppable events
 //	simtrace -w gcc -record-branches /tmp/gcc.spbt # ingestable via -ingest-trace
-//	simtrace -summarize /tmp/gcc.trc
+//	simtrace -summarize /tmp/gcc.sprt
 //
-// Recording streams events through the simulator's obs.Tracer hook —
-// the binary writer, the JSONL writer, and the SPBT branch-trace
-// writer (see docs/WORKLOADS.md) are sinks on the same stream and can
-// run simultaneously. Like simctrl, long recordings
-// accept -progress and -metrics-addr for live observation.
+// A recording run attaches the JRS estimator as estimator 0, the
+// JSONL "hc" field. With -record or -record-branches, a
+// replay.Recorder is attached after it, so JSONL "mask" also carries
+// bit 1 (the recorder, always high confidence). -record writes that
+// recording in internal/replay's SPRT format: every fetched branch
+// with its full predictor state, replayable under any estimator.
+// -record-branches writes the recording's committed branches as an
+// SPBT branch trace (see docs/WORKLOADS.md). -summarize decodes an
+// SPRT file and replays JRS over it; a file in any other format fails
+// with a typed replay error. Like simctrl, long recordings accept
+// -progress and -metrics-addr for live observation.
 package main
 
 import (
@@ -31,8 +37,8 @@ import (
 	"specctrl/internal/obs"
 	"specctrl/internal/obs/span"
 	"specctrl/internal/pipeline"
+	"specctrl/internal/replay"
 	"specctrl/internal/synth"
-	"specctrl/internal/trace"
 	"specctrl/internal/workload"
 )
 
@@ -41,10 +47,10 @@ func main() {
 		wname       = flag.String("w", "", "workload name (see -listw)")
 		listw       = flag.Bool("listw", false, "list workloads")
 		dis         = flag.Bool("dis", false, "disassemble the workload")
-		record      = flag.String("record", "", "simulate and write the binary branch trace to this file")
+		record      = flag.String("record", "", "simulate and write the replayable SPRT branch trace to this file")
 		recordJSONL = flag.String("record-jsonl", "", "simulate and write JSONL branch events to this file")
 		recordSPBT  = flag.String("record-branches", "", "simulate and write an SPBT branch trace to this file (load back with -ingest-trace)")
-		summarize   = flag.String("summarize", "", "read a trace file and print its summary")
+		summarize   = flag.String("summarize", "", "read an SPRT trace file and print its summary")
 		committed   = cliflags.Committed(flag.CommandLine, 500_000, "committed instructions for -record")
 		iters       = flag.Int("iters", 1<<30, "workload outer iterations")
 		pred        = flag.String("pred", "gshare", "predictor for -record: gshare|mcfarling|sag")
@@ -130,21 +136,12 @@ func doRecord(o recordOptions) error {
 		return err
 	}
 
-	// Assemble the sink stack: binary and/or JSONL, fanned out from
-	// the simulator's tracer hook.
-	var sinks []obs.Tracer
-	var binSink *trace.Sink
-	var jsonlSink *obs.JSONL
-	var spbtSink *synth.TraceSink
-	var files []*os.File
+	// Create every output up front, so a bad path fails before the run.
+	var binFile, jsonlFile, spbtFile *os.File
 	for _, f := range []struct {
 		path string
-		mk   func(f *os.File)
-	}{
-		{o.binPath, func(f *os.File) { binSink = trace.NewSink(f); sinks = append(sinks, binSink) }},
-		{o.jsonlPath, func(f *os.File) { jsonlSink = obs.NewJSONL(f); sinks = append(sinks, jsonlSink) }},
-		{o.spbtPath, func(f *os.File) { spbtSink = synth.NewTraceSink(f); sinks = append(sinks, spbtSink) }},
-	} {
+		file **os.File
+	}{{o.binPath, &binFile}, {o.jsonlPath, &jsonlFile}, {o.spbtPath, &spbtFile}} {
 		if f.path == "" {
 			continue
 		}
@@ -152,12 +149,25 @@ func doRecord(o recordOptions) error {
 		if err != nil {
 			return err
 		}
-		files = append(files, file)
-		f.mk(file)
+		defer file.Close()
+		*f.file = file
 	}
 
 	cfg := pipeline.DefaultConfig()
 	cfg.MaxCommitted = o.committed
+	cfg.Estimators = []conf.Estimator{conf.NewJRS(conf.DefaultJRS)}
+	var sinks []obs.Tracer
+	var jsonlSink *obs.JSONL
+	if jsonlFile != nil {
+		jsonlSink = obs.NewJSONL(jsonlFile)
+		sinks = append(sinks, jsonlSink)
+	}
+	var recorder *replay.Recorder
+	if binFile != nil || spbtFile != nil {
+		recorder = replay.NewRecorder()
+		cfg.Estimators = append(cfg.Estimators, recorder)
+		sinks = append(sinks, recorder)
+	}
 	cfg.Tracer = obs.MultiSink(sinks...)
 
 	tracer := o.trace.NewTracer()
@@ -175,7 +185,6 @@ func doRecord(o recordOptions) error {
 		cfg.Progress.StartRun(w.Name+"/"+o.predictor, o.committed)
 	}
 
-	cfg.Estimators = []conf.Estimator{conf.NewJRS(conf.DefaultJRS)}
 	sim, err := pipeline.New(cfg, w.Build(o.iters), pred)
 	if err != nil {
 		return err
@@ -192,53 +201,106 @@ func doRecord(o recordOptions) error {
 			return err
 		}
 	}
-	for _, f := range files {
-		if err := f.Close(); err != nil {
+	var tr *replay.Trace
+	if recorder != nil {
+		if tr, err = recorder.Trace(); err != nil {
 			return err
 		}
 	}
-	if binSink != nil {
-		info, err := os.Stat(o.binPath)
-		if err != nil {
+	if binFile != nil {
+		data := tr.Encode()
+		if err := writeFile(binFile, data); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %d events (%d bytes, %.1f B/event) to %s\n",
-			binSink.Count(), info.Size(),
-			float64(info.Size())/float64(max(binSink.Count(), 1)), o.binPath)
+			tr.Fetches(), len(data), float64(len(data))/float64(max(tr.Fetches(), 1)), o.binPath)
 	}
 	if jsonlSink != nil {
+		if err := jsonlFile.Close(); err != nil {
+			return err
+		}
 		fmt.Printf("wrote %d JSONL events to %s\n", jsonlSink.Count(), o.jsonlPath)
 	}
-	if spbtSink != nil {
-		info, err := os.Stat(o.spbtPath)
+	if spbtFile != nil {
+		data, err := branchTrace(tr)
 		if err != nil {
 			return err
 		}
+		if err := writeFile(spbtFile, data); err != nil {
+			return err
+		}
 		fmt.Printf("wrote SPBT branch trace (%d bytes) to %s; load with -ingest-trace\n",
-			info.Size(), o.spbtPath)
+			len(data), o.spbtPath)
 	}
 	return o.trace.Finish(tracer, "simtrace", os.Stderr)
 }
 
+// writeFile writes data to f and closes it.
+func writeFile(f *os.File, data []byte) error {
+	if _, err := f.Write(data); err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+// branchTrace encodes a recording's committed branches, in program
+// order, as an SPBT branch trace. A committed branch's outcome is its
+// prediction when the prediction was correct, the opposite otherwise.
+func branchTrace(tr *replay.Trace) ([]byte, error) {
+	var pcs []int64
+	var taken []bool
+	tr.Committed(func(pc int64, pred, correct bool) {
+		pcs = append(pcs, pc)
+		taken = append(taken, pred == correct)
+	})
+	st, err := synth.NewTrace(pcs, taken)
+	if err != nil {
+		return nil, err
+	}
+	return synth.EncodeTrace(st)
+}
+
+// summary is what -summarize reports about a recording.
+type summary struct {
+	events, committed, wrongPath, mispredict, lowConf uint64
+}
+
+// summarizeFile decodes an SPRT recording and replays JRS over it: the
+// estimator a recording run attaches first, so the committed quadrant
+// is the recording run's own.
+func summarizeFile(path string) (summary, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return summary{}, err
+	}
+	tr, err := replay.Decode(data)
+	if err != nil {
+		return summary{}, err
+	}
+	q := replay.Replay(tr, []conf.Estimator{conf.NewJRS(conf.DefaultJRS)})[0].CommittedQ
+	s := summary{
+		events:     uint64(tr.Fetches()),
+		committed:  q.Total(),
+		mispredict: q.Incorrect(),
+		lowConf:    q.Clc + q.Ilc,
+	}
+	s.wrongPath = s.events - s.committed
+	return s, nil
+}
+
 func doSummarize(path string) error {
-	f, err := os.Open(path)
+	s, err := summarizeFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	events, err := trace.Read(f)
-	if err != nil {
-		return err
-	}
-	s := trace.Summarize(events)
-	fmt.Printf("events      %d\n", s.Events)
-	fmt.Printf("committed   %d\n", s.Committed)
-	fmt.Printf("wrong-path  %d\n", s.WrongPath)
-	if s.Committed > 0 {
-		fmt.Printf("mispredict  %d (%.1f%%)\n", s.Mispredict,
-			100*float64(s.Mispredict)/float64(s.Committed))
-		fmt.Printf("low-conf    %d (%.1f%%)\n", s.LowConf,
-			100*float64(s.LowConf)/float64(s.Committed))
+	fmt.Printf("events      %d\n", s.events)
+	fmt.Printf("committed   %d\n", s.committed)
+	fmt.Printf("wrong-path  %d\n", s.wrongPath)
+	if s.committed > 0 {
+		fmt.Printf("mispredict  %d (%.1f%%)\n", s.mispredict,
+			100*float64(s.mispredict)/float64(s.committed))
+		fmt.Printf("low-conf    %d (%.1f%%)\n", s.lowConf,
+			100*float64(s.lowConf)/float64(s.committed))
 	}
 	return nil
 }

@@ -1,15 +1,14 @@
 package conf_test
 
 import (
-	"io"
 	"testing"
 
 	"specctrl/internal/bpred"
 	"specctrl/internal/conf"
 	"specctrl/internal/isa"
+	"specctrl/internal/obs"
 	"specctrl/internal/pipeline"
 	"specctrl/internal/rng"
-	"specctrl/internal/trace"
 )
 
 // mixProgram builds a small trace with both predictable and
@@ -54,8 +53,8 @@ func TestCombinerMatchesOracleOnTrace(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	cfg.MaxCommitted = 20_000
 	cfg.MaxCycles = 10_000_000
-	sink := trace.NewSink(io.Discard)
-	cfg.Tracer = sink
+	var events []obs.BranchEvent
+	cfg.Tracer = eventCollector(func(e obs.BranchEvent) { events = append(events, e) })
 	cfg.Estimators = append(newMembers(),
 		&conf.Combiner{Rule: conf.CombineMin, Members: newMembers()},
 		&conf.Combiner{Rule: conf.CombineWeightedVote, Members: newMembers()},
@@ -64,7 +63,6 @@ func TestCombinerMatchesOracleOnTrace(t *testing.T) {
 	if _, err := pipeline.MustNew(cfg, mixProgram(1<<30), bpred.NewGshare(12)).Run(); err != nil {
 		t.Fatal(err)
 	}
-	events := sink.Events()
 	if len(events) == 0 {
 		t.Fatal("no branch events recorded; the differential is vacuous")
 	}
@@ -107,3 +105,9 @@ func TestCombinerMatchesOracleOnTrace(t *testing.T) {
 		}
 	}
 }
+
+// eventCollector is an obs.Tracer that hands each event to a func.
+type eventCollector func(obs.BranchEvent)
+
+func (f eventCollector) Branch(e obs.BranchEvent) { f(e) }
+func (f eventCollector) Close() error             { return nil }

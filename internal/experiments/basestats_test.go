@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"io"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -9,9 +8,7 @@ import (
 
 	"specctrl/internal/conf"
 	"specctrl/internal/obs"
-	"specctrl/internal/pipeline"
 	"specctrl/internal/replay"
-	"specctrl/internal/trace"
 	"specctrl/internal/workload"
 )
 
@@ -136,7 +133,7 @@ func TestAblationDepthSimulatesOnlyOtherDepths(t *testing.T) {
 // boostOracle is the per-event boost fold boostFold replaced: it keeps
 // the last maxK committed events in a ring and, for every k, scans the
 // last k of them.
-func boostOracle(events []pipeline.BranchEvent, maxK int) (groups, hits []uint64) {
+func boostOracle(events []obs.BranchEvent, maxK int) (groups, hits []uint64) {
 	groups, hits = make([]uint64, maxK), make([]uint64, maxK)
 	type ev struct{ lc, misp bool }
 	ring := make([]ev, maxK)
@@ -145,7 +142,7 @@ func boostOracle(events []pipeline.BranchEvent, maxK int) (groups, hits []uint64
 		if e.WrongPath {
 			continue
 		}
-		ring[pos] = ev{lc: !e.HighConf, misp: !e.Correct()}
+		ring[pos] = ev{lc: !e.HighConf, misp: e.Pred != e.Outcome}
 		pos = (pos + 1) % maxK
 		if filled < maxK {
 			filled++
@@ -174,8 +171,9 @@ func boostOracle(events []pipeline.BranchEvent, maxK int) (groups, hits []uint64
 }
 
 // TestBoostFoldMatchesOracle runs boost's configuration with both the
-// streaming fold and a trace.Sink on the Tracer hook and checks the
-// fold's per-k counts against the old fold over the sink's events.
+// streaming fold and an event collector on the Tracer hook and checks
+// the fold's per-k counts against the old fold over the collected
+// events.
 func TestBoostFoldMatchesOracle(t *testing.T) {
 	var deepHits uint64 // 4-deep runs with a misprediction, over every run
 	for _, spec := range []PredictorSpec{GshareSpec(), McFarlingSpec()} {
@@ -187,12 +185,12 @@ func TestBoostFoldMatchesOracle(t *testing.T) {
 			for _, maxK := range []int{1, 4, 8} {
 				p := frontierParams()
 				fold := newBoostFold(maxK)
-				sink := trace.NewSink(io.Discard)
-				p.Pipeline.Tracer = obs.MultiSink(fold, sink)
+				var events []obs.BranchEvent
+				p.Pipeline.Tracer = obs.MultiSink(fold, eventCollector(func(e obs.BranchEvent) { events = append(events, e) }))
 				if _, err := p.runOne(w, spec, SatCntFor(spec, conf.BothStrong)); err != nil {
 					t.Fatal(err)
 				}
-				groups, hits := boostOracle(sink.Events(), maxK)
+				groups, hits := boostOracle(events, maxK)
 				if !reflect.DeepEqual(fold.groups, groups) || !reflect.DeepEqual(fold.hits, hits) {
 					t.Errorf("%s/%s k<=%d: fold groups %v hits %v, oracle %v %v",
 						name, spec.Name, maxK, fold.groups, fold.hits, groups, hits)
@@ -207,3 +205,9 @@ func TestBoostFoldMatchesOracle(t *testing.T) {
 		t.Error("no 4-deep low-confidence run held a misprediction; the check is vacuous")
 	}
 }
+
+// eventCollector is an obs.Tracer that hands each event to a func.
+type eventCollector func(obs.BranchEvent)
+
+func (f eventCollector) Branch(e obs.BranchEvent) { f(e) }
+func (f eventCollector) Close() error             { return nil }

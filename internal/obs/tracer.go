@@ -9,9 +9,8 @@ import (
 
 // BranchEvent is the structured per-branch record the simulator hands
 // to a Tracer: one event per fetched conditional branch, committed and
-// wrong-path alike. It mirrors the pipeline's event layout without
-// importing it, so sinks (including internal/trace's binary writer)
-// can live below the simulator in the dependency graph.
+// wrong-path alike. It lives here rather than in the pipeline package
+// so sinks can live below the simulator in the dependency graph.
 type BranchEvent struct {
 	PC        int64  `json:"pc"`
 	Pred      bool   `json:"pred"`
@@ -34,7 +33,7 @@ type Tracer interface {
 
 // JSONL is a Tracer that writes one JSON object per line — the
 // debugging sink: human-greppable, trivially consumed by jq or a
-// spreadsheet, at roughly 20× the size of the binary trace format.
+// spreadsheet, at roughly 14× the size of simtrace's SPRT recording.
 type JSONL struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer

@@ -1,30 +1,27 @@
-package pipeline_test
+package pipeline
 
 import (
-	"io"
 	"testing"
 
 	"specctrl/internal/bpred"
 	"specctrl/internal/conf"
 	"specctrl/internal/metrics"
 	"specctrl/internal/obs"
-	"specctrl/internal/pipeline"
-	"specctrl/internal/trace"
 )
 
-// runTraced runs prog with the estimators attached and a trace.Sink on
-// the Tracer hook, and returns the stats and the sink's events.
-func runTraced(t *testing.T, iters int, ests ...conf.Estimator) (*pipeline.Stats, []pipeline.BranchEvent) {
+// runTraced runs prog with the estimators attached and a collecting
+// tracer on the Tracer hook, and returns the stats and the events.
+func runTraced(t *testing.T, iters int, ests ...conf.Estimator) (*Stats, []obs.BranchEvent) {
 	t.Helper()
-	sink := trace.NewSink(io.Discard)
-	cfg := pipeline.TestingConfig()
+	var events []obs.BranchEvent
+	cfg := testConfig()
 	cfg.Estimators = ests
-	cfg.Tracer = sink
-	st, err := pipeline.MustNew(cfg, pipeline.LoopProgram(iters), bpred.NewGshare(10)).Run()
+	cfg.Tracer = tracerFunc(func(e obs.BranchEvent) { events = append(events, e) })
+	st, err := MustNew(cfg, loopProgram(iters), bpred.NewGshare(10)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, sink.Events()
+	return st, events
 }
 
 func TestEventTraceConsistency(t *testing.T) {
@@ -71,30 +68,27 @@ func TestEventConfMask(t *testing.T) {
 // simulator's own CommittedQ and AllQ, and every sink behind
 // obs.MultiSink sees the same events in the same order.
 func TestTracerHook(t *testing.T) {
-	var raw []obs.BranchEvent
-	sink := trace.NewSink(io.Discard)
-	cfg := pipeline.TestingConfig()
+	var raw, events []obs.BranchEvent
+	cfg := testConfig()
 	cfg.Estimators = []conf.Estimator{conf.NewJRS(conf.DefaultJRS)}
-	cfg.Tracer = obs.MultiSink(sink, tracerFunc(func(e obs.BranchEvent) { raw = append(raw, e) }))
-	st, err := pipeline.MustNew(cfg, pipeline.LoopProgram(3000), bpred.NewGshare(10)).Run()
+	cfg.Tracer = obs.MultiSink(
+		tracerFunc(func(e obs.BranchEvent) { events = append(events, e) }),
+		tracerFunc(func(e obs.BranchEvent) { raw = append(raw, e) }))
+	st, err := MustNew(cfg, loopProgram(3000), bpred.NewGshare(10)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := sink.Events()
 	if len(raw) != len(events) {
 		t.Fatalf("sinks saw %d and %d events", len(raw), len(events))
 	}
 	var all, committed metrics.Quadrant
 	for i, e := range events {
-		want := obs.BranchEvent{PC: e.PC, Pred: e.Pred, Outcome: e.Outcome,
-			HighConf: e.HighConf, WrongPath: e.WrongPath, Cycle: e.Cycle,
-			ConfMask: e.ConfMask}
-		if raw[i] != want {
-			t.Fatalf("event %d: %+v != sink's %+v", i, raw[i], want)
+		if raw[i] != e {
+			t.Fatalf("event %d: %+v != other sink's %+v", i, raw[i], e)
 		}
-		all.Record(e.Correct(), e.HighConf)
+		all.Record(e.Pred == e.Outcome, e.HighConf)
 		if !e.WrongPath {
-			committed.Record(e.Correct(), e.HighConf)
+			committed.Record(e.Pred == e.Outcome, e.HighConf)
 		}
 	}
 	if all != st.AllQ || committed != st.CommittedQ {

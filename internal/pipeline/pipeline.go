@@ -112,9 +112,9 @@ type Config struct {
 	Policy Policy
 
 	// Tracer, when non-nil, receives one structured event per fetched
-	// conditional branch (the obs hook behind internal/trace's binary
-	// writer and obs.JSONL). Nil is the null sink: the hot path pays a
-	// single nil-check.
+	// conditional branch (the obs hook behind obs.JSONL, the
+	// replay.Recorder and the experiments' streaming folds). Nil is the
+	// null sink: the hot path pays a single nil-check.
 	Tracer obs.Tracer
 	// Metrics, when non-nil, receives live gauges (cycles, IPC,
 	// per-bucket cycle accounts, per-estimator SENS/SPEC/PVP/PVN
@@ -197,24 +197,6 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// BranchEvent records one fetched conditional branch: the record type
-// of the binary trace format (internal/trace), which its obs.Tracer
-// sink fills from the run's obs.BranchEvent stream.
-type BranchEvent struct {
-	PC        int64
-	Pred      bool // predicted direction
-	Outcome   bool // oracle (actual) direction
-	HighConf  bool // confidence estimate of the first estimator, if any
-	WrongPath bool // fetched in the shadow of an older misprediction
-	Cycle     uint64
-	// ConfMask holds every attached estimator's estimate: bit i is set
-	// when estimator i said high confidence (at most 64 estimators).
-	ConfMask uint64
-}
-
-// Correct reports whether the prediction matched the outcome.
-func (e BranchEvent) Correct() bool { return e.Pred == e.Outcome }
 
 // SiteStats aggregates prediction accuracy for one branch site
 // (committed branches only).

@@ -1,6 +1,6 @@
-// Binary encoding for Trace. The format exists so traces can be
-// shipped between processes or fuzzed as untrusted input; the in-memory
-// cache stores decoded *Trace values directly and never round-trips.
+// Binary encoding for Trace: the file format of simtrace -record and
+// -summarize, and untrusted input for FuzzDecode. The in-memory cache
+// stores *Trace values directly and never round-trips through it.
 //
 // Layout (all integers are encoding/binary varints unless noted):
 //
@@ -152,8 +152,10 @@ func Decode(data []byte) (*Trace, error) {
 		if ntok == 0 || ntok > chunkTokens {
 			return nil, corruptf("chunk %d: token count %d out of range (1..%d)", ci, ntok, chunkTokens)
 		}
-		c := &chunk{n: int(ntok), kinds: make([]uint64, chunkTokens/64)}
-		words := (c.n + 63) / 64
+		// Only the recorder appends to a chunk; a decoded one needs just
+		// the words its tokens occupy, so tiny chunks stay tiny.
+		words := (int(ntok) + 63) / 64
+		c := &chunk{n: int(ntok), kinds: make([]uint64, words)}
 		fetches := 0
 		for w := 0; w < words; w++ {
 			kw, err := d.uvarint()

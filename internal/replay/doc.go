@@ -58,6 +58,7 @@
 // the simulator resolved it, so replayed statistics are the pipeline's,
 // not a trace-driven approximation of them.
 //
-// Traces have a binary codec (magic "SPRT") and an LRU Cache with
+// Traces have a binary codec (magic "SPRT"), the file format simtrace
+// -record writes and -summarize reads, and an LRU Cache with
 // singleflight recording.
 package replay

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -8,18 +9,18 @@ import (
 	"specctrl/internal/conf"
 )
 
-// FuzzDecode hardens the trace decoder against untrusted input, the
-// same contract internal/trace's reader keeps: Decode must never
-// panic, must fail with exactly one of the typed errors, and on
-// success must return a trace that (a) replays without panicking —
-// every structural invariant Replay relies on was validated — and
-// (b) re-encodes canonically: Decode(Encode(decoded)) is the decoded
-// trace again.
+// FuzzDecode hardens the trace decoder against untrusted input — any
+// file handed to simtrace -summarize: Decode must never panic, must
+// fail with exactly one of the typed errors, and on success must return
+// a trace that (a) retains at most a small constant multiple of the
+// input's size, (b) replays without panicking — every structural
+// invariant Replay relies on was validated — and (c) re-encodes
+// canonically: Decode(Encode(decoded)) is the decoded trace again.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SPR"))
 	f.Add([]byte("SPRT"))
-	f.Add([]byte("SPCT\x01\x00"))                         // the branch-trace format's magic
+	f.Add([]byte("SPCT\x01\x00"))                         // a retired event-trace format's header
 	f.Add([]byte("SPRT\x02\x00"))                         // future version
 	f.Add([]byte("SPRT\x01\xff\xff\x7f"))                 // absurd chunk count
 	f.Add([]byte("SPRT\x01\x01\x00"))                     // zero-token chunk
@@ -32,6 +33,7 @@ func FuzzDecode(f *testing.F) {
 		enc := recordSynthetic(50).Encode()
 		f.Add(enc[:len(enc)-3])
 	}
+	f.Add(smallChunks(100_000))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Decode(data)
@@ -40,6 +42,9 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("Decode returned an untyped error: %v", err)
 			}
 			return
+		}
+		if tr.Bytes() > maxBytesPerInputByte*len(data) {
+			t.Fatalf("decoded trace retains %d bytes for %d input bytes", tr.Bytes(), len(data))
 		}
 		// A decoded trace is safe to replay: every resolve pairs with a fetch,
 		// column indexing cannot go out of range.
@@ -57,4 +62,25 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("round trip changed event counts")
 		}
 	})
+}
+
+// maxBytesPerInputByte bounds a decoded trace's retained memory per
+// input byte. The densest column is the kind bitset: one varint byte
+// can stand for a 64-token word of 8 bytes; every other column retains
+// at most 2.5 bytes per encoded byte.
+const maxBytesPerInputByte = 8
+
+// smallChunks encodes n one-token chunks that alternate a committed
+// fetch and its resolve — about 4 input bytes per chunk, the shape that
+// most rewards over-allocating per chunk.
+func smallChunks(n int) []byte {
+	data := binary.AppendUvarint([]byte("SPRT\x01"), uint64(n))
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			data = append(data, 1, 1, 0, 0, 0, fCommitted) // ntok, kinds, pc, hist, ctr, flg
+		} else {
+			data = append(data, 1, 0) // ntok, kinds
+		}
+	}
+	return data
 }

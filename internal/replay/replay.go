@@ -33,7 +33,7 @@ const (
 // recorder rejects a value that does not, rather than truncating it).
 type chunk struct {
 	n     int      // tokens used
-	kinds []uint64 // ⌈n/64⌉ words of token-kind bits
+	kinds []uint64 // token-kind bits: chunkTokens/64 words while recording, ⌈n/64⌉ once decoded
 	pc    []int32
 	hist  []uint32
 	ctr   []uint8 // packed counters: C1 | C2<<2 | Meta<<4
@@ -79,29 +79,36 @@ func (t *Trace) Bytes() int {
 	return n
 }
 
+// Committed calls fn for every committed fetch event in fetch order,
+// which is program order: the branch pc, its predicted direction, and
+// whether the prediction matched the outcome.
+func (t *Trace) Committed(fn func(pc int64, pred, correct bool)) {
+	for _, c := range t.chunks {
+		for i, flg := range c.flg {
+			if flg&fCommitted != 0 {
+				fn(int64(c.pc[i]), flg&fPred != 0, flg&fCorrect != 0)
+			}
+		}
+	}
+}
+
 // Sites folds the trace's committed fetch events into per-branch-site
 // prediction accuracy: exactly the profile a run of the recorded
 // configuration accumulates under pipeline.Config.CollectSiteStats,
 // which counts the same committed fetches with the same correctness.
 func (t *Trace) Sites() map[int64]*pipeline.SiteStats {
 	sites := make(map[int64]*pipeline.SiteStats)
-	for _, c := range t.chunks {
-		for i, flg := range c.flg {
-			if flg&fCommitted == 0 {
-				continue
-			}
-			pc := int64(c.pc[i])
-			s := sites[pc]
-			if s == nil {
-				s = &pipeline.SiteStats{}
-				sites[pc] = s
-			}
-			s.Total++
-			if flg&fCorrect != 0 {
-				s.Correct++
-			}
+	t.Committed(func(pc int64, _, correct bool) {
+		s := sites[pc]
+		if s == nil {
+			s = &pipeline.SiteStats{}
+			sites[pc] = s
 		}
-	}
+		s.Total++
+		if correct {
+			s.Correct++
+		}
+	})
 	return sites
 }
 
@@ -112,8 +119,10 @@ func packInfo(info bpred.Info) uint8 {
 
 // Recorder captures the estimator-visible event stream of one run. It
 // plugs into the pipeline through two existing observation points — as
-// a conf.Estimator (attach as the only entry of Config.Estimators) and
-// as the run's obs.Tracer — so the simulator needs no changes:
+// a conf.Estimator (in Config.Estimators, alone or after others: the
+// stream does not depend on which estimators are attached) and as (or
+// behind obs.MultiSink in) the run's obs.Tracer — so the simulator
+// needs no changes:
 //
 //   - Estimate stashes the fetch-time (pc, Info) pair;
 //   - Branch (called by the simulator immediately after the estimate
@@ -124,9 +133,10 @@ func packInfo(info bpred.Info) uint8 {
 // A pc outside int32 or a history wider than 32 bits fails the
 // recording (see chunk) instead of being stored truncated.
 //
-// Estimate always returns high confidence, so the base Stats of the
-// recording run (CommittedQ/AllQ and every estimator-independent
-// field) are identical to a run with no estimators attached.
+// Estimate always returns high confidence, so the base Stats of a
+// recording run with the recorder alone (CommittedQ/AllQ and every
+// estimator-independent field) are identical to a run with no
+// estimators attached.
 //
 // A Recorder is single-run, single-goroutine state, like the simulator
 // that drives it.

@@ -36,9 +36,9 @@
 // generator's calibration proof.
 //
 // The ingestion half (FromTrace) decodes a versioned branch-trace file
-// (magic "SPBT": per-site PCs plus a packed outcome stream, written by
-// TraceSink from any obs.BranchEvent source, e.g. simtrace
-// -record-branches) and registers a workload that replays the recorded
+// (magic "SPBT": per-site PCs plus a packed outcome stream, built by
+// NewTrace from any committed branch stream — simtrace
+// -record-branches takes it from a replay recording) and registers a workload that replays the recorded
 // outcome sequence through per-site branch instructions, making real
 // program traces first-class scenarios with typed decode errors and
 // fuzz coverage mirroring internal/replay.

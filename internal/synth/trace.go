@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"sort"
 
 	"specctrl/internal/isa"
 	"specctrl/internal/workload"
@@ -79,6 +80,43 @@ func (t *Trace) Validate() error {
 		}
 	}
 	return nil
+}
+
+// NewTrace builds the trace of a committed conditional-branch stream:
+// pcs[i] is the i-th committed branch's address and taken[i] its
+// outcome. Sites are indexed in ascending PC order, the canonical
+// order. A stream that is empty or longer than the format's bound fails
+// here rather than producing an unloadable file.
+func NewTrace(pcs []int64, taken []bool) (*Trace, error) {
+	if len(pcs) == 0 {
+		return nil, errors.New("synth: no committed branch events to trace")
+	}
+	if len(pcs) > maxTraceEvents {
+		return nil, fmt.Errorf("synth: %d committed branch events exceed the format bound %d (shorten the run)",
+			len(pcs), maxTraceEvents)
+	}
+	uniq := map[int64]struct{}{}
+	for _, pc := range pcs {
+		uniq[pc] = struct{}{}
+	}
+	sites := make([]int64, 0, len(uniq))
+	for pc := range uniq {
+		sites = append(sites, pc)
+	}
+	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+	index := make(map[int64]uint32, len(sites))
+	for i, pc := range sites {
+		index[pc] = uint32(i)
+	}
+	t := &Trace{SitePCs: sites, Events: make([]uint32, len(pcs))}
+	for i, pc := range pcs {
+		e := index[pc] << 1
+		if taken[i] {
+			e |= 1
+		}
+		t.Events[i] = e
+	}
+	return t, nil
 }
 
 // EncodeTrace serializes a trace into the canonical SPBT byte form.

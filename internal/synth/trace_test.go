@@ -9,7 +9,6 @@ import (
 
 	"specctrl/internal/emu"
 	"specctrl/internal/isa"
-	"specctrl/internal/obs"
 	"specctrl/internal/workload"
 )
 
@@ -134,42 +133,31 @@ func TestFromTraceReplay(t *testing.T) {
 	}
 }
 
-func TestTraceSink(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewTraceSink(&buf)
-	events := []obs.BranchEvent{
-		{PC: 0x200, Outcome: true},
-		{PC: 0x100, Outcome: false},
-		{PC: 0x300, Outcome: true, WrongPath: true}, // dropped
-		{PC: 0x200, Outcome: false},
-	}
-	for _, e := range events {
-		s.Branch(e)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	tr, err := DecodeTrace(buf.Bytes())
+func TestNewTrace(t *testing.T) {
+	// 0x200 taken, 0x100 not-taken, 0x200 not-taken.
+	tr, err := NewTrace([]int64{0x200, 0x100, 0x200}, []bool{true, false, false})
 	if err != nil {
-		t.Fatalf("DecodeTrace(sink output): %v", err)
+		t.Fatalf("NewTrace: %v", err)
+	}
+	data, err := EncodeTrace(tr)
+	if err != nil {
+		t.Fatalf("EncodeTrace: %v", err)
+	}
+	if tr, err = DecodeTrace(data); err != nil {
+		t.Fatalf("DecodeTrace(EncodeTrace(NewTrace)): %v", err)
 	}
 	wantPCs := []int64{0x100, 0x200}
 	if !reflect.DeepEqual(tr.SitePCs, wantPCs) {
 		t.Fatalf("SitePCs = %v, want %v", tr.SitePCs, wantPCs)
 	}
-	// 0x200 taken, 0x100 not-taken, 0x200 not-taken; wrong-path dropped.
 	wantEvents := []uint32{1<<1 | 1, 0 << 1, 1 << 1}
 	if !reflect.DeepEqual(tr.Events, wantEvents) {
 		t.Fatalf("Events = %v, want %v", tr.Events, wantEvents)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
 }
 
-func TestTraceSinkEmpty(t *testing.T) {
-	s := NewTraceSink(&bytes.Buffer{})
-	if err := s.Close(); err == nil {
-		t.Fatal("Close on an empty sink succeeded")
+func TestNewTraceEmpty(t *testing.T) {
+	if _, err := NewTrace(nil, nil); err == nil {
+		t.Fatal("NewTrace of an empty stream succeeded")
 	}
 }

@@ -102,6 +102,24 @@ cat > "$SMOKE/profile.json" <<'EOF'
 {"seed": 7, "sites": 24, "density": 0.10, "taken": 0.7, "spread": 0.2}
 EOF
 "$SMOKE/simtrace" -w compress -record-branches "$SMOKE/compress.spbt" -committed 40000
+
+# simtrace smoke: one recording feeds every output. The SPBT written
+# next to -record must be the -record-branches-only file, -summarize
+# must read the SPRT recording, and -summarize on anything else must
+# fail with a typed replay error (exit 1), not a panic.
+"$SMOKE/simtrace" -w compress -committed 40000 -record "$SMOKE/x.sprt" \
+    -record-branches "$SMOKE/y.spbt" > /dev/null
+cmp "$SMOKE/y.spbt" "$SMOKE/compress.spbt"
+"$SMOKE/simtrace" -summarize "$SMOKE/x.sprt" > /dev/null
+set +e
+"$SMOKE/simtrace" -summarize "$SMOKE/y.spbt" 2> "$SMOKE/summarize.err"
+SUMMARIZE_EXIT=$?
+set -e
+[ "$SUMMARIZE_EXIT" -eq 1 ] && grep -q 'replay:' "$SMOKE/summarize.err" || {
+    echo "check.sh: simtrace -summarize of an SPBT file exited $SUMMARIZE_EXIT without a replay: error" >&2
+    cat "$SMOKE/summarize.err" >&2
+    exit 1
+}
 "$SMOKE/simctrl" -exp sweepspace -synth-n 4 -committed 40000 \
     -ingest-trace "$SMOKE/compress.spbt" > "$SMOKE/sweep-base.txt"
 "$SMOKE/simctrl" -exp sweepspace -synth-n 4 -committed 40000 \
