@@ -160,7 +160,7 @@ func EagerStudy(p Params) (*EagerResult, error) {
 	}
 	names := []string{"JRS t=15", "JRS t=7", "SatCnt", "Dist(>3)", "fork-always"}
 	sums := make([]metrics.Quadrant, len(names))
-	stats, err := p.suiteStats("eager", GshareSpec(), "main", len(names),
+	stats, err := p.suiteStats("eager", GshareSpec(), "main",
 		func(_ Params, _ workload.Workload) ([]conf.Estimator, error) { return mk(), nil })
 	if err != nil {
 		return nil, err

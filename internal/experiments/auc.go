@@ -75,7 +75,7 @@ func AUCStudy(p Params) (*AUCResult, error) {
 		total += len(f.mk())
 	}
 	sums := make([]metrics.Quadrant, total)
-	stats, err := p.suiteStats("auc", GshareSpec(), "main", total,
+	stats, err := p.suiteStats("auc", GshareSpec(), "main",
 		func(_ Params, _ workload.Workload) ([]conf.Estimator, error) {
 			var ests []conf.Estimator
 			for _, f := range families {

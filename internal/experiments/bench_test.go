@@ -23,10 +23,10 @@ func fig45Configs() []conf.JRSConfig {
 	return configs
 }
 
-func benchEstimators(cfgs []conf.JRSConfig, lo, hi int) []conf.Estimator {
-	ests := make([]conf.Estimator, hi-lo)
-	for j := lo; j < hi; j++ {
-		ests[j-lo] = conf.NewJRS(cfgs[j])
+func benchEstimators(cfgs []conf.JRSConfig) []conf.Estimator {
+	ests := make([]conf.Estimator, len(cfgs))
+	for i, c := range cfgs {
+		ests[i] = conf.NewJRS(c)
 	}
 	return ests
 }
@@ -43,8 +43,7 @@ func BenchmarkSweepDirect(b *testing.B) {
 	spec, _ := predictorByName("gshare")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfgs := fig45Configs()
-		if _, err := p.runOne(w, spec, benchEstimators(cfgs, 0, len(cfgs))...); err != nil {
+		if _, err := p.runOne(w, spec, benchEstimators(fig45Configs())...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,10 +51,11 @@ func BenchmarkSweepDirect(b *testing.B) {
 
 // BenchmarkSweepReplay measures the replay strategy end to end from a
 // cold cache: record the estimator-visible event stream once, then
-// replay it for the 80 configurations in runner-sized batches. The
-// fresh cache per iteration charges the recording to every iteration —
-// this is the worst case; sweeps that share traces across experiments
-// (or across benchmark iterations) only pay the replay part.
+// replay it for all 80 configurations in one pass — the path a fig4 or
+// fig5 cell takes. The fresh cache per iteration charges the recording
+// to every iteration — this is the worst case; sweeps that share traces
+// across experiments (or across benchmark iterations) only pay the
+// replay part.
 func BenchmarkSweepReplay(b *testing.B) {
 	w, _ := workload.ByName("gcc")
 	spec, _ := predictorByName("gshare")
@@ -64,12 +64,8 @@ func BenchmarkSweepReplay(b *testing.B) {
 		p := DefaultParams()
 		p.MaxCommitted = 200_000
 		p.TraceCache = replay.NewCache(0, nil)
-		cfgs := fig45Configs()
-		for lo := 0; lo < len(cfgs); lo += replayBatch {
-			hi := min(lo+replayBatch, len(cfgs))
-			if _, _, err := p.replayConfs(w, spec, benchEstimators(cfgs, lo, hi)); err != nil {
-				b.Fatal(err)
-			}
+		if _, _, err := p.replayConfs(w, spec, benchEstimators(fig45Configs())); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -111,7 +107,8 @@ func BenchmarkSuiteEvents(b *testing.B) {
 
 // BenchmarkSweepReplayWarm isolates the replay cost once the trace is
 // resident — the steady-state cost of adding one more estimator sweep
-// to a cached (workload, predictor) pair.
+// to a cached (workload, predictor) pair: one replay pass driving all
+// 80 configurations, as a fig4 or fig5 cell does.
 func BenchmarkSweepReplayWarm(b *testing.B) {
 	p := DefaultParams()
 	p.MaxCommitted = 200_000
@@ -124,12 +121,8 @@ func BenchmarkSweepReplayWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfgs := fig45Configs()
-		for lo := 0; lo < len(cfgs); lo += replayBatch {
-			hi := min(lo+replayBatch, len(cfgs))
-			if _, _, err := p.replayConfs(w, spec, benchEstimators(cfgs, lo, hi)); err != nil {
-				b.Fatal(err)
-			}
+		if _, _, err := p.replayConfs(w, spec, benchEstimators(fig45Configs())); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func CIR(p Params) (*CIRResult, error) {
 	}
 	names := []string{"JRS(pc^hist)", "CIR(pc^hist)", "CIR(globalMDC)", "Distance(>7)"}
 	perEst := make([][]metrics.Quadrant, len(names))
-	stats, err := p.suiteStats("cir", GshareSpec(), "main", len(names),
+	stats, err := p.suiteStats("cir", GshareSpec(), "main",
 		func(_ Params, _ workload.Workload) ([]conf.Estimator, error) { return mk(), nil })
 	if err != nil {
 		return nil, err

@@ -8,8 +8,9 @@
 // # Grid execution model
 //
 // Every simulation-backed experiment is a grid of independent cells —
-// one per workload × predictor × estimator-config combination. A driver
-// has three parts:
+// one per workload × predictor × variant combination; an estimator
+// sweep evaluates all of its estimator configurations in one cell, in
+// either -replay mode. A driver has three parts:
 //
 //  1. a spec list ([]runner.Spec) enumerating the cells in the fixed
 //     order the old serial loops used;
@@ -27,8 +28,10 @@
 //
 // # Adding a new experiment
 //
-// Write the driver as specs + cell + assemble (use suiteStats for the
-// one-run-per-benchmark shape), give each cell a stable spec key
+// Write the driver as specs + cell + assemble (an estimator sweep needs
+// no cell of its own: estimatorGrid runs one cell per (workload,
+// predictor) from an estimator builder, and suiteStats is its
+// one-cell-per-benchmark shape), give each cell a stable spec key
 // ("experiment/workload/predictor/variant"), register the driver in
 // cmd/simctrl, and add a benchmark in bench_test.go. Never fold
 // per-cell results into shared accumulators inside the cell — return
@@ -127,9 +130,8 @@ type Params struct {
 	// branch-event trace; ReplayOff forces direct simulation of every
 	// cell (the escape hatch the differential smoke in scripts/check.sh
 	// uses). Rendered output is byte-identical in both modes; only
-	// wall-clock changes. Grid cell keys differ between modes, so
-	// sharded sweeps must use one mode consistently across shard and
-	// merge machines (docs/REGENERATING.md).
+	// wall-clock changes. Both modes enumerate the same grid cells, so
+	// shard and merge machines may run different modes.
 	Replay string
 	// TraceCache holds recorded branch-event traces for replay; nil
 	// selects a process-wide shared cache with replay.DefaultCacheBytes

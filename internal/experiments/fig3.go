@@ -32,7 +32,7 @@ type Fig3Result struct {
 // experiment in the cells' spec keys.
 func jrsSweep(p Params, exp string, spec PredictorSpec, configs []conf.JRSConfig) ([]SweepPoint, error) {
 	perCfg := make([][]metrics.Quadrant, len(configs))
-	stats, err := p.suiteStats(exp, spec, "sweep", len(configs),
+	stats, err := p.suiteStats(exp, spec, "sweep",
 		func(_ Params, _ workload.Workload) ([]conf.Estimator, error) {
 			ests := make([]conf.Estimator, len(configs))
 			for i, c := range configs {

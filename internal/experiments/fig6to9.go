@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"specctrl/internal/conf"
 	"specctrl/internal/pipeline"
 	"specctrl/internal/plot"
-	"specctrl/internal/workload"
 )
 
 // DistanceView selects which of the four misprediction-distance
@@ -77,8 +75,7 @@ func FigDistance(p Params, spec PredictorSpec, perceived bool) (*FigDistanceResu
 	// perceived histograms are collected together), so the cells are
 	// keyed "figdist" without a perceived marker: a merged cell dump
 	// renders Figures 6-9 from one suite of runs per predictor.
-	stats, err := p.suiteStats("figdist", spec, "main", 0,
-		func(_ Params, _ workload.Workload) ([]conf.Estimator, error) { return nil, nil })
+	stats, err := p.estimatorGrid(suiteSpecs("figdist", spec, "main"), noEstimators)
 	if err != nil {
 		return nil, err
 	}

@@ -44,7 +44,7 @@ func JRSMcf(p Params) (*JRSMcfResult, error) {
 		"JRS t=7", "JRSmcf-both t=7", "JRSmcf-meta t=7",
 	}
 	perEst := make([][]metrics.Quadrant, len(names))
-	stats, err := p.suiteStats("jrsmcf", McFarlingSpec(), "main", len(names),
+	stats, err := p.suiteStats("jrsmcf", McFarlingSpec(), "main",
 		func(_ Params, _ workload.Workload) ([]conf.Estimator, error) { return mk(), nil })
 	if err != nil {
 		return nil, err
@@ -120,7 +120,7 @@ func Tuned(p Params) (*TunedResult, error) {
 		{profile.GoalPVN, "PVN", 0.40},
 	}
 	perCfg := make([][]metrics.Quadrant, len(grid))
-	stats, err := p.suiteStats("tuned", GshareSpec(), "main", len(grid),
+	stats, err := p.suiteStats("tuned", GshareSpec(), "main",
 		func(p Params, w workload.Workload) ([]conf.Estimator, error) {
 			// Profile, inside the cell: the site stats never leave it.
 			sites, err := p.sitesFor(w, GshareSpec())

@@ -274,49 +274,39 @@ func suiteSpecs(experiment string, spec PredictorSpec, variant string) []runner.
 	return namedSpecs(experiment, suiteNames(), spec, variant)
 }
 
-// suiteStats runs the most common grid shape — one simulation per suite
-// benchmark on one predictor — and returns the statistics in suite
-// order. ests builds the cell's estimator list (fresh instances; it may
-// run a profiling pass, e.g. for the static estimator) and must return
-// exactly nEsts estimators; the count is passed separately so the
-// replay path can enumerate its cells without invoking the builder.
-//
-// Under replayActive parameters the sweep runs record-once /
-// replay-many (suiteStatsReplay): one simulation per workload, shared
-// across every estimator configuration and every other replay-backed
-// experiment, with estimator batches replayed as independent grid
-// cells. The returned statistics are identical either way.
-func (p Params) suiteStats(experiment string, spec PredictorSpec, variant string, nEsts int,
-	ests func(p Params, w workload.Workload) ([]conf.Estimator, error)) ([]*pipeline.Stats, error) {
-	return p.namedStats(experiment, suiteNames(), spec, variant, nEsts, ests)
-}
+// estimatorsFunc builds one estimator cell's estimator list from the
+// cell's workload, predictor and spec variant: fresh instances, in the
+// order assembly reads Stats.Confidence. It runs inside the cell, so it
+// may fold a profile (static, tuned) or run a profiling simulation
+// (xinput's cross input).
+type estimatorsFunc func(p Params, w workload.Workload, spec PredictorSpec, variant string) ([]conf.Estimator, error)
 
-// namedStats is suiteStats over an arbitrary ordered workload-name list
-// (the sweepspace experiment's grid shape: generated and ingested
-// workloads are registered dynamically, so the suite cannot enumerate
-// them). Statistics come back in name order, and the replay-backed path
-// applies exactly as for the suite.
-func (p Params) namedStats(experiment string, names []string, spec PredictorSpec, variant string, nEsts int,
-	ests func(p Params, w workload.Workload) ([]conf.Estimator, error)) ([]*pipeline.Stats, error) {
-	if p.replayActive() {
-		return p.namedStatsReplay(experiment, names, spec, variant, nEsts, ests)
-	}
-	cells, err := p.runGrid(namedSpecs(experiment, names, spec, variant),
-		func(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
-			w, err := workload.ByName(sp.Workload)
-			if err != nil {
-				return CellResult{}, err
-			}
-			es, err := ests(p, w)
-			if err != nil {
-				return CellResult{}, err
-			}
-			st, err := p.runOne(w, spec, es...)
-			if err != nil {
-				return CellResult{}, err
-			}
-			return CellResult{Stats: st}, nil
-		})
+// estimatorGrid runs the estimator-sweep grid shape: one cell per spec,
+// which resolves the spec's workload and predictor, builds its
+// estimators with ests and evaluates them through evalEstimators —
+// trace replay or direct simulation, whichever replayActive selects.
+// The cells, and so their keys, are the same in either mode. Statistics
+// come back positionally aligned with specs.
+func (p Params) estimatorGrid(specs []runner.Spec, ests estimatorsFunc) ([]*pipeline.Stats, error) {
+	cells, err := p.runGrid(specs, func(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
+		w, err := workload.ByName(sp.Workload)
+		if err != nil {
+			return CellResult{}, err
+		}
+		spec, err := predictorByName(sp.Predictor)
+		if err != nil {
+			return CellResult{}, err
+		}
+		es, err := ests(p, w, spec, sp.Variant)
+		if err != nil {
+			return CellResult{}, err
+		}
+		st, err := p.evalEstimators(w, spec, es...)
+		if err != nil {
+			return CellResult{}, fmt.Errorf("%s: %w", sp.Key(), err)
+		}
+		return CellResult{Stats: st}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -325,4 +315,22 @@ func (p Params) namedStats(experiment string, names []string, spec PredictorSpec
 		stats[i] = cells[i].Stats
 	}
 	return stats, nil
+}
+
+// noEstimators is the estimator builder of cells that read only the
+// run's own statistics.
+func noEstimators(Params, workload.Workload, PredictorSpec, string) ([]conf.Estimator, error) {
+	return nil, nil
+}
+
+// suiteStats runs the most common grid shape — one estimator cell per
+// suite benchmark on one predictor — and returns the statistics in
+// suite order. ests builds the cell's estimator list (see
+// estimatorsFunc).
+func (p Params) suiteStats(experiment string, spec PredictorSpec, variant string,
+	ests func(p Params, w workload.Workload) ([]conf.Estimator, error)) ([]*pipeline.Stats, error) {
+	return p.estimatorGrid(suiteSpecs(experiment, spec, variant),
+		func(p Params, w workload.Workload, _ PredictorSpec, _ string) ([]conf.Estimator, error) {
+			return ests(p, w)
+		})
 }

@@ -270,10 +270,9 @@ func TestShardRun(t *testing.T) {
 					merged[k] = c
 				}
 			}
-			// Default params run replay-shaped grids: per workload,
-			// one record cell plus one replay cell (Table3's two
-			// estimators fit one batch).
-			if want := 2 * len(suite()); e.Name == "table3" && total != want {
+			// An estimator sweep is one cell per workload, whatever
+			// the -replay mode.
+			if want := len(suite()); e.Name == "table3" && total != want {
 				t.Fatalf("shards produced %d cells, want %d", total, want)
 			}
 			want, err := e.Run(smallParams())

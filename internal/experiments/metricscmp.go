@@ -43,7 +43,7 @@ func MetricsCmp(p Params) (*MetricsCmpResult, error) {
 	names := []string{"JRS t=1", "JRS t=7", "JRS t=15", "SatCnt"}
 	perEst := make([]metrics.Quadrant, len(names))
 	perApp := make([][]metrics.Quadrant, len(names))
-	stats, err := p.suiteStats("metrics", GshareSpec(), "main", len(names),
+	stats, err := p.suiteStats("metrics", GshareSpec(), "main",
 		func(_ Params, _ workload.Workload) ([]conf.Estimator, error) { return mk(), nil })
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -32,31 +31,16 @@ type MisestResult struct {
 	MaxDist int
 }
 
-// misestCell simulates one (workload, predictor, estimator) cell; the
-// spec variant selects the estimator under test.
-func misestCell(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
-	w, err := workload.ByName(sp.Workload)
-	if err != nil {
-		return CellResult{}, err
-	}
-	spec, err := predictorByName(sp.Predictor)
-	if err != nil {
-		return CellResult{}, err
-	}
-	var est conf.Estimator
-	switch sp.Variant {
+// misestEstimators builds one cell's estimator under test, selected by
+// the spec variant.
+func misestEstimators(_ Params, _ workload.Workload, spec PredictorSpec, variant string) ([]conf.Estimator, error) {
+	switch variant {
 	case "jrs":
-		est = conf.NewJRS(conf.DefaultJRS)
+		return []conf.Estimator{conf.NewJRS(conf.DefaultJRS)}, nil
 	case "satcnt":
-		est = SatCntFor(spec, conf.BothStrong)
-	default:
-		return CellResult{}, fmt.Errorf("misest: unknown variant %q", sp.Variant)
+		return []conf.Estimator{SatCntFor(spec, conf.BothStrong)}, nil
 	}
-	st, err := p.evalEstimators(w, spec, est)
-	if err != nil {
-		return CellResult{}, fmt.Errorf("misest %s/%s: %w", w.Name, spec.Name, err)
-	}
-	return CellResult{Stats: st}, nil
+	return nil, fmt.Errorf("misest: unknown variant %q", variant)
 }
 
 // Misest measures confidence mis-estimation clustering over the suite.
@@ -80,7 +64,7 @@ func Misest(p Params) (*MisestResult, error) {
 			})
 		}
 	}
-	cells, err := p.runGrid(gridSpecs, misestCell)
+	stats, err := p.estimatorGrid(gridSpecs, misestEstimators)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +74,7 @@ func Misest(p Params) (*MisestResult, error) {
 		var hist pipeline.DistanceHist
 		var total, mis uint64
 		for range suite() {
-			st := cells[i].Stats
+			st := stats[i]
 			i++
 			h := &st.Confidence[0].MisestCommitted
 			for d := 0; d < pipeline.DistanceBuckets; d++ {

@@ -50,14 +50,14 @@ func patternsCell(_ context.Context, p Params, sp runner.Spec) (CellResult, erro
 		return CellResult{}, err
 	}
 	bits := spec.HistBits(p)
-	prof := NewPatternCollector(bits)
-	st, err := p.evalEstimators(w, spec, prof.Profiler, conf.NewPatternHistory(bits))
+	prof := conf.NewPatternProfiler(bits)
+	st, err := p.evalEstimators(w, spec, prof, conf.NewPatternHistory(bits))
 	if err != nil {
 		return CellResult{}, fmt.Errorf("patterns %s/%s: %w", w.Name, spec.Name, err)
 	}
-	cov, acc := prof.Profiler.Dominance(8)
+	cov, acc := prof.Dominance(8)
 	return CellResult{Stats: st, Extra: map[string]float64{
-		"patterns":  float64(prof.Profiler.Patterns()),
+		"patterns":  float64(prof.Patterns()),
 		"coverage8": cov,
 		"accuracy8": acc,
 	}}, nil
@@ -105,16 +105,6 @@ func Patterns(p Params) (*PatternsResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// PatternCollector wraps a PatternProfiler for use in runOne.
-type PatternCollector struct {
-	Profiler *conf.PatternProfiler
-}
-
-// NewPatternCollector builds a collector for histBits-long histories.
-func NewPatternCollector(histBits uint) PatternCollector {
-	return PatternCollector{Profiler: conf.NewPatternProfiler(histBits)}
 }
 
 // Render prints the dominance table.

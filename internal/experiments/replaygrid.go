@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"strings"
-	"sync"
 
 	"specctrl/internal/conf"
 	"specctrl/internal/obs"
@@ -12,7 +9,6 @@ import (
 	"specctrl/internal/pipeline"
 	"specctrl/internal/profile"
 	"specctrl/internal/replay"
-	"specctrl/internal/runner"
 	"specctrl/internal/workload"
 )
 
@@ -28,9 +24,9 @@ import (
 // one experiment serves every other: a full `-exp all` run simulates
 // each (workload, predictor) pair once and replays everything else.
 //
-// The two entry points are evalEstimators (a drop-in for runOne inside
-// grid cells) and suiteStatsReplay (the replay-shaped suite sweep,
-// reached through suiteStats), both gated by replayActive.
+// evalEstimators is the one place that picks trace replay or direct
+// simulation (replayActive); estimatorGrid's cells and the few
+// hand-written cells that need Stats for a fixed estimator list call it.
 
 // replayActive reports whether replay-backed evaluation applies under
 // these parameters. Direct simulation is kept for the explicit
@@ -126,7 +122,7 @@ func (p Params) traceFor(w workload.Workload, spec PredictorSpec) (*replay.Trace
 			span.Str("workload", w.Name), span.Str("predictor", spec.Name))
 		defer ts.End()
 	}
-	tr, st, outcome, err := p.traceCache().GetOrRecordOutcome(p.TraceAddress(w.Name, spec),
+	tr, st, outcome, err := p.traceCache().GetOrRecord(p.TraceAddress(w.Name, spec),
 		func() (*replay.Trace, *pipeline.Stats, error) {
 			return p.recordTrace(w, spec)
 		})
@@ -235,105 +231,4 @@ func (p Params) sitesFor(w workload.Workload, spec PredictorSpec) (map[int64]*pi
 		return nil, err
 	}
 	return tr.Sites(), nil
-}
-
-// replayBatch is how many estimator configurations one replay cell
-// drives per pass over the trace. One pass is a sequential scan of the
-// recording (a few MB per million branches); batching amortizes it
-// across several estimators while keeping each batch's table working
-// set cache-resident, and bounds the sweep's parallel grain: an
-// 80-config Fig 4/5 sweep becomes five independent replay cells per
-// workload on the runner pool.
-const replayBatch = 16
-
-// estsMemo builds one workload's estimator list exactly once per grid,
-// shared by that workload's replay-batch cells. Estimator construction
-// may itself fold a profile (static, tuned) or run a profiling
-// simulation (xinput's cross input), which must not repeat per batch;
-// construction is deterministic, so sharing
-// it preserves the grid's determinism contract even though the memo is
-// state shared between cells.
-type estsMemo struct {
-	once sync.Once
-	es   []conf.Estimator
-	err  error
-}
-
-// namedStatsReplay is namedStats' replay-backed grid: per named
-// workload, one "#record" cell that records (or cache-hits) the trace,
-// plus one "#replayLO-HI" cell per estimator batch. The batch bounds
-// are part of the cell key, so cached cells can never alias across a
-// change of replayBatch. Assembly splices the batches' Confidence
-// slices back into name order, making the result indistinguishable
-// from the direct path's.
-func (p Params) namedStatsReplay(experiment string, names []string, spec PredictorSpec, variant string, nEsts int,
-	estsFn func(p Params, w workload.Workload) ([]conf.Estimator, error)) ([]*pipeline.Stats, error) {
-	nBatches := (nEsts + replayBatch - 1) / replayBatch
-	block := 1 + nBatches
-	specs := make([]runner.Spec, 0, len(names)*block)
-	memos := make(map[string]*estsMemo, len(names))
-	for _, name := range names {
-		memos[name] = &estsMemo{}
-		specs = append(specs, runner.Spec{
-			Experiment: experiment, Workload: name, Predictor: spec.Name,
-			Variant: variant + "#record",
-		})
-		for b := 0; b < nBatches; b++ {
-			lo := b * replayBatch
-			hi := min(lo+replayBatch, nEsts)
-			specs = append(specs, runner.Spec{
-				Experiment: experiment, Workload: name, Predictor: spec.Name,
-				Variant: fmt.Sprintf("%s#replay%d-%d", variant, lo, hi),
-			})
-		}
-	}
-
-	cells, err := p.runGrid(specs, func(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
-		w, err := workload.ByName(sp.Workload)
-		if err != nil {
-			return CellResult{}, err
-		}
-		task := sp.Variant[strings.LastIndex(sp.Variant, "#")+1:]
-		if task == "record" {
-			_, base, err := p.traceFor(w, spec)
-			if err != nil {
-				return CellResult{}, err
-			}
-			st := *base
-			return CellResult{Stats: &st}, nil
-		}
-		var lo, hi int
-		if _, err := fmt.Sscanf(task, "replay%d-%d", &lo, &hi); err != nil {
-			return CellResult{}, fmt.Errorf("experiments: bad replay cell variant %q", sp.Variant)
-		}
-		m := memos[sp.Workload]
-		m.once.Do(func() {
-			m.es, m.err = estsFn(p, w)
-			if m.err == nil && len(m.es) != nEsts {
-				m.err = fmt.Errorf("experiments: %s estimator builder returned %d estimators, specs enumerated %d",
-					experiment, len(m.es), nEsts)
-			}
-		})
-		if m.err != nil {
-			return CellResult{}, m.err
-		}
-		confs, _, err := p.replayConfs(w, spec, m.es[lo:hi])
-		if err != nil {
-			return CellResult{}, err
-		}
-		return CellResult{Stats: &pipeline.Stats{Confidence: confs}}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	stats := make([]*pipeline.Stats, len(names))
-	for i := range names {
-		confs := make([]pipeline.ConfStats, 0, nEsts)
-		for b := 0; b < nBatches; b++ {
-			confs = append(confs, cells[i*block+1+b].Stats.Confidence...)
-		}
-		stats[i] = replayStats(cells[i*block].Stats, confs)
-	}
-	return stats, nil
 }

@@ -140,9 +140,9 @@ func TestReplayTraceSharedAcrossExperiments(t *testing.T) {
 	})
 }
 
-// TestReplayDeterminismAcrossJobs: replay-shaped grids keep the
-// byte-identity guarantee under parallel execution (record cells and
-// replay cells interleave freely on the worker pool).
+// TestReplayDeterminismAcrossJobs: replayed sweeps keep the
+// byte-identity guarantee under parallel execution (cells record and
+// replay in any order on the worker pool).
 func TestReplayDeterminismAcrossJobs(t *testing.T) {
 	serial := smallParams()
 	serial.Jobs = 1
@@ -210,9 +210,8 @@ func TestTraceAddressExcludesEstimatorIdentity(t *testing.T) {
 // pipeline — simulated directly or replayed from an event trace — never
 // over the committed branch stream alone. Every cell they record is a
 // timed run (Cycles > 0) that fetched wrong-path branches (AllBr >
-// CommittedBr). Replay batch cells carry only per-estimator statistics,
-// so there every estimator's AllQ must count more branches than its
-// CommittedQ.
+// CommittedBr), and every estimator in it saw them: its AllQ counts more
+// branches than its CommittedQ.
 func TestCommittedStreamExperimentsSeeWrongPath(t *testing.T) {
 	for _, mode := range []string{ReplayOn, ReplayOff} {
 		for _, exp := range []string{"table2", "table3", "auc", "patterns", "misest"} {
@@ -229,19 +228,52 @@ func TestCommittedStreamExperimentsSeeWrongPath(t *testing.T) {
 				}
 				for key, c := range p.Record.m {
 					st := c.Stats
-					if strings.Contains(key, "#replay") {
-						for _, cs := range st.Confidence {
-							if cs.AllQ.Total() <= cs.CommittedQ.Total() {
-								t.Errorf("%s: estimator %s saw %d branches, %d committed: no wrong path",
-									key, cs.Name, cs.AllQ.Total(), cs.CommittedQ.Total())
-							}
-						}
-						continue
-					}
 					if st.Cycles == 0 || st.AllBr <= st.CommittedBr {
 						t.Errorf("%s: Cycles=%d AllBr=%d CommittedBr=%d, want a timed wrong-path-aware run",
 							key, st.Cycles, st.AllBr, st.CommittedBr)
 					}
+					for _, cs := range st.Confidence {
+						if cs.AllQ.Total() <= cs.CommittedQ.Total() {
+							t.Errorf("%s: estimator %s saw %d branches, %d committed: no wrong path",
+								key, cs.Name, cs.AllQ.Total(), cs.CommittedQ.Total())
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCellsPortableAcrossReplayModes: an estimator sweep enumerates the
+// same cells under either -replay mode, so cells computed in one mode
+// merge into a run in the other without simulating anything, and the
+// merged render equals the original.
+func TestCellsPortableAcrossReplayModes(t *testing.T) {
+	for _, modes := range [][2]string{{ReplayOff, ReplayOn}, {ReplayOn, ReplayOff}} {
+		from, to := modes[0], modes[1]
+		for _, exp := range []string{"table2", "table3", "fig3"} {
+			t.Run(from+"-to-"+to+"/"+exp, func(t *testing.T) {
+				rec := smallParams()
+				rec.Replay = from
+				rec.TraceCache = replay.NewCache(0, nil)
+				rec.Record = NewCellStore()
+				want, err := Run(exp, rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				merge := smallParams()
+				merge.Replay = to
+				merge.TraceCache = replay.NewCache(0, nil)
+				merge.Cells = rec.Record.m
+				merge.Progress = func(msg string) { t.Errorf("merge under -replay %s simulated: %s", to, msg) }
+				got, err := Run(exp, merge)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Render() != want.Render() {
+					t.Errorf("merged render differs:\n--- %s ---\n%s\n--- merged under %s ---\n%s",
+						from, want.Render(), to, got.Render())
 				}
 			})
 		}

@@ -93,9 +93,8 @@ func SweepSpace(p Params) (*SweepSpaceResult, error) {
 		names = append(names, extra)
 	}
 
-	stats, err := p.namedStats("sweepspace", names, GshareSpec(), "main",
-		len(sweepSpaceEstimatorNames),
-		func(p Params, _ workload.Workload) ([]conf.Estimator, error) {
+	stats, err := p.estimatorGrid(namedSpecs("sweepspace", names, GshareSpec(), "main"),
+		func(p Params, _ workload.Workload, _ PredictorSpec, _ string) ([]conf.Estimator, error) {
 			return sweepSpaceEstimators(p), nil
 		})
 	if err != nil {

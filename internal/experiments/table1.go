@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"specctrl/internal/runner"
-	"specctrl/internal/workload"
 )
 
 // Table1Row holds one benchmark's characteristics (paper Table 1):
@@ -44,21 +42,7 @@ func Table1(p Params) (*Table1Result, error) {
 			})
 		}
 	}
-	cells, err := p.runGrid(specs, func(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
-		w, err := workload.ByName(sp.Workload)
-		if err != nil {
-			return CellResult{}, err
-		}
-		spec, err := predictorByName(sp.Predictor)
-		if err != nil {
-			return CellResult{}, err
-		}
-		st, err := p.evalEstimators(w, spec)
-		if err != nil {
-			return CellResult{}, fmt.Errorf("table1 %s: %w", sp.Key(), err)
-		}
-		return CellResult{Stats: st}, nil
-	})
+	stats, err := p.estimatorGrid(specs, noEstimators)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +52,7 @@ func Table1(p Params) (*Table1Result, error) {
 	for _, w := range suite() {
 		row := Table1Row{Name: w.Name}
 		for _, spec := range preds {
-			st := cells[i].Stats
+			st := stats[i]
 			i++
 			switch spec.Name {
 			case "gshare":

@@ -9,7 +9,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -41,39 +40,20 @@ type Table2Result struct {
 	PredictorNames []string
 }
 
-// table2Estimators builds the four estimator configurations of Table 2
-// for the given predictor; static needs a per-workload profile, so it is
-// created later and this returns its slot index.
-func table2Estimators(p Params, spec PredictorSpec) []conf.Estimator {
+// table2Estimators builds one (workload, predictor) cell's four
+// estimators in the paper's order: JRS, saturating counters, pattern
+// history, and the static estimator from the pair's profile.
+func table2Estimators(p Params, w workload.Workload, spec PredictorSpec, _ string) ([]conf.Estimator, error) {
+	static, err := p.staticFor(w, spec)
+	if err != nil {
+		return nil, fmt.Errorf("table2 static %s/%s: %w", w.Name, spec.Name, err)
+	}
 	return []conf.Estimator{
 		conf.NewJRS(conf.JRSConfig{Entries: 4096, Bits: 4, Threshold: 15, Enhanced: true}),
 		SatCntFor(spec, conf.BothStrong),
 		conf.NewPatternHistory(spec.HistBits(p)),
-		// Slot 3 (static) is appended per workload by the caller.
-	}
-}
-
-// table2Cell simulates one (workload, predictor) cell: a profiling pass
-// for the static estimator, then one run evaluating all four estimators.
-func table2Cell(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
-	w, err := workload.ByName(sp.Workload)
-	if err != nil {
-		return CellResult{}, err
-	}
-	spec, err := predictorByName(sp.Predictor)
-	if err != nil {
-		return CellResult{}, err
-	}
-	static, err := p.staticFor(w, spec)
-	if err != nil {
-		return CellResult{}, fmt.Errorf("table2 static %s/%s: %w", w.Name, spec.Name, err)
-	}
-	ests := append(table2Estimators(p, spec), static)
-	st, err := p.evalEstimators(w, spec, ests...)
-	if err != nil {
-		return CellResult{}, fmt.Errorf("table2 %s/%s: %w", w.Name, spec.Name, err)
-	}
-	return CellResult{Stats: st}, nil
+		static,
+	}, nil
 }
 
 // Table2 runs the full grid. For each (workload, predictor) pair a single
@@ -105,14 +85,14 @@ func Table2(p Params) (*Table2Result, error) {
 			})
 		}
 	}
-	cells, err := p.runGrid(gridSpecs, table2Cell)
+	stats, err := p.estimatorGrid(gridSpecs, table2Estimators)
 	if err != nil {
 		return nil, err
 	}
 	i := 0
 	for range suite() {
 		for pi := range specs {
-			st := cells[i].Stats
+			st := stats[i]
 			i++
 			for e := range estNames {
 				cell := &res.Cells[e][pi]

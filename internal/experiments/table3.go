@@ -28,7 +28,7 @@ type Table3Result struct {
 // Table3 runs one McFarling cell per workload with both variants
 // attached.
 func Table3(p Params) (*Table3Result, error) {
-	stats, err := p.suiteStats("table3", McFarlingSpec(), "main", 2,
+	stats, err := p.suiteStats("table3", McFarlingSpec(), "main",
 		func(_ Params, _ workload.Workload) ([]conf.Estimator, error) {
 			return []conf.Estimator{
 				conf.SatCountersMcFarling{Variant: conf.BothStrong},

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -29,29 +28,17 @@ type Table4Result struct {
 // table4DistMax is the largest distance threshold in the table.
 const table4DistMax = 7
 
-// table4Cell simulates one (workload, predictor) cell. Gshare and
-// McFarling cells run the full estimator battery (JRS, saturating
-// counters, static, distance 1..7) after a static-profiling pass; the
-// SAg cell runs the history-pattern reference estimator alone.
-func table4Cell(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
-	w, err := workload.ByName(sp.Workload)
-	if err != nil {
-		return CellResult{}, err
-	}
-	spec, err := predictorByName(sp.Predictor)
-	if err != nil {
-		return CellResult{}, err
-	}
+// table4Estimators builds one (workload, predictor) cell's estimators.
+// Gshare and McFarling cells carry the full battery (JRS, saturating
+// counters, static, distance 1..7); the SAg cell carries the
+// history-pattern reference estimator alone.
+func table4Estimators(p Params, w workload.Workload, spec PredictorSpec, _ string) ([]conf.Estimator, error) {
 	if spec.Name == "sag" {
-		st, err := p.evalEstimators(w, spec, conf.NewPatternHistory(spec.HistBits(p)))
-		if err != nil {
-			return CellResult{}, fmt.Errorf("table4 %s/sag: %w", w.Name, err)
-		}
-		return CellResult{Stats: st}, nil
+		return []conf.Estimator{conf.NewPatternHistory(spec.HistBits(p))}, nil
 	}
 	static, err := p.staticFor(w, spec)
 	if err != nil {
-		return CellResult{}, fmt.Errorf("table4 static %s/%s: %w", w.Name, spec.Name, err)
+		return nil, fmt.Errorf("table4 static %s/%s: %w", w.Name, spec.Name, err)
 	}
 	ests := []conf.Estimator{
 		conf.NewJRS(conf.JRSConfig{Entries: 4096, Bits: 4, Threshold: 15, Enhanced: true}),
@@ -61,11 +48,7 @@ func table4Cell(_ context.Context, p Params, sp runner.Spec) (CellResult, error)
 	for d := 1; d <= table4DistMax; d++ {
 		ests = append(ests, conf.NewDistance(d))
 	}
-	st, err := p.evalEstimators(w, spec, ests...)
-	if err != nil {
-		return CellResult{}, fmt.Errorf("table4 %s/%s: %w", w.Name, spec.Name, err)
-	}
-	return CellResult{Stats: st}, nil
+	return ests, nil
 }
 
 // Table4 runs, per workload, one gshare cell and one McFarling cell
@@ -95,14 +78,14 @@ func Table4(p Params) (*Table4Result, error) {
 			})
 		}
 	}
-	cells, err := p.runGrid(gridSpecs, table4Cell)
+	stats, err := p.estimatorGrid(gridSpecs, table4Estimators)
 	if err != nil {
 		return nil, err
 	}
 	i := 0
 	for range suite() {
 		for _, spec := range []PredictorSpec{GshareSpec(), McFarlingSpec()} {
-			st := cells[i].Stats
+			st := stats[i]
 			i++
 			names := []key{
 				{"JRS >=15", spec.Name},
@@ -116,7 +99,7 @@ func Table4(p Params) (*Table4Result, error) {
 				addQ(k, st.Confidence[e].CommittedQ)
 			}
 		}
-		addQ(key{"Hist. Pattern", "sag"}, cells[i].Stats.Confidence[0].CommittedQ)
+		addQ(key{"Hist. Pattern", "sag"}, stats[i].Confidence[0].CommittedQ)
 		i++
 	}
 

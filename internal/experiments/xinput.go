@@ -36,7 +36,7 @@ func XInput(p Params) (*XInputResult, error) {
 	// a constant — not derived from the cell seed — because it names a
 	// specific published input, not a random one.
 	const altSeed = 0xA17E12
-	stats, err := p.suiteStats("xinput", GshareSpec(), "main", 2,
+	stats, err := p.suiteStats("xinput", GshareSpec(), "main",
 		func(p Params, w workload.Workload) ([]conf.Estimator, error) {
 			// Profiles on the reference input (self: the pair's own
 			// recorded run) and the alternative input (cross: a

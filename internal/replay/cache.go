@@ -94,7 +94,7 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Outcome classifies how GetOrRecordOutcome satisfied a request, for
+// Outcome classifies how GetOrRecord satisfied a request, for
 // tracing and reporting.
 type Outcome string
 
@@ -109,18 +109,12 @@ const (
 )
 
 // GetOrRecord returns the trace cached under addr, running record to
-// produce it on a miss. The returned Trace and Stats are shared and
-// must be treated as immutable (Replay never mutates its trace; the
+// produce it on a miss, plus a report of how the request was
+// satisfied: a resident hit, a fresh recording, or a wait on another
+// caller's in-flight recording. The returned Trace and Stats are shared
+// and must be treated as immutable (Replay never mutates its trace; the
 // stats are the base run's and callers clone what they modify).
-func (c *Cache) GetOrRecord(addr string, record func() (*Trace, *pipeline.Stats, error)) (*Trace, *pipeline.Stats, error) {
-	t, st, _, err := c.GetOrRecordOutcome(addr, record)
-	return t, st, err
-}
-
-// GetOrRecordOutcome is GetOrRecord plus a report of how the request
-// was satisfied: a resident hit, a fresh recording, or a wait on
-// another caller's in-flight recording.
-func (c *Cache) GetOrRecordOutcome(addr string, record func() (*Trace, *pipeline.Stats, error)) (*Trace, *pipeline.Stats, Outcome, error) {
+func (c *Cache) GetOrRecord(addr string, record func() (*Trace, *pipeline.Stats, error)) (*Trace, *pipeline.Stats, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[addr]; ok {
 		c.lru.MoveToFront(el)

@@ -25,11 +25,11 @@ func fakeRecord(calls *atomic.Int64, n int) func() (*Trace, *pipeline.Stats, err
 func TestCacheHit(t *testing.T) {
 	c := NewCache(0, nil)
 	var calls atomic.Int64
-	tr1, st1, err := c.GetOrRecord("a", fakeRecord(&calls, 100))
+	tr1, st1, _, err := c.GetOrRecord("a", fakeRecord(&calls, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2, st2, err := c.GetOrRecord("a", fakeRecord(&calls, 100))
+	tr2, st2, _, err := c.GetOrRecord("a", fakeRecord(&calls, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tr, _, err := c.GetOrRecord("addr", record)
+			tr, _, _, err := c.GetOrRecord("addr", record)
 			if err != nil {
 				t.Error(err)
 			}
@@ -91,7 +91,7 @@ func TestCacheSingleflight(t *testing.T) {
 func TestCacheRecordError(t *testing.T) {
 	c := NewCache(0, nil)
 	boom := errors.New("boom")
-	if _, _, err := c.GetOrRecord("a", func() (*Trace, *pipeline.Stats, error) {
+	if _, _, _, err := c.GetOrRecord("a", func() (*Trace, *pipeline.Stats, error) {
 		return nil, nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the recording error", err)
@@ -100,7 +100,7 @@ func TestCacheRecordError(t *testing.T) {
 		t.Fatal("failed recording was cached")
 	}
 	var calls atomic.Int64
-	if _, _, err := c.GetOrRecord("a", fakeRecord(&calls, 10)); err != nil {
+	if _, _, _, err := c.GetOrRecord("a", fakeRecord(&calls, 10)); err != nil {
 		t.Fatalf("retry after failure: %v", err)
 	}
 	if calls.Load() != 1 {
@@ -118,15 +118,15 @@ func TestCacheLRUEviction(t *testing.T) {
 
 	var calls atomic.Int64
 	for _, addr := range []string{"a", "b"} {
-		if _, _, err := c.GetOrRecord(addr, fakeRecord(&calls, 5000)); err != nil {
+		if _, _, _, err := c.GetOrRecord(addr, fakeRecord(&calls, 5000)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch "a" so "b" is the LRU victim when "c" arrives.
-	if _, _, err := c.GetOrRecord("a", fakeRecord(&calls, 5000)); err != nil {
+	if _, _, _, err := c.GetOrRecord("a", fakeRecord(&calls, 5000)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.GetOrRecord("c", fakeRecord(&calls, 5000)); err != nil {
+	if _, _, _, err := c.GetOrRecord("c", fakeRecord(&calls, 5000)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
@@ -136,14 +136,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	// "a" and "c" resident, "b" evicted: re-requesting "b" records anew.
 	before := calls.Load()
 	for _, addr := range []string{"a", "c"} {
-		if _, _, err := c.GetOrRecord(addr, fakeRecord(&calls, 5000)); err != nil {
+		if _, _, _, err := c.GetOrRecord(addr, fakeRecord(&calls, 5000)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if calls.Load() != before {
 		t.Fatal("resident entries re-recorded")
 	}
-	if _, _, err := c.GetOrRecord("b", fakeRecord(&calls, 5000)); err != nil {
+	if _, _, _, err := c.GetOrRecord("b", fakeRecord(&calls, 5000)); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != before+1 {
@@ -198,7 +198,7 @@ func TestCacheManyAddresses(t *testing.T) {
 	c := NewCache(int64(3*(one+statsFootprint)), nil)
 	var calls atomic.Int64
 	for i := 0; i < 20; i++ {
-		if _, _, err := c.GetOrRecord(fmt.Sprint("w", i%7), fakeRecord(&calls, 1000)); err != nil {
+		if _, _, _, err := c.GetOrRecord(fmt.Sprint("w", i%7), fakeRecord(&calls, 1000)); err != nil {
 			t.Fatal(err)
 		}
 		if c.Len() > 3 {

@@ -29,9 +29,9 @@ func TestDrainCheckpointsJobs(t *testing.T) {
 	// state a real SIGTERM interrupts.
 	inSecondCell := make(chan struct{})
 	release := make(chan struct{})
-	// Direct mode pins the cell count the assertions below rely on
-	// (replay-mode grids interleave record and replay cells, and only
-	// record cells emit the Progress line this test gates on).
+	// Direct mode pins the Progress lines this test gates on: every
+	// cell emits one (under replay, only a cell whose trace is not yet
+	// cached does).
 	params := testParams()
 	params.Replay = experiments.ReplayOff
 	cfg := Config{

@@ -172,6 +172,17 @@ done
 cmp "$SMOKE/local.txt" "$SMOKE/table3-merged.txt"
 cmp "$SMOKE/frontier-local.txt" "$SMOKE/frontier-merged.txt"
 
+# Mixed-mode shard smoke: both -replay modes enumerate the same cells,
+# so a shard computed under -replay off merges with one computed under
+# the default into the exact bytes of the local run.
+"$SMOKE/simctrl" -exp table3 -committed 60000 -replay off -shard 0/2 \
+    -cells-out "$SMOKE/mixed-s0.json" 2> "$SMOKE/mixed-s0.log"
+"$SMOKE/simctrl" -exp table3 -committed 60000 -shard 1/2 \
+    -cells-out "$SMOKE/mixed-s1.json" 2> "$SMOKE/mixed-s1.log"
+"$SMOKE/simctrl" -exp table3 -committed 60000 \
+    -cells-in "$SMOKE/mixed-s0.json,$SMOKE/mixed-s1.json" > "$SMOKE/mixed-merged.txt"
+cmp "$SMOKE/local.txt" "$SMOKE/mixed-merged.txt"
+
 "$SMOKE/simserved" -addr 127.0.0.1:0 -addr-file "$SMOKE/addr" \
     -cache-dir "$SMOKE/cache" -committed 60000 \
     -ingest-trace "$SMOKE/compress.spbt" 2> "$SMOKE/simserved.log" &
@@ -206,14 +217,18 @@ MEM_HITS=$(curl -s "$URL/metrics" | awk '/^specctrl_serve_cache_mem_hits_total/ 
 
 # Served synth smoke: the server ingested compress.spbt at startup, so a
 # sweepspace job renders the trace-backed row byte-identically to the
-# local run, and replay evaluation inside the job must hit the server's
-# in-memory trace cache (record once, replay per estimator config).
+# local run, and replay evaluation inside the job must record each of
+# its five workloads (four profiles plus the ingested trace) exactly
+# once into the server's in-memory trace cache — one cell per workload
+# records its trace and replays every estimator config from it; direct
+# simulation would record none.
+TRACE_RECORDS0=$(curl -s "$URL/metrics" | awk '/^specctrl_trace_records_total/ {print $2}')
 "$SMOKE/simctrl" -server "$URL" -exp sweepspace -synth-n 4 -committed 40000 \
     > "$SMOKE/ssweep1.txt" 2> "$SMOKE/sstats1.txt"
 cmp "$SMOKE/sweep-base.txt" "$SMOKE/ssweep1.txt"
-TRACE_HITS=$(curl -s "$URL/metrics" | awk '/^specctrl_trace_hits_total/ {print $2}')
-[ -n "$TRACE_HITS" ] && [ "$TRACE_HITS" -ge 1 ] || {
-    echo "check.sh: no replay trace-cache hits after a sweepspace job (got '$TRACE_HITS')" >&2
+TRACE_RECORDS1=$(curl -s "$URL/metrics" | awk '/^specctrl_trace_records_total/ {print $2}')
+[ -n "$TRACE_RECORDS0" ] && [ -n "$TRACE_RECORDS1" ] && [ $((TRACE_RECORDS1 - TRACE_RECORDS0)) -eq 5 ] || {
+    echo "check.sh: sweepspace job recorded '$TRACE_RECORDS0' -> '$TRACE_RECORDS1' traces, want 5 new" >&2
     exit 1
 }
 # Resubmitting with an extra pinned profile simulates only the new
