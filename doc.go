@@ -6,8 +6,9 @@
 // predictors they attach to, an execution-driven pipeline simulator with
 // real wrong-path execution, a synthetic SPECInt95-class workload suite,
 // a driver for every table and figure in the paper's evaluation, and the
-// speculation-control applications (pipeline gating, SMT fetch policy,
-// eager execution) the paper motivates.
+// speculation-control applications the paper motivates, each run as an
+// experiment: pipeline gating (abl-gating), SMT fetch policy (smt) and
+// eager execution (eager).
 //
 // Start with README.md for the architecture, DESIGN.md for the system
 // inventory and experiment index, and EXPERIMENTS.md for measured-vs-

@@ -24,7 +24,6 @@ package eager
 
 import (
 	"fmt"
-	"strings"
 
 	"specctrl/internal/metrics"
 )
@@ -96,44 +95,4 @@ func (m Model) Evaluate(q metrics.Quadrant) (Outcome, error) {
 		Forks:        (float64(q.Clc) + float64(q.Ilc)) * scale,
 		SavedPerKilo: baseline - eager,
 	}, nil
-}
-
-// Row pairs an estimator label with its outcome, for ranking.
-type Row struct {
-	Estimator string
-	Outcome   Outcome
-	Metrics   metrics.Metrics
-}
-
-// Rank evaluates several estimators' quadrants under the model and
-// returns rows ordered as given (callers typically sort by SavedPerKilo).
-func (m Model) Rank(labels []string, qs []metrics.Quadrant) ([]Row, error) {
-	if len(labels) != len(qs) {
-		return nil, fmt.Errorf("eager: %d labels for %d quadrants", len(labels), len(qs))
-	}
-	rows := make([]Row, len(qs))
-	for i, q := range qs {
-		o, err := m.Evaluate(q)
-		if err != nil {
-			return nil, fmt.Errorf("eager %s: %w", labels[i], err)
-		}
-		rows[i] = Row{Estimator: labels[i], Outcome: o, Metrics: q.Compute()}
-	}
-	return rows, nil
-}
-
-// Render prints the ranking table.
-func Render(model Model, rows []Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Eager execution model: penalty=%.1f fork=%.1f (cycles per 1000 committed branches)\n",
-		model.MispredictPenalty, model.ForkCost)
-	fmt.Fprintf(&b, "%-14s %9s %9s %9s %7s %6s %6s\n",
-		"estimator", "baseline", "eager", "saved", "forks", "spec", "pvn")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %9.1f %9.1f %+9.1f %7.0f %5.0f%% %5.0f%%\n",
-			r.Estimator, r.Outcome.BaselineCost, r.Outcome.EagerCost,
-			r.Outcome.SavedPerKilo, r.Outcome.Forks,
-			r.Metrics.Spec*100, r.Metrics.PVN*100)
-	}
-	return b.String()
 }

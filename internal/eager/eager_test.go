@@ -1,7 +1,6 @@
 package eager
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -106,34 +105,5 @@ func TestValidate(t *testing.T) {
 func TestEvaluateEmptyQuadrant(t *testing.T) {
 	if _, err := DefaultModel().Evaluate(metrics.Quadrant{}); err == nil {
 		t.Error("empty quadrant accepted")
-	}
-}
-
-func TestRankAndRender(t *testing.T) {
-	m := DefaultModel()
-	rows, err := m.Rank(
-		[]string{"good", "bad"},
-		[]metrics.Quadrant{
-			{Chc: 900, Ilc: 90, Clc: 10},
-			{Chc: 700, Clc: 200, Ihc: 90, Ilc: 10},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].Outcome.SavedPerKilo <= rows[1].Outcome.SavedPerKilo {
-		t.Error("high-SPEC estimator should save more")
-	}
-	out := Render(m, rows)
-	if !strings.Contains(out, "good") || !strings.Contains(out, "saved") {
-		t.Errorf("render incomplete:\n%s", out)
-	}
-}
-
-func TestRankLengthMismatch(t *testing.T) {
-	if _, err := DefaultModel().Rank([]string{"a"}, nil); err == nil {
-		t.Error("length mismatch accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"specctrl/internal/bpred"
 	"specctrl/internal/conf"
-	"specctrl/internal/gating"
 	"specctrl/internal/metrics"
 	"specctrl/internal/pipeline"
 	"specctrl/internal/policy"
@@ -207,9 +206,8 @@ func AblationGating(p Params) (*AblationGatingResult, error) {
 		for thr := 1; thr <= 3; thr++ {
 			var red, slow float64
 			for i, gated := range stats[:n] {
-				r := gating.Result{Baseline: base[i], Gated: gated}
-				red += r.ExtraWorkReduction()
-				slow += r.Slowdown()
+				red += extraWorkReduction(base[i], gated)
+				slow += gatingSlowdown(base[i], gated)
 			}
 			stats = stats[n:]
 			res.Points = append(res.Points, GatingPoint{
@@ -219,6 +217,30 @@ func AblationGating(p Params) (*AblationGatingResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// extraWorkReduction returns the fraction of the baseline's wrong-path
+// instructions a policied run eliminated; degenerate runs with no
+// baseline wrong-path work report 0.
+func extraWorkReduction(base, gated *pipeline.Stats) float64 {
+	if base.WrongPath == 0 {
+		return 0
+	}
+	return 1 - float64(gated.WrongPath)/float64(base.WrongPath)
+}
+
+// gatingSlowdown returns the relative execution-time increase of a
+// policied run over its baseline (cycles per committed instruction, so
+// capped runs compare fairly). Degenerate runs — either side committing
+// nothing, or a zero-cycle baseline — report 0 rather than dividing by
+// it.
+func gatingSlowdown(base, gated *pipeline.Stats) float64 {
+	if base.Cycles == 0 || base.Committed == 0 || gated.Committed == 0 {
+		return 0
+	}
+	b := float64(base.Cycles) / float64(base.Committed)
+	g := float64(gated.Cycles) / float64(gated.Committed)
+	return g/b - 1
 }
 
 // Render prints the gating design space.

@@ -11,7 +11,7 @@ import (
 	"specctrl/internal/eager"
 	"specctrl/internal/isa"
 	"specctrl/internal/metrics"
-	"specctrl/internal/policy"
+	"specctrl/internal/obs/span"
 	"specctrl/internal/runner"
 	"specctrl/internal/smt"
 	"specctrl/internal/workload"
@@ -40,7 +40,8 @@ var smtPolicies = []smt.Policy{smt.RoundRobin, smt.ICount, smt.ConfidenceGate}
 // SMTStudy runs three two-thread mixes under the three fetch policies,
 // one grid cell per (mix, policy). The cell spec's workload field names
 // the mix ("a+b"); the throughput travels in CellResult.Extra because an
-// SMT run has no single-thread Stats to return.
+// SMT run has no single-thread Stats to return, so the cell sets its
+// span's cycles to the threads' summed cycles itself.
 func SMTStudy(p Params) (*SMTResult, error) {
 	mixes := [][2]string{
 		{"m88ksim", "go"},    // predictable + hostile
@@ -56,7 +57,7 @@ func SMTStudy(p Params) (*SMTResult, error) {
 			})
 		}
 	}
-	cell := func(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
+	cell := func(ctx context.Context, p Params, sp runner.Spec) (CellResult, error) {
 		var smtPol smt.Policy
 		found := false
 		for _, pol := range smtPolicies {
@@ -83,10 +84,11 @@ func SMTStudy(p Params) (*SMTResult, error) {
 		newPred := func() bpred.Predictor { return bpred.NewGshare(p.GshareBits) }
 		newEst := func() conf.Estimator { return conf.NewJRS(conf.DefaultJRS) }
 		p.progress("smt %s policy %s", sp.Workload, smtPol)
-		r, err := smt.Run(cfg, progs, policy.Factories{Predictor: newPred, Estimator: newEst})
+		r, err := smt.Run(cfg, progs, newPred, newEst)
 		if err != nil {
 			return CellResult{}, fmt.Errorf("smt %s/%s: %w", sp.Workload, smtPol, err)
 		}
+		span.FromContext(ctx).SetAttrs(span.Int("cycles", int64(r.ThreadCycles)))
 		return CellResult{Extra: map[string]float64{"throughput": r.Throughput()}}, nil
 	}
 	cells, err := p.runGrid(gridSpecs, cell)

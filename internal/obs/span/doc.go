@@ -2,7 +2,7 @@
 // tracer: wall-clock spans with trace/span IDs and parent links,
 // W3C-traceparent-style propagation across process boundaries (simctrl
 // -server → simserved), a bounded in-memory store with head sampling,
-// and three exporters — a JSONL sink, an NDJSON /debug/traces HTTP
+// and two exporters over that store — an NDJSON /debug/traces HTTP
 // handler, and Chrome trace-event JSON that renders a full sweep as a
 // per-worker timeline in Perfetto or chrome://tracing.
 //

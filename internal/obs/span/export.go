@@ -7,12 +7,10 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 )
 
-// spanJSON is the wire form shared by the JSONL sink and the
-// /debug/traces NDJSON handler.
+// spanJSON is the wire form the /debug/traces NDJSON handler serves.
 type spanJSON struct {
 	TraceID  string         `json:"traceId"`
 	SpanID   string         `json:"spanId"`
@@ -41,52 +39,6 @@ func toJSON(s Span) spanJSON {
 		}
 	}
 	return j
-}
-
-// JSONL is a Sink writing one JSON object per finished span, in the
-// same shape /debug/traces serves. Safe for concurrent ExportSpan.
-type JSONL struct {
-	mu  sync.Mutex
-	w   io.Writer
-	n   int
-	err error
-}
-
-// NewJSONL returns a JSONL sink over w.
-func NewJSONL(w io.Writer) *JSONL { return &JSONL{w: w} }
-
-// ExportSpan writes one span. The first write error sticks (Err);
-// later spans are dropped rather than interleaving partial lines.
-func (j *JSONL) ExportSpan(s Span) {
-	data, err := json.Marshal(toJSON(s))
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return
-	}
-	if err == nil {
-		data = append(data, '\n')
-		_, err = j.w.Write(data)
-	}
-	if err != nil {
-		j.err = err
-		return
-	}
-	j.n++
-}
-
-// Count returns the number of spans written.
-func (j *JSONL) Count() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.n
-}
-
-// Err returns the first write error, if any.
-func (j *JSONL) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
 }
 
 // Handler serves the tracer's span store over HTTP: newline-delimited

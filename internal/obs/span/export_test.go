@@ -1,7 +1,6 @@
 package span
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
@@ -10,79 +9,12 @@ import (
 	"time"
 )
 
-func TestJSONLSink(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONL(&buf)
-	tr := New(Options{Sink: sink})
+func TestHandlerServesNDJSONAndStats(t *testing.T) {
+	tr := New(Options{Capacity: 4})
 	root := tr.Root("root", Str("experiment", "fig4"))
 	child := tr.Child(root.Context(), "cell", Int("worker", 3))
 	child.End()
 	root.End()
-
-	if sink.Count() != 2 {
-		t.Fatalf("sink wrote %d spans, want 2", sink.Count())
-	}
-	if sink.Err() != nil {
-		t.Fatal(sink.Err())
-	}
-	sc := bufio.NewScanner(&buf)
-	var lines []spanJSON
-	for sc.Scan() {
-		var j spanJSON
-		if err := json.Unmarshal(sc.Bytes(), &j); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		lines = append(lines, j)
-	}
-	if len(lines) != 2 {
-		t.Fatalf("got %d JSONL lines, want 2", len(lines))
-	}
-	// Child ends first, so it is line 0.
-	if lines[0].Name != "cell" || lines[1].Name != "root" {
-		t.Errorf("lines = %q, %q", lines[0].Name, lines[1].Name)
-	}
-	if lines[0].TraceID != lines[1].TraceID {
-		t.Error("JSONL spans do not share a trace ID")
-	}
-	if lines[0].ParentID != lines[1].SpanID {
-		t.Error("child's parentId is not the root's spanId")
-	}
-	if lines[1].ParentID != "" {
-		t.Error("root has a parentId")
-	}
-	if w, ok := lines[0].Attrs["worker"].(float64); !ok || w != 3 {
-		t.Errorf("worker attr = %v", lines[0].Attrs["worker"])
-	}
-}
-
-// errWriter fails after n bytes.
-type errWriter struct{ n int }
-
-func (w *errWriter) Write(p []byte) (int, error) {
-	if w.n -= len(p); w.n < 0 {
-		return 0, bytes.ErrTooLarge
-	}
-	return len(p), nil
-}
-
-func TestJSONLSinkSticksOnError(t *testing.T) {
-	sink := NewJSONL(&errWriter{n: 10})
-	tr := New(Options{Sink: sink})
-	for i := 0; i < 3; i++ {
-		tr.Root("x").End()
-	}
-	if sink.Err() == nil {
-		t.Fatal("write error not surfaced")
-	}
-	if sink.Count() != 0 {
-		t.Errorf("count = %d after failed writes", sink.Count())
-	}
-}
-
-func TestHandlerServesNDJSONAndStats(t *testing.T) {
-	tr := New(Options{Capacity: 4})
-	tr.Root("a").End()
-	tr.Root("b").End()
 
 	rec := httptest.NewRecorder()
 	Handler(tr).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
@@ -96,11 +28,31 @@ func TestHandlerServesNDJSONAndStats(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("served %d spans, want 2", len(lines))
 	}
-	for _, line := range lines {
-		var j spanJSON
-		if err := json.Unmarshal([]byte(line), &j); err != nil {
+	spans := make([]spanJSON, len(lines))
+	for i, line := range lines {
+		if err := json.Unmarshal([]byte(line), &spans[i]); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", line, err)
 		}
+	}
+	// Oldest first, and the child ends first.
+	cell, top := spans[0], spans[1]
+	if cell.Name != "cell" || top.Name != "root" {
+		t.Errorf("lines = %q, %q", cell.Name, top.Name)
+	}
+	if cell.TraceID != top.TraceID {
+		t.Error("spans do not share a trace ID")
+	}
+	if cell.ParentID != top.SpanID {
+		t.Error("child's parentId is not the root's spanId")
+	}
+	if top.ParentID != "" {
+		t.Error("root has a parentId")
+	}
+	if w, ok := cell.Attrs["worker"].(float64); !ok || w != 3 {
+		t.Errorf("worker attr = %v", cell.Attrs["worker"])
+	}
+	if e, ok := top.Attrs["experiment"].(string); !ok || e != "fig4" {
+		t.Errorf("experiment attr = %v", top.Attrs["experiment"])
 	}
 
 	rec = httptest.NewRecorder()

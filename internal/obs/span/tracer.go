@@ -24,15 +24,6 @@ type Options struct {
 	// TraceID and inherited by every child, local or remote, so a trace
 	// is always recorded whole or not at all.
 	Sample float64
-	// Sink, when non-nil, additionally receives every finished sampled
-	// span as it ends (the store is unaffected).
-	Sink Sink
-}
-
-// Sink receives finished spans; NewJSONL is the built-in
-// implementation. ExportSpan may be called concurrently.
-type Sink interface {
-	ExportSpan(s Span)
 }
 
 // Span is one timed operation. Fields are exported for exporters and
@@ -111,7 +102,6 @@ func (s *Span) EndAt(t time.Time) {
 type Tracer struct {
 	capacity int
 	sample   float64
-	sink     Sink
 
 	mu         sync.Mutex
 	ring       []Span
@@ -128,7 +118,7 @@ func New(opts Options) *Tracer {
 	if opts.Sample <= 0 || opts.Sample > 1 {
 		opts.Sample = 1
 	}
-	return &Tracer{capacity: opts.Capacity, sample: opts.Sample, sink: opts.Sink}
+	return &Tracer{capacity: opts.Capacity, sample: opts.Sample}
 }
 
 // sampleTrace decides head sampling for a new trace, deterministically
@@ -189,7 +179,7 @@ func (t *Tracer) start(ctx Context, parent SpanID, name string, attrs []Attr) *S
 }
 
 // record retains a finished span, overwriting the oldest once the ring
-// is full, and forwards it to the sink.
+// is full.
 func (t *Tracer) record(s Span) {
 	t.mu.Lock()
 	if len(t.ring) < t.capacity {
@@ -199,11 +189,7 @@ func (t *Tracer) record(s Span) {
 		t.next = (t.next + 1) % t.capacity
 	}
 	t.finished++
-	sink := t.sink
 	t.mu.Unlock()
-	if sink != nil {
-		sink.ExportSpan(s)
-	}
 }
 
 // Snapshot returns the retained finished spans, oldest first. Nil

@@ -14,10 +14,8 @@
 //     eager-execution machine would fork instead of stall) and fall
 //     back to gating only when low-confidence occupancy persists.
 //
-// The package also defines Factories, the options struct every
-// speculation-control driver (internal/gating, internal/smt,
-// internal/eager) takes in place of positional constructor arguments,
-// and Parse, the canonical spec-string form the CLIs use ("gate:2",
+// The package also defines Parse, the canonical spec-string form the
+// CLIs and the policied experiment cells use ("gate:2",
 // "throttle:4,2,1", "boost:2,8").
 // Policy.Name() returns exactly that spec string, so names round-trip
 // through Parse and are stable enough to hash into experiment cell

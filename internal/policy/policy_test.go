@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"specctrl/internal/bpred"
-	"specctrl/internal/conf"
 	"specctrl/internal/pipeline"
 )
 
@@ -93,32 +91,6 @@ func TestParseRejects(t *testing.T) {
 		if p, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) = %v, want error", spec, p)
 		}
-	}
-}
-
-func TestFactoriesValidate(t *testing.T) {
-	newPred := func() bpred.Predictor { return bpred.NewGshare(8) }
-	newEst := func() conf.Estimator { return conf.NewJRS(conf.DefaultJRS) }
-
-	err := Factories{Estimator: newEst}.Validate()
-	var miss *MissingFieldError
-	if !errors.As(err, &miss) || miss.Field != "Predictor" {
-		t.Errorf("missing predictor: got %v, want MissingFieldError{Predictor}", err)
-	}
-	err = Factories{Predictor: newPred}.Validate()
-	if !errors.As(err, &miss) || miss.Field != "Estimator" {
-		t.Errorf("missing estimator: got %v, want MissingFieldError{Estimator}", err)
-	}
-	f := Factories{Predictor: newPred, Estimator: newEst}
-	if err := f.Validate(); err != nil {
-		t.Errorf("complete factories: unexpected error %v", err)
-	}
-	if p := f.NewPolicy(); p != nil {
-		t.Errorf("NewPolicy with nil factory: got %v, want nil", p)
-	}
-	f.Policy = func() pipeline.Policy { return Gating{Threshold: 1} }
-	if p := f.NewPolicy(); p == nil || p.Name() != "gate:1" {
-		t.Errorf("NewPolicy: got %v, want gate:1", p)
 	}
 }
 

@@ -18,12 +18,11 @@ package smt
 
 import (
 	"fmt"
-	"strings"
 
+	"specctrl/internal/bpred"
 	"specctrl/internal/conf"
 	"specctrl/internal/isa"
 	"specctrl/internal/pipeline"
-	"specctrl/internal/policy"
 )
 
 // Policy selects the fetch scheduler.
@@ -63,7 +62,8 @@ type Config struct {
 	// CycleBudget is the number of cycles to simulate.
 	CycleBudget uint64
 	// Pipeline configures each thread's machine. MaxCommitted and
-	// MaxCycles are ignored (the budget governs).
+	// MaxCycles are ignored (the budget governs), and so is Policy: the
+	// fetch scheduler is the run's only speculation control.
 	Pipeline pipeline.Config
 }
 
@@ -77,7 +77,6 @@ func (c Config) Validate() error {
 
 // Result reports an SMT run.
 type Result struct {
-	Policy Policy
 	// PerThread holds each thread's committed instructions within the
 	// budget.
 	PerThread []uint64
@@ -86,6 +85,9 @@ type Result struct {
 	// Cycles is the simulated cycle count (= budget unless all threads
 	// finished early).
 	Cycles uint64
+	// ThreadCycles sums the threads' own simulated cycles: the work the
+	// run did, since every running thread ticks every cycle.
+	ThreadCycles uint64
 	// WrongPath is the aggregate squashed instruction count (wasted
 	// fetch/execute work).
 	WrongPath uint64
@@ -100,14 +102,10 @@ func (r *Result) Throughput() float64 {
 }
 
 // Run simulates the threads under the configured fetch policy. Each
-// thread gets a fresh predictor and estimator from the factories; when
-// f.Policy is set, each thread's own pipeline additionally runs under a
-// fresh speculation-control policy, composing with the port grant.
-func Run(cfg Config, progs []*isa.Program, f policy.Factories) (*Result, error) {
+// thread gets a fresh predictor from newPred and a fresh estimator from
+// newEst.
+func Run(cfg Config, progs []*isa.Program, newPred func() bpred.Predictor, newEst func() conf.Estimator) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := f.Validate(); err != nil {
 		return nil, err
 	}
 	if len(progs) == 0 {
@@ -116,13 +114,13 @@ func Run(cfg Config, progs []*isa.Program, f policy.Factories) (*Result, error) 
 	pcfg := cfg.Pipeline
 	pcfg.MaxCommitted = 0
 	pcfg.MaxCycles = 0 // the budget loop bounds the run
+	pcfg.Policy = nil
 	sims := make([]*pipeline.Sim, len(progs))
 	done := make([]bool, len(progs))
 	for i, p := range progs {
 		tcfg := pcfg
-		tcfg.Estimators = []conf.Estimator{f.Estimator()}
-		tcfg.Policy = f.NewPolicy()
-		sim, err := pipeline.New(tcfg, p, f.Predictor())
+		tcfg.Estimators = []conf.Estimator{newEst()}
+		sim, err := pipeline.New(tcfg, p, newPred())
 		if err != nil {
 			return nil, fmt.Errorf("smt thread %d: %w", i, err)
 		}
@@ -152,12 +150,13 @@ func Run(cfg Config, progs []*isa.Program, f policy.Factories) (*Result, error) 
 		}
 	}
 
-	res := &Result{Policy: cfg.Policy, Cycles: cycles}
+	res := &Result{Cycles: cycles}
 	for _, sim := range sims {
 		st := sim.Finish()
 		res.PerThread = append(res.PerThread, st.Committed)
 		res.Committed += st.Committed
 		res.WrongPath += st.WrongPath
+		res.ThreadCycles += st.Cycles
 	}
 	return res, nil
 }
@@ -201,49 +200,4 @@ func pick(policy Policy, sims []*pipeline.Sim, done []bool, next *int) int {
 		}
 	}
 	return -1
-}
-
-// Comparison runs both policies on identical thread sets.
-type Comparison struct {
-	RoundRobin *Result
-	Confidence *Result
-}
-
-// Compare runs the two fetch policies on the same configuration.
-func Compare(cfg Config, progs []*isa.Program, f policy.Factories) (*Comparison, error) {
-	rrCfg := cfg
-	rrCfg.Policy = RoundRobin
-	rr, err := Run(rrCfg, progs, f)
-	if err != nil {
-		return nil, err
-	}
-	cgCfg := cfg
-	cgCfg.Policy = ConfidenceGate
-	cg, err := Run(cgCfg, progs, f)
-	if err != nil {
-		return nil, err
-	}
-	return &Comparison{RoundRobin: rr, Confidence: cg}, nil
-}
-
-// Gain returns the relative throughput improvement of the confidence
-// policy over round-robin.
-func (c *Comparison) Gain() float64 {
-	rr := c.RoundRobin.Throughput()
-	if rr == 0 {
-		return 0
-	}
-	return c.Confidence.Throughput()/rr - 1
-}
-
-// Render prints the comparison.
-func (c *Comparison) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "SMT fetch policy comparison (%d threads)\n", len(c.RoundRobin.PerThread))
-	for _, r := range []*Result{c.RoundRobin, c.Confidence} {
-		fmt.Fprintf(&b, "%-12s ipc=%.3f committed=%d wasted=%d per-thread=%v\n",
-			r.Policy, r.Throughput(), r.Committed, r.WrongPath, r.PerThread)
-	}
-	fmt.Fprintf(&b, "confidence-policy gain: %+.1f%%\n", c.Gain()*100)
-	return b.String()
 }

@@ -1,14 +1,12 @@
 package smt
 
 import (
-	"strings"
 	"testing"
 
 	"specctrl/internal/bpred"
 	"specctrl/internal/conf"
 	"specctrl/internal/isa"
 	"specctrl/internal/pipeline"
-	"specctrl/internal/policy"
 	"specctrl/internal/workload"
 )
 
@@ -32,13 +30,9 @@ func progs(t *testing.T, names ...string) []*isa.Program {
 func newGshare() bpred.Predictor { return bpred.NewGshare(12) }
 func newJRS() conf.Estimator     { return conf.NewJRS(conf.DefaultJRS) }
 
-func jrsFactories() policy.Factories {
-	return policy.Factories{Predictor: newGshare, Estimator: newJRS}
-}
-
 func TestRoundRobinSharesBandwidth(t *testing.T) {
 	cfg := Config{Policy: RoundRobin, CycleBudget: 100_000, Pipeline: pcfg()}
-	r, err := Run(cfg, progs(t, "compress", "compress"), jrsFactories())
+	r, err := Run(cfg, progs(t, "compress", "compress"), newGshare, newJRS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,35 +50,40 @@ func TestRoundRobinSharesBandwidth(t *testing.T) {
 	if r.Cycles != cfg.CycleBudget {
 		t.Errorf("cycles = %d, want full budget %d", r.Cycles, cfg.CycleBudget)
 	}
+	// Neither thread halts, so each ticks the whole budget.
+	if r.ThreadCycles != 2*cfg.CycleBudget {
+		t.Errorf("thread cycles = %d, want %d", r.ThreadCycles, 2*cfg.CycleBudget)
+	}
 }
 
 func TestConfidencePolicyBeatsRoundRobin(t *testing.T) {
 	// With one predictable and one hostile thread, avoiding the
 	// low-confidence thread's wrong-path slots must raise aggregate
 	// throughput.
-	cfg := Config{CycleBudget: 200_000, Pipeline: pcfg()}
-	c, err := Compare(cfg, progs(t, "m88ksim", "go"), jrsFactories())
-	if err != nil {
-		t.Fatal(err)
+	run := func(pol Policy) *Result {
+		t.Helper()
+		cfg := Config{Policy: pol, CycleBudget: 200_000, Pipeline: pcfg()}
+		r, err := Run(cfg, progs(t, "m88ksim", "go"), newGshare, newJRS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	if c.Gain() <= 0 {
-		t.Errorf("confidence policy gain %.3f, want > 0 (rr=%.3f conf=%.3f)",
-			c.Gain(), c.RoundRobin.Throughput(), c.Confidence.Throughput())
+	rr, cg := run(RoundRobin), run(ConfidenceGate)
+	if cg.Throughput() <= rr.Throughput() {
+		t.Errorf("confidence policy throughput %.3f, want > round-robin %.3f",
+			cg.Throughput(), rr.Throughput())
 	}
 	// It should also waste less fetch on squashed instructions.
-	if c.Confidence.WrongPath >= c.RoundRobin.WrongPath {
+	if cg.WrongPath >= rr.WrongPath {
 		t.Errorf("confidence policy wasted %d >= round-robin %d",
-			c.Confidence.WrongPath, c.RoundRobin.WrongPath)
-	}
-	out := c.Render()
-	if !strings.Contains(out, "round-robin") || !strings.Contains(out, "gain") {
-		t.Errorf("render incomplete:\n%s", out)
+			cg.WrongPath, rr.WrongPath)
 	}
 }
 
 func TestSingleThreadDegenerate(t *testing.T) {
 	cfg := Config{Policy: ConfidenceGate, CycleBudget: 50_000, Pipeline: pcfg()}
-	r, err := Run(cfg, progs(t, "perl"), jrsFactories())
+	r, err := Run(cfg, progs(t, "perl"), newGshare, newJRS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +103,14 @@ func TestFinishedThreadsFreeTheirSlots(t *testing.T) {
 	short := w.Build(50) // halts quickly
 	long := w.Build(1 << 30)
 	cfg := Config{Policy: RoundRobin, CycleBudget: 100_000, Pipeline: pcfg()}
-	r, err := Run(cfg, []*isa.Program{short, long}, jrsFactories())
+	r, err := Run(cfg, []*isa.Program{short, long}, newGshare, newJRS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The long thread must commit well over half of what it would get
 	// under a permanent 50/50 split.
 	half, err := Run(Config{Policy: RoundRobin, CycleBudget: 100_000, Pipeline: pcfg()},
-		[]*isa.Program{long, long}, jrsFactories())
+		[]*isa.Program{long, long}, newGshare, newJRS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +124,14 @@ func TestValidate(t *testing.T) {
 	if err := (Config{CycleBudget: 0, Pipeline: pcfg()}).Validate(); err == nil {
 		t.Error("zero budget accepted")
 	}
-	if _, err := Run(Config{CycleBudget: 10, Pipeline: pcfg()}, nil, jrsFactories()); err == nil {
+	if _, err := Run(Config{CycleBudget: 10, Pipeline: pcfg()}, nil, newGshare, newJRS); err == nil {
 		t.Error("no threads accepted")
 	}
 }
 
 func TestICountPolicyRuns(t *testing.T) {
 	cfg := Config{Policy: ICount, CycleBudget: 100_000, Pipeline: pcfg()}
-	r, err := Run(cfg, progs(t, "m88ksim", "go"), jrsFactories())
+	r, err := Run(cfg, progs(t, "m88ksim", "go"), newGshare, newJRS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +145,7 @@ func TestICountPolicyRuns(t *testing.T) {
 	// and the confidence policy must beat it: confidence sees *which*
 	// in-flight branches are doomed, not just how many there are.
 	rr, err := Run(Config{Policy: RoundRobin, CycleBudget: 100_000, Pipeline: pcfg()},
-		progs(t, "m88ksim", "go"), jrsFactories())
+		progs(t, "m88ksim", "go"), newGshare, newJRS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestICountPolicyRuns(t *testing.T) {
 			r.Throughput(), rr.Throughput())
 	}
 	cg, err := Run(Config{Policy: ConfidenceGate, CycleBudget: 100_000, Pipeline: pcfg()},
-		progs(t, "m88ksim", "go"), jrsFactories())
+		progs(t, "m88ksim", "go"), newGshare, newJRS)
 	if err != nil {
 		t.Fatal(err)
 	}

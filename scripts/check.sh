@@ -94,6 +94,18 @@ cmp "$SMOKE/local.txt" "$SMOKE/traced.txt"
 go run ./scripts/tracecheck -min-events 1 -want-span 'cell:' "$SMOKE/run.trace.json"
 grep -q 'slowest' "$SMOKE/trace.log"
 
+# Cell-cost smoke: every row -profile-cells reports as computed must
+# carry the simulated cycles it cost, across every experiment.
+"$SMOKE/simctrl" -exp all -committed 30000 -jobs 2 -profile-cells 1000 \
+    > /dev/null 2> "$SMOKE/cells.log"
+grep -q ' compute ' "$SMOKE/cells.log"
+ZERO_ROWS=$(awk '$5 == "compute" && $3 == 0' "$SMOKE/cells.log")
+[ -z "$ZERO_ROWS" ] || {
+    echo "check.sh: -profile-cells computed rows with 0 cycles:" >&2
+    echo "$ZERO_ROWS" >&2
+    exit 1
+}
+
 # Synth smoke (docs/WORKLOADS.md): record an SPBT branch trace, ingest
 # it plus a profile vector, and render the sweepspace panel — replay
 # (the default) must match -replay off byte-for-byte, and both the
