@@ -32,15 +32,17 @@ func (g *Gshare) index(pc int64, hist uint64) uint64 {
 }
 
 // Predict implements Predictor. The global history is speculatively
-// shifted with the predicted outcome.
+// shifted with the predicted outcome. The table has 2^histBits entries,
+// so len(table)-1 is the index and history mask; deriving it once from
+// the slice keeps Predict small enough to inline at the pipeline's
+// per-branch call site.
 func (g *Gshare) Predict(pc int64) (bool, Checkpoint, Info) {
-	ckpt := Checkpoint{hist: g.hist}
-	idx := g.index(pc, g.hist)
-	c := g.table[idx]
+	m := uint64(len(g.table) - 1)
+	h := g.hist
+	c := g.table[(uint64(pc)^h)&m]
 	pred := c.Taken()
-	info := Info{Pred: pred, Hist: g.hist, C1: c}
-	g.hist = (g.hist<<1 | b2u(pred)) & mask(g.histBits)
-	return pred, ckpt, info
+	g.hist = (h<<1 | b2u(pred)) & m
+	return pred, Checkpoint{hist: h}, Info{Pred: pred, Hist: h, C1: c}
 }
 
 // Resolve implements Predictor: trains the counter that produced the

