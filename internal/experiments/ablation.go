@@ -297,15 +297,8 @@ func AblationIndirect(p Params) (*AblationIndirectResult, error) {
 			}
 			return CellResult{Stats: st}, nil
 		}
-		cfg := p.Pipeline
-		cfg.MaxCommitted = p.MaxCommitted
-		cfg.IndirectPrediction = true
-		sim, err := pipeline.New(cfg, buildProgram(w, p.BuildIters), bpred.NewGshare(p.GshareBits))
-		if err != nil {
-			return CellResult{}, fmt.Errorf("ablation indirect btb %s: %w", w.Name, err)
-		}
-		p.progress("run %-9s with BTB/RAS", w.Name)
-		st, err := sim.Run()
+		p.Pipeline.IndirectPrediction = true
+		st, err := p.runOne(w, GshareSpec())
 		if err != nil {
 			return CellResult{}, fmt.Errorf("ablation indirect btb %s: %w", w.Name, err)
 		}

@@ -17,7 +17,7 @@ import (
 func gatingParams() Params {
 	p := TestParams()
 	p.MaxCommitted = 150_000
-	p.Cache = &memoCells{m: map[string]*memoCell{}}
+	p.Cache = newMemoCells()
 	return p
 }
 

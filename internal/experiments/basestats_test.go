@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 
 	"specctrl/internal/conf"
 	"specctrl/internal/obs"
+	"specctrl/internal/obs/span"
 	"specctrl/internal/replay"
 	"specctrl/internal/workload"
 )
@@ -106,7 +108,7 @@ func TestAblationDepthSimulatesOnlyOtherDepths(t *testing.T) {
 	var sims, records atomic.Int64
 	p.Progress = func(msg string) {
 		switch {
-		case strings.HasPrefix(msg, "depth "), strings.HasPrefix(msg, "run "):
+		case strings.HasPrefix(msg, "run "):
 			sims.Add(1)
 		case strings.HasPrefix(msg, "record "):
 			records.Add(1)
@@ -127,6 +129,59 @@ func TestAblationDepthSimulatesOnlyOtherDepths(t *testing.T) {
 	}
 	if got.Render() != want.Render() {
 		t.Errorf("abl-depth render differs from direct simulation:\n%s\nwant:\n%s", got.Render(), want.Render())
+	}
+}
+
+// TestDirectRunsOpenSimulateSpans: cells that change the machine
+// (abl-depth off the configured depth, abl-indirect's BTB front end)
+// simulate through runOne, so each opens exactly one "simulate" span
+// under its cell span, and the default-config cells simulate nothing.
+func TestDirectRunsOpenSimulateSpans(t *testing.T) {
+	for _, tc := range []struct {
+		exp      string
+		simCells func(variant string) bool
+		want     int
+	}{
+		{"abl-depth", func(v string) bool { return v != fmt.Sprintf("d%d", frontierParams().Pipeline.ResolveDelay) },
+			2 * (len(depthSweep) - 1) * len(suite())},
+		{"abl-indirect", func(v string) bool { return v == "btb" }, len(suite())},
+	} {
+		p := frontierParams()
+		p.TraceCache = replay.NewCache(0, nil)
+		p.Tracer = span.New(span.Options{})
+		if _, err := Run(tc.exp, p); err != nil {
+			t.Fatal(err)
+		}
+		spans := p.Tracer.Snapshot()
+		cells := map[span.SpanID]string{} // cell span → its variant
+		for _, s := range spans {
+			if strings.HasPrefix(s.Name, "cell:") {
+				key := strings.TrimPrefix(s.Name, "cell:")
+				cells[s.Context().Span] = key[strings.LastIndex(key, "/")+1:]
+			}
+		}
+		perCell := map[span.SpanID]int{}
+		for _, s := range spans {
+			if s.Name == "simulate" {
+				perCell[s.Parent]++
+			}
+		}
+		want := 0
+		for id, variant := range cells {
+			if !tc.simCells(variant) {
+				if perCell[id] != 0 {
+					t.Errorf("%s: default cell %s opened %d simulate spans, want 0", tc.exp, variant, perCell[id])
+				}
+				continue
+			}
+			want++
+			if perCell[id] != 1 {
+				t.Errorf("%s: cell %s opened %d simulate spans, want 1", tc.exp, variant, perCell[id])
+			}
+		}
+		if want != tc.want {
+			t.Errorf("%s: %d non-default cells, want %d", tc.exp, want, tc.want)
+		}
 	}
 }
 

@@ -41,8 +41,8 @@ var depthSweep = []int{2, 3, 5, 8}
 // is carried in the spec variant ("d<depth>"); the gshare cells also run
 // the JRS estimator, the SAg cells run bare. At the configured depth the
 // point is the pair's default run, so it is evaluated like every other
-// default-config cell (evalEstimators, baseStats) and shares the
-// recorded trace instead of simulating again.
+// default-config cell (evalEstimators) and shares the recorded trace
+// instead of simulating again.
 func depthCell(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
 	w, err := workload.ByName(sp.Workload)
 	if err != nil {
@@ -52,34 +52,17 @@ func depthCell(_ context.Context, p Params, sp runner.Spec) (CellResult, error) 
 	if _, err := fmt.Sscanf(sp.Variant, "d%d", &depth); err != nil {
 		return CellResult{}, fmt.Errorf("depth: bad variant %q: %w", sp.Variant, err)
 	}
-	if depth == p.Pipeline.ResolveDelay {
-		var st *pipeline.Stats
-		if sp.Predictor == SAgSpec().Name {
-			st, err = p.baseStats(w, SAgSpec())
-		} else {
-			st, err = p.evalEstimators(w, GshareSpec(), conf.NewJRS(conf.DefaultJRS))
-		}
-		if err != nil {
-			return CellResult{}, fmt.Errorf("depth %d %s %s: %w", depth, w.Name, sp.Predictor, err)
-		}
-		return CellResult{Stats: st}, nil
-	}
-	cfg := p.Pipeline
-	cfg.ResolveDelay = depth
-	cfg.MaxCommitted = p.MaxCommitted
-	prog := buildProgram(w, p.BuildIters)
-	p.progress("depth %d on %s (%s)", depth, w.Name, sp.Predictor)
-	var sim *pipeline.Sim
+	spec, ests := GshareSpec(), []conf.Estimator{conf.NewJRS(conf.DefaultJRS)}
 	if sp.Predictor == SAgSpec().Name {
-		sim, err = pipeline.New(cfg, prog, SAgSpec().New(p))
+		spec, ests = SAgSpec(), nil
+	}
+	var st *pipeline.Stats
+	if depth == p.Pipeline.ResolveDelay {
+		st, err = p.evalEstimators(w, spec, ests...)
 	} else {
-		cfg.Estimators = []conf.Estimator{conf.NewJRS(conf.DefaultJRS)}
-		sim, err = pipeline.New(cfg, prog, GshareSpec().New(p))
+		p.Pipeline.ResolveDelay = depth
+		st, err = p.runOne(w, spec, ests...)
 	}
-	if err != nil {
-		return CellResult{}, fmt.Errorf("depth %d %s %s: %w", depth, w.Name, sp.Predictor, err)
-	}
-	st, err := sim.Run()
 	if err != nil {
 		return CellResult{}, fmt.Errorf("depth %d %s %s: %w", depth, w.Name, sp.Predictor, err)
 	}

@@ -97,7 +97,8 @@ type Params struct {
 	Run *obs.Progress
 
 	// Ctx, when non-nil, cancels in-flight experiment grids at the
-	// next cell boundary (completed cells keep their results).
+	// next cell boundary (completed cells keep their results) and ends
+	// a cell's wait on another cell's trace recording.
 	Ctx context.Context
 	// Jobs is the grid worker-pool width; values <= 1 run serially.
 	// Output is byte-identical for every value of Jobs.
@@ -259,7 +260,8 @@ var ipcBounds = []float64{0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0}
 // reads Code), so every cell of the same workload can share one build.
 // Build is deterministic per (name, iters), making a cache hit
 // indistinguishable from a rebuild; profiles showed the per-cell
-// builder cost at ~5% of a full grid run.
+// builder cost at ~5% of a full grid run. It is not singleflight: cells
+// that miss at once may each build, and LoadOrStore keeps one build.
 var progCache sync.Map // progKey → *isa.Program
 
 type progKey struct {
@@ -280,14 +282,22 @@ func buildProgram(w workload.Workload, iters int) *isa.Program {
 }
 
 // runOne simulates one workload on one predictor with the given
-// estimators and returns the statistics. When Params carries an obs
-// registry or progress view, the run publishes live metrics under
-// {workload, predictor} labels.
+// estimators and returns the statistics. Every direct simulation goes
+// through it (cells that change the machine override p.Pipeline), so
+// each one opens a "simulate" span, prints a progress line and counts
+// in specctrl_runs_total. When Params carries an obs registry or
+// progress view, the run publishes live metrics under {workload,
+// predictor} labels.
 func (p Params) runOne(w workload.Workload, spec PredictorSpec, ests ...conf.Estimator) (*pipeline.Stats, error) {
+	return p.runProgram(w.Name, buildProgram(w, p.BuildIters), spec, ests...)
+}
+
+// runProgram is runOne on a given build of the named workload.
+func (p Params) runProgram(name string, prog *isa.Program, spec PredictorSpec, ests ...conf.Estimator) (*pipeline.Stats, error) {
 	var rs *span.Span
 	if p.Tracer != nil {
 		rs = p.Tracer.Child(p.SpanParent, "simulate",
-			span.Str("workload", w.Name), span.Str("predictor", spec.Name),
+			span.Str("workload", name), span.Str("predictor", spec.Name),
 			span.Int("estimators", int64(len(ests))))
 		defer rs.End()
 	}
@@ -295,11 +305,11 @@ func (p Params) runOne(w workload.Workload, spec PredictorSpec, ests ...conf.Est
 	cfg.MaxCommitted = p.MaxCommitted
 	if p.Obs != nil {
 		cfg.Metrics = p.Obs
-		cfg.MetricsLabels = obs.Labels{"workload": w.Name, "predictor": spec.Name}
+		cfg.MetricsLabels = obs.Labels{"workload": name, "predictor": spec.Name}
 	}
 	if p.Run != nil {
 		cfg.Progress = p.Run
-		p.Run.StartRun(w.Name+"/"+spec.Name, p.MaxCommitted)
+		p.Run.StartRun(name+"/"+spec.Name, p.MaxCommitted)
 	}
 	// Per-cell estimators come first so Stats.Confidence indices match
 	// the ests argument; estimators configured on Params.Pipeline (hashed
@@ -310,11 +320,11 @@ func (p Params) runOne(w workload.Workload, spec PredictorSpec, ests ...conf.Est
 	} else {
 		cfg.Estimators = ests
 	}
-	sim, err := pipeline.New(cfg, buildProgram(w, p.BuildIters), spec.New(p))
+	sim, err := pipeline.New(cfg, prog, spec.New(p))
 	if err != nil {
-		return nil, fmt.Errorf("run %s/%s: %w", w.Name, spec.Name, err)
+		return nil, fmt.Errorf("run %s/%s: %w", name, spec.Name, err)
 	}
-	p.progress("run %-9s on %-9s (%d estimators)", w.Name, spec.Name, len(ests))
+	p.progress("run %-9s on %-9s (%d estimators)", name, spec.Name, len(ests))
 	st, err := sim.Run()
 	if err == nil {
 		if rs != nil {

@@ -155,10 +155,7 @@ type CellCache interface {
 // When Params.Shard is active the grid returns ErrShardOnly after
 // recording this shard's cells.
 func (p Params) runGrid(specs []runner.Spec, cell CellFunc) ([]CellResult, error) {
-	ctx := p.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx := p.ctx()
 	// A traced grid with no caller-supplied parent opens its own root,
 	// so a bare library call still yields one coherent trace. p is a
 	// value, so rewriting SpanParent here reaches only this grid's cells.
@@ -232,6 +229,14 @@ func (p Params) runGrid(specs []runner.Spec, cell CellFunc) ([]CellResult, error
 	merge.SetAttrs(span.Int("cells", int64(len(out))))
 	merge.End()
 	return out, nil
+}
+
+// ctx returns Params.Ctx, or the background context when it is nil.
+func (p Params) ctx() context.Context {
+	if p.Ctx != nil {
+		return p.Ctx
+	}
+	return context.Background()
 }
 
 // predictorByName resolves one of the paper's standard predictor

@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"specctrl/internal/conf"
+	"specctrl/internal/memo"
 	"specctrl/internal/obs"
 	"specctrl/internal/obs/span"
 	"specctrl/internal/pipeline"
-	"specctrl/internal/profile"
 	"specctrl/internal/replay"
 	"specctrl/internal/workload"
 )
@@ -122,11 +122,15 @@ func (p Params) traceFor(w workload.Workload, spec PredictorSpec) (*replay.Trace
 			span.Str("workload", w.Name), span.Str("predictor", spec.Name))
 		defer ts.End()
 	}
-	tr, st, outcome, err := p.traceCache().GetOrRecord(p.TraceAddress(w.Name, spec),
+	tr, st, outcome, err := p.traceCache().GetOrRecord(p.ctx(), p.TraceAddress(w.Name, spec),
 		func() (*replay.Trace, *pipeline.Stats, error) {
 			return p.recordTrace(w, spec)
 		})
 	if ts != nil {
+		// The trace span calls this call's own recording "record".
+		if outcome == memo.Compute {
+			outcome = "record"
+		}
 		ts.SetAttrs(span.Str("outcome", string(outcome)))
 	}
 	return tr, st, err
@@ -221,10 +225,12 @@ func (p Params) baseStats(w workload.Workload, spec PredictorSpec) (*pipeline.St
 // simulation collects it.
 func (p Params) sitesFor(w workload.Workload, spec PredictorSpec) (map[int64]*pipeline.SiteStats, error) {
 	if !p.replayActive() {
-		cfg := p.Pipeline
-		cfg.MaxCommitted = p.MaxCommitted
-		p.progress("profile %-9s on %-9s", w.Name, spec.Name)
-		return profile.Sites(cfg, buildProgram(w, p.BuildIters), spec.New(p))
+		p.Pipeline.CollectSiteStats = true
+		st, err := p.runOne(w, spec)
+		if err != nil {
+			return nil, fmt.Errorf("profile %s/%s: %w", w.Name, spec.Name, err)
+		}
+		return st.Sites, nil
 	}
 	tr, _, err := p.traceFor(w, spec)
 	if err != nil {

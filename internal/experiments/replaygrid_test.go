@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"specctrl/internal/obs"
 	"specctrl/internal/replay"
 )
 
@@ -110,8 +111,15 @@ func TestReplayTraceSharedAcrossExperiments(t *testing.T) {
 		return n
 	}
 
+	// resident counts the traces a cache holds: recorded, not evicted.
+	resident := func(reg *obs.Registry) uint64 {
+		return reg.Counter("specctrl_trace_records_total", nil).Value() -
+			reg.Counter("specctrl_trace_evictions_total", nil).Value()
+	}
+
 	t.Run("table3-misest", func(t *testing.T) {
-		cache := replay.NewCache(0, nil)
+		reg := obs.NewRegistry()
+		cache := replay.NewCache(0, reg)
 		if n := records(t, cache, "table3"); n != len(suite()) {
 			t.Fatalf("table3 recorded %d traces, want one per workload (%d)", n, len(suite()))
 		}
@@ -120,13 +128,14 @@ func TestReplayTraceSharedAcrossExperiments(t *testing.T) {
 		if n := records(t, cache, "misest"); n != len(suite()) {
 			t.Fatalf("misest after table3 recorded %d traces, want %d (gshare only)", n, len(suite()))
 		}
-		if c := cache.Len(); c != 2*len(suite()) {
+		if c := resident(reg); c != uint64(2*len(suite())) {
 			t.Fatalf("trace cache holds %d traces, want %d", c, 2*len(suite()))
 		}
 	})
 
 	t.Run("events", func(t *testing.T) {
-		cache := replay.NewCache(0, nil)
+		reg := obs.NewRegistry()
+		cache := replay.NewCache(0, reg)
 		if n := records(t, cache, "fig3"); n != len(suite()) {
 			t.Fatalf("fig3 recorded %d traces, want one per workload (%d)", n, len(suite()))
 		}
@@ -134,7 +143,7 @@ func TestReplayTraceSharedAcrossExperiments(t *testing.T) {
 		if n := records(t, cache, "fig3"); n != 0 {
 			t.Fatalf("second fig3 run recorded %d traces, want 0", n)
 		}
-		if c := cache.Len(); c != len(suite()) {
+		if c := resident(reg); c != uint64(len(suite())) {
 			t.Fatalf("trace cache holds %d traces, want %d", c, len(suite()))
 		}
 	})

@@ -58,9 +58,10 @@ func goldenEstimators(p Params, spec PredictorSpec, static conf.Static) []conf.E
 // tables alone cannot show a hot-path change to be exact. The grid is
 // the suite × {gshare, mcfarling, sag} × {no estimator, estimators with
 // site statistics, each golden policy}, one indirect-prediction run per
-// workload, and the SPRT bytes of one recording. A change that alters
-// simulated behaviour on purpose regenerates testdata/stats_golden.txt
-// from the grid output this test logs when it fails.
+// workload, a small-I-cache run on four workloads, and the SPRT bytes of
+// one recording. A change that alters simulated behaviour on purpose
+// regenerates testdata/stats_golden.txt from the grid output this test
+// logs when it fails.
 func TestStatsGolden(t *testing.T) {
 	p := TestParams()
 	var got []string
@@ -108,6 +109,17 @@ func TestStatsGolden(t *testing.T) {
 		cfg.Estimators = []conf.Estimator{conf.NewJRS(conf.DefaultJRS)}
 		cfg.Policy, _ = policy.Parse("gate:1")
 		run(w+"/gshare/indirect+gate:1", cfg, w, GshareSpec())
+	}
+
+	// A 256 B (32-word) 2-way I-cache, which these programs outgrow
+	// (the largest suite program, gcc, is 118 words), so fetch runs
+	// cache.Access's victim choice: the 64 kB default never evicts an
+	// instruction block.
+	for _, w := range []string{"compress", "gcc", "go", "xlisp"} {
+		cfg := p.Pipeline
+		cfg.ICache.SizeWords = 32
+		cfg.Estimators = []conf.Estimator{conf.NewJRS(conf.DefaultJRS)}
+		run(w+"/gshare/icache256", cfg, w, GshareSpec())
 	}
 
 	rec := replay.NewRecorder()

@@ -45,17 +45,15 @@ func XInput(p Params) (*XInputResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("xinput self %s: %w", w.Name, err)
 			}
-			p.progress("xinput profile %s (cross)", w.Name)
-			cfg := p.Pipeline
-			cfg.MaxCommitted = p.MaxCommitted
-			crossSites, err := profile.Sites(cfg, w.BuildSeeded(altSeed, p.BuildIters), GshareSpec().New(p))
+			p.Pipeline.CollectSiteStats = true
+			cross, err := p.runProgram(w.Name, w.BuildSeeded(altSeed, p.BuildIters), GshareSpec())
 			if err != nil {
 				return nil, fmt.Errorf("xinput cross %s: %w", w.Name, err)
 			}
 			opts := profile.Options{Threshold: p.StaticThreshold}
 			return []conf.Estimator{
 				profile.FromSites(selfSites, opts),
-				profile.FromSites(crossSites, opts),
+				profile.FromSites(cross.Sites, opts),
 			}, nil
 		})
 	if err != nil {

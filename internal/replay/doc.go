@@ -59,6 +59,7 @@
 // not a trace-driven approximation of them.
 //
 // Traces have a binary codec (magic "SPRT"), the file format simtrace
-// -record writes and -summarize reads, and an LRU Cache with
-// singleflight recording.
+// -record writes and -summarize reads. Cache keeps recordings in a
+// memo.Cache: one recording per address however many callers want it
+// at once, LRU-evicted by bytes.
 package replay

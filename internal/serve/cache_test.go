@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"specctrl/internal/experiments"
+	"specctrl/internal/memo"
 	"specctrl/internal/obs"
 	"specctrl/internal/pipeline"
 )
@@ -25,6 +26,21 @@ func testCell(v float64) experiments.CellResult {
 		Stats: &pipeline.Stats{},
 		Extra: map[string]float64{"v": v},
 	}
+}
+
+// fromStore returns the cell s holds under addr, failing the test if
+// s has to compute it.
+func fromStore(t *testing.T, s *Store, addr string) experiments.CellResult {
+	t.Helper()
+	c, err := s.GetOrCompute(context.Background(), addr,
+		func(context.Context) (experiments.CellResult, error) {
+			t.Errorf("%s: computed, want a stored entry", addr)
+			return experiments.CellResult{}, errors.New("computed")
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // seed stores c under addr through GetOrCompute, as a computed miss.
@@ -72,12 +88,12 @@ func TestStoreRoundTrip(t *testing.T) {
 	// A second store over the same directory sees the entry (the cache
 	// is a plain content-addressed directory, shareable across
 	// processes).
-	s2, err := NewStore(s.Dir(), nil)
+	s2, err := NewStore(s.dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s2.Lookup(addr); !ok {
-		t.Error("second store over same dir misses the entry")
+	if c := fromStore(t, s2, addr); c.Extra["v"] != 42 {
+		t.Errorf("second store over same dir: %v", c)
 	}
 }
 
@@ -172,7 +188,7 @@ func TestStoreCorruptEntryRecomputed(t *testing.T) {
 	if err := os.WriteFile(s.path(addr), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	restarted, err := NewStore(s.Dir(), nil)
+	restarted, err := NewStore(s.dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +198,12 @@ func TestStoreCorruptEntryRecomputed(t *testing.T) {
 		t.Fatalf("corrupt entry not recomputed: %v, %v", c, err)
 	}
 	// And the recompute repaired the entry on disk.
-	fresh, err := NewStore(s.Dir(), nil)
+	fresh, err := NewStore(s.dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := fresh.Lookup(addr); !ok || c.Extra["v"] != 6 {
-		t.Errorf("entry not repaired: %v %v", c, ok)
+	if c := fromStore(t, fresh, addr); c.Extra["v"] != 6 {
+		t.Errorf("entry not repaired: %v", c)
 	}
 }
 
@@ -208,16 +224,8 @@ func TestStoreMemoryTier(t *testing.T) {
 	if err := os.Remove(s.path(addr)); err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := s.Lookup(addr); !ok || c.Extra["v"] != 3 {
-		t.Errorf("resident entry missed after its file was removed: %v %v", c, ok)
-	}
-	c, err := s.GetOrCompute(context.Background(), addr,
-		func(context.Context) (experiments.CellResult, error) {
-			t.Error("resident entry recomputed")
-			return testCell(4), nil
-		})
-	if err != nil || c.Extra["v"] != 3 {
-		t.Errorf("GetOrCompute on resident entry: %v, %v", c, err)
+	if c := fromStore(t, s, addr); c.Extra["v"] != 3 {
+		t.Errorf("resident entry after its file was removed: %v", c)
 	}
 	if h := reg.Counter("specctrl_serve_cache_mem_hits_total", nil).Value(); h != 1 {
 		t.Errorf("mem hits = %d, want 1", h)
@@ -226,18 +234,24 @@ func TestStoreMemoryTier(t *testing.T) {
 		t.Errorf("hits = %d, want 1 (mem hits are a subset)", h)
 	}
 
-	fresh, err := NewStore(s.Dir(), nil)
+	fresh, err := NewStore(s.dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fresh.Lookup(addr); ok {
-		t.Error("fresh store hit an entry that exists only in another store's memory")
+	computed := false
+	if _, err := fresh.GetOrCompute(context.Background(), addr,
+		func(context.Context) (experiments.CellResult, error) {
+			computed = true
+			return testCell(4), nil
+		}); err != nil || !computed {
+		t.Errorf("fresh store hit an entry that exists only in another store's memory (err %v)", err)
 	}
 }
 
-// TestStoreMemoryBudget: the memory tier evicts least-recently-used
-// entries first and never holds more encoded bytes than its budget.
-// Evicted cells remain on disk, so they are still hits.
+// TestStoreMemoryBudget: the memory tier charges each cell its JSON
+// file size against its budget and reports the resident bytes on the
+// mem_bytes gauge. Evicted cells remain on disk, so they are still hits.
+// (memo's tests pin the LRU order.)
 func TestStoreMemoryBudget(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := NewStore(t.TempDir(), reg)
@@ -254,40 +268,29 @@ func TestStoreMemoryBudget(t *testing.T) {
 		return fi.Size()
 	}
 	// Every test cell encodes to the same length; budget two of them.
-	size := put("a1")
-	s.mu.Lock()
-	s.memMax = 2 * size
-	s.mu.Unlock()
+	size := put("a0")
+	gauge := reg.Gauge("specctrl_serve_cache_mem_bytes", nil)
+	if g := gauge.Value(); int64(g) != size {
+		t.Fatalf("mem_bytes gauge = %v after one cell, want its file size %d", g, size)
+	}
+	s.mem = memo.New[experiments.CellResult](2*size, gauge, nil)
+	put("a1")
 	put("a2")
-	s.Lookup(testAddr("a1")) // a1 is now most recently used
-	put("a3")                // evicts a2, the LRU entry
-
-	resident := func(tag string) bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		_, ok := s.mem[testAddr(tag)]
-		return ok
+	put("a3") // evicts a1
+	if g := gauge.Value(); int64(g) != 2*size {
+		t.Errorf("mem_bytes gauge = %v, want %d", g, 2*size)
 	}
-	if !resident("a1") || resident("a2") || !resident("a3") {
-		t.Errorf("resident a1/a2/a3 = %v/%v/%v, want true/false/true",
-			resident("a1"), resident("a2"), resident("a3"))
+	hits, memHits := reg.Counter("specctrl_serve_cache_hits_total", nil), reg.Counter("specctrl_serve_cache_mem_hits_total", nil)
+	if c := fromStore(t, s, testAddr("a1")); c.Extra["v"] != 1 {
+		t.Errorf("evicted entry not served from disk: %v", c)
 	}
-	s.mu.Lock()
-	bytes, max := s.memBytes, s.memMax
-	s.mu.Unlock()
-	if bytes > max || bytes != 2*size {
-		t.Errorf("resident bytes = %d, want %d (budget %d)", bytes, 2*size, max)
-	}
-	if g := reg.Gauge("specctrl_serve_cache_mem_bytes", nil).Value(); int64(g) != bytes {
-		t.Errorf("mem_bytes gauge = %v, want %d", g, bytes)
-	}
-	if c, ok := s.Lookup(testAddr("a2")); !ok || c.Extra["v"] != 1 {
-		t.Errorf("evicted entry not served from disk: %v %v", c, ok)
+	if h, m := hits.Value(), memHits.Value(); h != 1 || m != 0 {
+		t.Errorf("hits/mem_hits = %d/%d after a disk read, want 1/0", h, m)
 	}
 }
 
-// TestStoreResidentConcurrent hammers GetOrCompute and Lookup on a
-// resident address from many goroutines; run under -race.
+// TestStoreResidentConcurrent hammers GetOrCompute on a resident
+// address from many goroutines; run under -race.
 func TestStoreResidentConcurrent(t *testing.T) {
 	s, err := NewStore(t.TempDir(), obs.NewRegistry())
 	if err != nil {
@@ -308,10 +311,6 @@ func TestStoreResidentConcurrent(t *testing.T) {
 					})
 				if err != nil || c.Extra["v"] != 9 {
 					t.Errorf("GetOrCompute: %v, %v", c, err)
-					return
-				}
-				if c, ok := s.Lookup(addr); !ok || c.Extra["v"] != 9 {
-					t.Errorf("Lookup: %v %v", c, ok)
 					return
 				}
 			}

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -365,23 +367,25 @@ func TestSharedCellsImmutable(t *testing.T) {
 	const catalogue = `{"version":1,"experiments":["table2","table3","fig4","fig6","table4"]}`
 
 	// residentMatchesDisk compares every memory-resident value's
-	// encoding with its on-disk entry and returns the encodings.
+	// encoding with its on-disk entry and returns the encodings. Every
+	// stored cell must be resident: each read is a memory hit.
 	residentMatchesDisk := func() map[string]string {
 		t.Helper()
 		st := srv.store
-		st.mu.Lock()
-		resident := make(map[string]experiments.CellResult, len(st.mem))
-		for addr, el := range st.mem {
-			resident[addr] = el.Value.(*memEntry).val
+		paths, err := filepath.Glob(filepath.Join(st.dir, "*", "*.json"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		st.mu.Unlock()
-		enc := make(map[string]string, len(resident))
-		for addr, c := range resident {
-			data, err := json.Marshal(c)
+		memHits := srv.reg.Counter("specctrl_serve_cache_mem_hits_total", nil)
+		memHits0 := memHits.Value()
+		enc := make(map[string]string, len(paths))
+		for _, path := range paths {
+			addr := strings.TrimSuffix(filepath.Base(path), ".json")
+			data, err := json.Marshal(fromStore(t, st, addr))
 			if err != nil {
 				t.Fatal(err)
 			}
-			disk, err := os.ReadFile(st.path(addr))
+			disk, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,6 +393,9 @@ func TestSharedCellsImmutable(t *testing.T) {
 				t.Errorf("resident cell %s no longer encodes to its disk entry", addr)
 			}
 			enc[addr] = string(data)
+		}
+		if d := memHits.Value() - memHits0; d != uint64(len(paths)) {
+			t.Errorf("%d of %d stored cells were memory-resident", d, len(paths))
 		}
 		return enc
 	}

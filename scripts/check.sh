@@ -15,6 +15,12 @@ go test -race ./...
 go test -race -count=1 -run 'TestGridDeterminism|TestGridCancellation|TestCellsRoundTrip|TestShardRun' ./internal/experiments
 go test -race -count=1 ./internal/runner
 
+# Memo gate (likewise named for diagnosis): the one singleflight + LRU
+# cache behind the trace cache, the serve store's memory tier and the
+# policied-cell memo — dedup, errors not stored, waiter cancellation,
+# LRU order and the byte budget.
+go test -race -count=1 ./internal/memo
+
 # Record/replay gates (likewise named for diagnosis):
 #  - replay exactness: every estimator family replays bit-identical to
 #    direct simulation, and replay-shaped grids render byte-identical
@@ -30,8 +36,8 @@ go test -race -count=1 -run 'TestReplay' ./internal/experiments
 #  - allocation: steady-state Tick allocates nothing, with estimators,
 #    a tracer, every predictor and a policy (TestSteadyStateAllocs*)
 #  - cache state: the inlined same-block hit leaves tick and LRU stamps
-#    as the set scan would; the golden grid never evicts from the
-#    I-cache, so only this test sees a wrong stamp
+#    as the set scan would (the golden's small-I-cache rows evict, but
+#    a wrong stamp on a same-block hit need not change their victims)
 go test -race -count=1 -run 'TestStatsGolden' ./internal/experiments
 go test -race -count=1 -run 'TestHitMatchesAccess' ./internal/cache
 go test -race -count=1 -run 'TestSteadyStateAllocs' ./internal/pipeline
@@ -39,7 +45,7 @@ go test -race -count=1 -run 'TestSteadyStateAllocs' ./internal/pipeline
 # Godoc contract: the serving stack is the operational surface;
 # every exported identifier there must carry a doc comment, and the
 # package comment must live in doc.go.
-go run ./scripts/doccheck internal/serve internal/runner internal/replay internal/obs/span internal/synth
+go run ./scripts/doccheck internal/serve internal/runner internal/replay internal/memo internal/obs/span internal/synth
 
 # RNG hygiene: experiment cells must take randomness from spec.Seed only;
 # a process-global RNG would break cross-job determinism silently.
