@@ -288,3 +288,30 @@ func TestCellsPortableAcrossReplayModes(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceBytesPerFetch is the trace tier's memory gate: the suite's
+// recordings on gshare, McFarling and SAg at test scale retain at most
+// 7.0 bytes per fetched branch. Every pc and history there fits the
+// 16-bit low halves, so a fetch costs its two halves, its counter and
+// flag bytes and its share of the token-kind bitset, in exactly sized
+// columns.
+func TestTraceBytesPerFetch(t *testing.T) {
+	const limit = 7.0
+	p := TestParams()
+	bytes, fetches := 0, 0
+	for _, spec := range AllPredictors() {
+		for _, w := range suite() {
+			tr, _, err := p.recordTrace(w, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes += tr.Bytes()
+			fetches += tr.Fetches()
+		}
+	}
+	perFetch := float64(bytes) / float64(fetches)
+	t.Logf("%d bytes for %d fetched branches: %.2f B per fetch", bytes, fetches, perFetch)
+	if perFetch > limit {
+		t.Errorf("traces retain %.2f B per fetched branch, want at most %.1f", perFetch, limit)
+	}
+}

@@ -1,13 +1,13 @@
-// Package profile implements the training pass behind the paper's static
-// confidence estimator (§3, "Static Estimator").
+// Package profile builds the paper's static confidence estimator (§3,
+// "Static Estimator") from a training pass's per-site profile.
 //
 // The static estimator needs per-branch-site *prediction accuracy of the
 // underlying branch predictor* — not a plain taken/not-taken profile —
 // because confidence concerns whether the predictor will be right, which
 // depends on predictor state. The paper obtains this from a predictor
-// simulation (or ProfileMe-style hardware feedback); we run the pipeline
-// simulator over the program with site statistics enabled and threshold
-// the per-site accuracy.
+// simulation (or ProfileMe-style hardware feedback); here the profile is
+// the per-site accuracy of a pipeline run with site statistics enabled
+// (or of its recorded trace), and FromSites thresholds it.
 //
 // Following the paper, profiles are *self-profiled*: the same program and
 // input train and evaluate the estimator, making the reported numbers a
@@ -18,13 +18,11 @@ import (
 	"fmt"
 	"sort"
 
-	"specctrl/internal/bpred"
 	"specctrl/internal/conf"
-	"specctrl/internal/isa"
 	"specctrl/internal/pipeline"
 )
 
-// Options configures a profiling pass.
+// Options configures how FromSites turns a profile into an estimator.
 type Options struct {
 	// Threshold is the accuracy at or above which a branch site is
 	// considered high confidence; the paper uses 0.90.
@@ -37,45 +35,9 @@ type Options struct {
 // DefaultOptions returns the paper's configuration: a 90% threshold.
 func DefaultOptions() Options { return Options{Threshold: 0.90} }
 
-// Collect runs prog on a fresh instance of the predictor under cfg with
-// site statistics enabled and returns the static estimator built from the
-// resulting profile. The predictor passed in is consumed by the training
-// run and must not be reused for evaluation — build a fresh one.
-//
-// Collect is the standalone entry point. The experiments layer instead
-// applies FromSites to a profile folded from the pair's recorded trace,
-// and simulates with Sites only when replay does not apply (as under
-// -replay off).
-func Collect(cfg pipeline.Config, prog *isa.Program, pred bpred.Predictor, opts Options) (conf.Static, error) {
-	if opts.Threshold < 0 || opts.Threshold > 1 {
-		return conf.Static{}, fmt.Errorf("profile: threshold %v out of [0,1]", opts.Threshold)
-	}
-	sites, err := Sites(cfg, prog, pred)
-	if err != nil {
-		return conf.Static{}, err
-	}
-	return FromSites(sites, opts), nil
-}
-
-// Sites is Collect's training run: it simulates prog under cfg with
-// site statistics enabled and returns the per-site accuracy profile.
-// replay.Trace.Sites folds the identical profile from a recording of
-// the same run.
-func Sites(cfg pipeline.Config, prog *isa.Program, pred bpred.Predictor) (map[int64]*pipeline.SiteStats, error) {
-	cfg.CollectSiteStats = true
-	sim, err := pipeline.New(cfg, prog, pred)
-	if err != nil {
-		return nil, fmt.Errorf("profile: bad pipeline config: %w", err)
-	}
-	st, err := sim.Run()
-	if err != nil {
-		return nil, fmt.Errorf("profile: training run failed: %w", err)
-	}
-	return st.Sites, nil
-}
-
-// FromSites builds the static estimator from an existing site-accuracy
-// profile (e.g. one extracted from a previous run's Stats).
+// FromSites builds the static estimator from a site-accuracy profile:
+// the Sites of a run with pipeline.Config.CollectSiteStats, or the
+// identical fold replay.Trace.Sites takes of a recording of that run.
 func FromSites(sites map[int64]*pipeline.SiteStats, opts Options) conf.Static {
 	hc := make(map[int64]bool, len(sites))
 	for pc, s := range sites {

@@ -38,12 +38,22 @@ func cfg() pipeline.Config {
 	return c
 }
 
-func TestCollectSeparatesSites(t *testing.T) {
-	p := mixedProgram(5000)
-	est, err := Collect(cfg(), p, bpred.NewGshare(12), DefaultOptions())
+// profiled is the training pass: one run of p with site statistics
+// enabled, thresholded by FromSites.
+func profiled(t *testing.T, p *isa.Program) conf.Static {
+	t.Helper()
+	c := cfg()
+	c.CollectSiteStats = true
+	st, err := pipeline.MustNew(c, p, bpred.NewGshare(12)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return FromSites(st.Sites, DefaultOptions())
+}
+
+func TestCollectSeparatesSites(t *testing.T) {
+	p := mixedProgram(5000)
+	est := profiled(t, p)
 	if len(est.HighConfidence) == 0 {
 		t.Fatal("profile marked no sites high confidence")
 	}
@@ -66,12 +76,6 @@ func TestCollectSeparatesSites(t *testing.T) {
 	}
 }
 
-func TestCollectRejectsBadThreshold(t *testing.T) {
-	if _, err := Collect(cfg(), mixedProgram(10), bpred.NewGshare(8), Options{Threshold: 1.5}); err == nil {
-		t.Error("accepted threshold > 1")
-	}
-}
-
 func TestMinSamples(t *testing.T) {
 	sites := map[int64]*pipeline.SiteStats{
 		1: {Correct: 2, Total: 2},      // perfect but tiny
@@ -91,10 +95,7 @@ func TestSelfProfiledEstimatorBeatsChance(t *testing.T) {
 	// paper's self-profiled best case): its PVP must exceed the base
 	// accuracy and its committed quadrant must be populated.
 	p := mixedProgram(5000)
-	est, err := Collect(cfg(), p, bpred.NewGshare(12), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := profiled(t, p)
 	c := cfg()
 	c.Estimators = []conf.Estimator{est}
 	sim := pipeline.MustNew(c, p, bpred.NewGshare(12))

@@ -10,9 +10,10 @@ import (
 
 // DefaultCacheBytes is the default retained-bytes budget for a trace
 // Cache. At the default experiment scale a suite trace is a few
-// megabytes (~18 B per fetched branch), so 256 MiB comfortably holds
-// every (workload, predictor) pair the full experiment grid records
-// while still bounding a long-running daemon.
+// megabytes (~6.2 B per fetched branch), and the 56 (workload,
+// predictor) pairs the full experiment grid records charge ~130 MiB,
+// so 256 MiB holds them all with room to spare while still bounding a
+// long-running daemon.
 const DefaultCacheBytes = 256 << 20
 
 // Cache is an in-memory, content-addressed cache of recorded traces

@@ -71,17 +71,19 @@ func (t *Trace) Encode() []byte {
 	buf = append(buf, traceVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(t.chunks)))
 	prevPC := int64(0)
-	for _, c := range t.chunks {
+	for ci := range t.chunks {
+		c := &t.chunks[ci]
 		buf = binary.AppendUvarint(buf, uint64(c.n))
-		for w := 0; w < (c.n+63)/64; w++ {
-			buf = binary.AppendUvarint(buf, c.kinds[w])
+		for _, w := range c.kinds {
+			buf = binary.AppendUvarint(buf, w)
 		}
-		for _, pc := range c.pc {
-			buf = binary.AppendUvarint(buf, zigzag(int64(pc)-prevPC))
-			prevPC = int64(pc)
+		for i := range c.flg {
+			pc := int64(c.pcAt(i))
+			buf = binary.AppendUvarint(buf, zigzag(pc-prevPC))
+			prevPC = pc
 		}
-		for _, h := range c.hist {
-			buf = binary.AppendUvarint(buf, uint64(h))
+		for i := range c.flg {
+			buf = binary.AppendUvarint(buf, uint64(c.hist.at(i)))
 		}
 		buf = append(buf, c.ctr...)
 		buf = append(buf, c.flg...)
@@ -141,7 +143,7 @@ func Decode(data []byte) (*Trace, error) {
 		return nil, corruptf("chunk count %d exceeds input size", nchunks)
 	}
 
-	t := &Trace{chunks: make([]*chunk, 0, nchunks)}
+	t := &Trace{chunks: make([]chunk, 0, nchunks)}
 	prevPC := int64(0)
 	pending := 0 // committed fetches not yet resolved, across chunks
 	for ci := uint64(0); ci < nchunks; ci++ {
@@ -152,10 +154,8 @@ func Decode(data []byte) (*Trace, error) {
 		if ntok == 0 || ntok > chunkTokens {
 			return nil, corruptf("chunk %d: token count %d out of range (1..%d)", ci, ntok, chunkTokens)
 		}
-		// Only the recorder appends to a chunk; a decoded one needs just
-		// the words its tokens occupy, so tiny chunks stay tiny.
 		words := (int(ntok) + 63) / 64
-		c := &chunk{n: int(ntok), kinds: make([]uint64, words)}
+		c := chunk{n: int(ntok), kinds: make([]uint64, words)}
 		fetches := 0
 		for w := 0; w < words; w++ {
 			kw, err := d.uvarint()
@@ -172,9 +172,12 @@ func Decode(data []byte) (*Trace, error) {
 				return nil, corruptf("chunk %d: kind bits set past token count", ci)
 			}
 		}
-		c.pc = make([]int32, fetches)
-		c.hist = make([]uint32, fetches)
-		for i := range c.pc {
+		// A column's high halves are allocated at its first entry that
+		// needs them, so a chunk decodes to the columns it was recorded
+		// with.
+		c.pc.lo = make([]uint16, fetches)
+		c.hist.lo = make([]uint16, fetches)
+		for i := range fetches {
 			dv, err := d.uvarint()
 			if err != nil {
 				return nil, err
@@ -185,9 +188,9 @@ func Decode(data []byte) (*Trace, error) {
 			if prevPC != int64(int32(prevPC)) {
 				return nil, corruptf("chunk %d: pc %d of fetch %d out of int32 range", ci, prevPC, i)
 			}
-			c.pc[i] = int32(prevPC)
+			c.pc.set(i, uint32(prevPC))
 		}
-		for i := range c.hist {
+		for i := range fetches {
 			h, err := d.uvarint()
 			if err != nil {
 				return nil, err
@@ -195,7 +198,7 @@ func Decode(data []byte) (*Trace, error) {
 			if h > math.MaxUint32 {
 				return nil, corruptf("chunk %d: history %#x of fetch %d wider than 32 bits", ci, h, i)
 			}
-			c.hist[i] = uint32(h)
+			c.hist.set(i, uint32(h))
 		}
 		if c.ctr, err = d.bytes(fetches); err != nil {
 			return nil, err

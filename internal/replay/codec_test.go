@@ -9,9 +9,12 @@ import (
 	"specctrl/internal/conf"
 )
 
-// TestCodecRoundTrip: Decode(Encode(t)) must replay identically to t
-// and reproduce its event counts, for a real recorded trace and for
-// synthetic shapes (chunk-boundary crossing, single event).
+// TestCodecRoundTrip: Decode(Encode(t)) must be t again — the same
+// columns, narrow or wide, replaying identically with the same event
+// counts — for a real recorded trace, one with wide histories, and
+// synthetic shapes (chunk-boundary crossing, single event). Recorded
+// and decoded columns alike are exactly sized, so Bytes is their
+// summed length on both sides.
 func TestCodecRoundTrip(t *testing.T) {
 	real, _ := recordRun(t, "mcfarling")
 	for _, tc := range []struct {
@@ -19,6 +22,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		tr   *Trace
 	}{
 		{"recorded", real},
+		{"wide", wideRecording(t)},
 		{"single", recordSynthetic(1)},
 		{"chunk-crossing", recordSynthetic(chunkTokens)},
 	} {
@@ -31,6 +35,14 @@ func TestCodecRoundTrip(t *testing.T) {
 			if dec.Events() != tc.tr.Events() || dec.Fetches() != tc.tr.Fetches() {
 				t.Fatalf("round trip changed counts: %d/%d events, %d/%d fetches",
 					dec.Events(), tc.tr.Events(), dec.Fetches(), tc.tr.Fetches())
+			}
+			if !reflect.DeepEqual(dec, tc.tr) {
+				t.Fatal("round trip changed the trace's columns")
+			}
+			for side, tr := range map[string]*Trace{"recorded": tc.tr, "decoded": dec} {
+				if got, want := tr.Bytes(), columnBytes(tr); got != want {
+					t.Errorf("%s trace: Bytes() = %d, summed column lengths = %d", side, got, want)
+				}
 			}
 			want := Replay(tc.tr, []conf.Estimator{conf.NewJRS(conf.JRSConfig{
 				Entries: 256, Bits: 4, Threshold: 10, Enhanced: true})})
@@ -46,6 +58,16 @@ func TestCodecRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// columnBytes sums the lengths of tr's columns, in bytes.
+func columnBytes(tr *Trace) int {
+	n := 0
+	for i := range tr.chunks {
+		c := &tr.chunks[i]
+		n += 8*len(c.kinds) + 2*(len(c.pc.lo)+len(c.pc.hi)+len(c.hist.lo)+len(c.hist.hi)) + len(c.ctr) + len(c.flg)
+	}
+	return n
 }
 
 // TestDecodeErrors exercises the typed error taxonomy: inputs that are

@@ -23,7 +23,9 @@
 // resolves committed branches in fetch order and passes Resolve the
 // values captured at fetch. Fetch payloads are columnar (one slice per
 // field) for sequential-scan locality; the fetch/resolve interleaving
-// is a per-chunk bitset.
+// is a per-chunk bitset. The 32-bit pc and history columns are stored
+// as 16-bit low halves, plus high halves only in a chunk where some
+// value needs them, and every column is exactly sized.
 //
 // Replay walks each chunk once, a window of tokens at a time, building
 // a transient view: the window's fetch rows with their rebuilt

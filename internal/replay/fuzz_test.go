@@ -34,6 +34,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(enc[:len(enc)-3])
 	}
 	f.Add(smallChunks(100_000))
+	f.Add(wideRecording(f).Encode()) // histories past 16 bits in every chunk
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Decode(data)
@@ -66,8 +67,12 @@ func FuzzDecode(f *testing.F) {
 
 // maxBytesPerInputByte bounds a decoded trace's retained memory per
 // input byte. The densest column is the kind bitset: one varint byte
-// can stand for a 64-token word of 8 bytes; every other column retains
-// at most 2.5 bytes per encoded byte.
+// can stand for a 64-token word of 8 bytes. A fetch encodes to at least
+// 4 bytes (a pc delta and a history of one varint byte each, a counter
+// byte and a flag byte) and retains at most 10: the pc and history low
+// halves, 2 bytes each, their high halves when one value in the chunk
+// needs them, 2 bytes each, and 1 byte each of counters and flags. So
+// the fetch columns retain at most 2.5 bytes per encoded byte.
 const maxBytesPerInputByte = 8
 
 // smallChunks encodes n one-token chunks that alternate a committed

@@ -188,11 +188,11 @@ func (v *view) load(c *chunk, k, end, fi int) int {
 		v.grow(rows)
 	}
 	pc, flg, info := v.pcAll[carried:carried+nf], v.flgAll[carried:carried+nf], v.infoAll[carried:carried+nf]
-	copy(pc, c.pc[fi:fi+nf])
 	copy(flg, c.flg[fi:fi+nf])
-	hist, ctr := c.hist[fi:fi+nf], c.ctr[fi:fi+nf]
+	ctr := c.ctr[fi : fi+nf]
 	for i := range info {
-		setInfo(&info[i], hist[i], ctr[i], flg[i])
+		pc[i] = c.pcAt(fi + i)
+		setInfo(&info[i], c.hist.at(fi+i), ctr[i], flg[i])
 	}
 	v.pc, v.flg, v.info = pc, flg, info
 
@@ -618,9 +618,11 @@ const staticSpan = 1 << 20
 // map access.
 func staticTable(t *Trace, hc map[int64]bool) (lo int, tab []bool) {
 	lo, hi := math.MaxInt32, math.MinInt32
-	for _, c := range t.chunks {
-		for _, pc := range c.pc {
-			lo, hi = min(lo, int(pc)), max(hi, int(pc))
+	for ci := range t.chunks {
+		c := &t.chunks[ci]
+		for i := range c.flg {
+			pc := int(c.pcAt(i))
+			lo, hi = min(lo, pc), max(hi, pc)
 		}
 	}
 	if lo > hi {
@@ -669,7 +671,8 @@ func Replay(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
 	units := plan(t, ests)
 	var v view
 	v.init(t)
-	for _, c := range t.chunks {
+	for ci := range t.chunks {
+		c := &t.chunks[ci]
 		for k, fi := 0, 0; k < c.n; k += viewTokens {
 			fi = v.load(c, k, min(k+viewTokens, c.n), fi)
 			for i := range units {

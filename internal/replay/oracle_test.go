@@ -33,7 +33,8 @@ func replayOracle(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
 		confs[i].Name = e.Name()
 	}
 	var fifo []oracleRec
-	for _, c := range t.chunks {
+	for ci := range t.chunks {
+		c := &t.chunks[ci]
 		fi := 0
 		for k := 0; k < c.n; k++ {
 			if !c.isFetch(k) {
@@ -47,11 +48,11 @@ func replayOracle(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
 				}
 				continue
 			}
-			pc, flg := int64(c.pc[fi]), c.flg[fi]
+			pc, flg := int64(c.pcAt(fi)), c.flg[fi]
 			ctr := c.ctr[fi]
 			info := bpred.Info{
 				Pred: flg&fPred != 0,
-				Hist: uint64(c.hist[fi]),
+				Hist: uint64(c.hist.at(fi)),
 				C1:   bpred.Counter2(ctr & 3),
 				C2:   bpred.Counter2(ctr >> 2 & 3),
 				Meta: bpred.Counter2(ctr >> 4 & 3),
@@ -243,7 +244,8 @@ func assertKernelMatchesOracle(t *testing.T, tr *Trace, b estBatch) []pipeline.C
 func pendingAcross(tr *Trace) []int {
 	var out []int
 	pending := 0
-	for ci, c := range tr.chunks {
+	for ci := range tr.chunks {
+		c := &tr.chunks[ci]
 		fi := 0
 		for k := 0; k < c.n; k++ {
 			if !c.isFetch(k) {
@@ -323,6 +325,51 @@ func TestReplayKernelMatchesOracle(t *testing.T) {
 		tr, err := r.Trace()
 		if err != nil {
 			t.Fatal(err)
+		}
+		assertKernelMatchesOracle(t, tr, kernelBatch())
+	})
+	t.Run("wide-mid-chunk", func(t *testing.T) {
+		// One pc and one history past 16 bits in the middle of the
+		// first chunk: that chunk gains both high halves, the second
+		// chunk has none, and the rows on either side of the wide ones
+		// read back through the same accessors.
+		rng := rand.New(rand.NewSource(7))
+		s := streamShape{sites: 64}
+		r := NewRecorder()
+		const fetches, lag = chunkTokens * 3 / 4, 3
+		for i := 0; i < fetches; i++ {
+			if rng.Intn(4) == 0 {
+				synthEvent(r, rng, s, false, rng.Intn(2) == 0)
+			}
+			switch i {
+			case chunkTokens / 4:
+				r.Estimate(1<<20, bpred.Info{Pred: true, Hist: 3, C1: 3})
+				r.Branch(obs.BranchEvent{PC: 1 << 20, Pred: true})
+			case chunkTokens/4 + 1:
+				r.Estimate(4096, bpred.Info{Hist: 1<<29 | 5, C1: 1, P1: true})
+				r.Branch(obs.BranchEvent{PC: 4096})
+			default:
+				synthEvent(r, rng, s, true, rng.Intn(5) != 0)
+			}
+			if i >= lag {
+				r.Resolve(0, bpred.Info{}, false)
+			}
+		}
+		for i := 0; i < lag; i++ {
+			r.Resolve(0, bpred.Info{}, false)
+		}
+		tr, err := r.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.chunks) != 2 {
+			t.Fatalf("got %d chunks, want 2", len(tr.chunks))
+		}
+		if c := &tr.chunks[0]; c.pc.hi == nil || c.hist.hi == nil {
+			t.Fatal("first chunk lacks a high half")
+		}
+		if c := &tr.chunks[1]; c.pc.hi != nil || c.hist.hi != nil {
+			t.Fatal("second chunk has a high half no value needs")
 		}
 		assertKernelMatchesOracle(t, tr, kernelBatch())
 	})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"specctrl/internal/bpred"
 	"specctrl/internal/obs"
@@ -25,40 +26,72 @@ const (
 	fCommitted             // fetched on the committed (correct) path
 )
 
-// chunk is one fixed-capacity run of tokens. kinds holds one bit per
-// token (set = fetch event, clear = resolve event); the columnar
-// slices hold one entry per *fetch* token, in token order. pc and hist
-// are stored narrow: PCs are instruction indices and predictor
-// histories are masked to at most 30 bits, so both fit 32 bits (the
-// recorder rejects a value that does not, rather than truncating it).
+// halves is one 32-bit column of a chunk, one entry per fetch token,
+// stored as the entries' low 16 bits plus, only when some entry in the
+// chunk needs them, their high 16 bits. Suite pcs and predictor
+// histories at the default scale fit 16 bits, so their chunks carry no
+// high half.
+type halves struct {
+	lo []uint16
+	hi []uint16 // nil when every entry fits 16 bits
+}
+
+// at returns entry i.
+func (h *halves) at(i int) uint32 {
+	v := uint32(h.lo[i])
+	if h.hi != nil {
+		v |= uint32(h.hi[i]) << 16
+	}
+	return v
+}
+
+// set stores v as entry i of a column whose lo is allocated, adding
+// the high halves when v is the first entry to need them.
+func (h *halves) set(i int, v uint32) {
+	h.lo[i] = uint16(v)
+	if v>>16 != 0 && h.hi == nil {
+		h.hi = make([]uint16, len(h.lo))
+	}
+	if h.hi != nil {
+		h.hi[i] = uint16(v >> 16)
+	}
+}
+
+// bytes is the column's retained size.
+func (h *halves) bytes() int { return 2 * (cap(h.lo) + cap(h.hi)) }
+
+// chunk is one run of at most chunkTokens tokens. kinds holds one bit
+// per token (set = fetch event, clear = resolve event), ⌈n/64⌉ words;
+// the columns hold one entry per *fetch* token, in token order. pc and
+// hist are 32-bit columns (PCs are instruction indices and predictor
+// histories are masked to at most 30 bits; the recorder rejects a value
+// that does not fit, rather than truncating it) stored as halves, and
+// every column is exactly sized: its capacity is its length.
 type chunk struct {
-	n     int      // tokens used
-	kinds []uint64 // token-kind bits: chunkTokens/64 words while recording, ⌈n/64⌉ once decoded
-	pc    []int32
-	hist  []uint32
+	n     int      // tokens
+	kinds []uint64 // token-kind bits
+	pc    halves   // int32 pcs, as their two's-complement bits
+	hist  halves
 	ctr   []uint8 // packed counters: C1 | C2<<2 | Meta<<4
 	flg   []uint8 // fPred | fP1 | fP2 | fCorrect | fCommitted
 }
 
-// full reports whether the chunk has reached capacity.
-func (c *chunk) full() bool { return c.n == chunkTokens }
-
-// setKind marks token i as a fetch event.
-func (c *chunk) setFetch(i int) { c.kinds[i>>6] |= 1 << (uint(i) & 63) }
-
 // isFetch reports whether token i is a fetch event.
 func (c *chunk) isFetch(i int) bool { return c.kinds[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// bytes estimates the chunk's retained memory from slice capacities.
+// pcAt returns the pc of fetch row i.
+func (c *chunk) pcAt(i int) int32 { return int32(c.pc.at(i)) }
+
+// bytes is the chunk's retained column memory.
 func (c *chunk) bytes() int {
-	return cap(c.kinds)*8 + cap(c.pc)*4 + cap(c.hist)*4 + cap(c.ctr) + cap(c.flg)
+	return cap(c.kinds)*8 + c.pc.bytes() + c.hist.bytes() + cap(c.ctr) + cap(c.flg)
 }
 
 // Trace is one simulation's recorded branch event stream. A Trace is
 // immutable once obtained from Recorder.Trace or Decode and is safe
 // for concurrent Replay calls.
 type Trace struct {
-	chunks  []*chunk
+	chunks  []chunk
 	fetches int // total fetch tokens
 	tokens  int // total tokens (fetches + resolves)
 }
@@ -69,12 +102,12 @@ func (t *Trace) Events() int { return t.tokens }
 // Fetches returns the number of fetch events.
 func (t *Trace) Fetches() int { return t.fetches }
 
-// Bytes estimates the trace's retained memory; the trace cache's LRU
+// Bytes is the trace's retained column memory; the trace cache's LRU
 // budget accounts entries with it.
 func (t *Trace) Bytes() int {
 	n := 0
-	for _, c := range t.chunks {
-		n += c.bytes()
+	for i := range t.chunks {
+		n += t.chunks[i].bytes()
 	}
 	return n
 }
@@ -83,10 +116,11 @@ func (t *Trace) Bytes() int {
 // which is program order: the branch pc, its predicted direction, and
 // whether the prediction matched the outcome.
 func (t *Trace) Committed(fn func(pc int64, pred, correct bool)) {
-	for _, c := range t.chunks {
+	for ci := range t.chunks {
+		c := &t.chunks[ci]
 		for i, flg := range c.flg {
 			if flg&fCommitted != 0 {
-				fn(int64(c.pc[i]), flg&fPred != 0, flg&fCorrect != 0)
+				fn(int64(c.pcAt(i)), flg&fPred != 0, flg&fCorrect != 0)
 			}
 		}
 	}
@@ -130,8 +164,11 @@ func packInfo(info bpred.Info) uint8 {
 //     prediction's correctness and the committed/wrong-path flag;
 //   - Resolve appends a payload-free resolve token.
 //
-// A pc outside int32 or a history wider than 32 bits fails the
-// recording (see chunk) instead of being stored truncated.
+// Events are written into fixed-capacity scratch (see openChunk), and
+// each full chunk is closed into exactly sized columns, so recording
+// allocates per chunk, not per event. A pc outside int32 or a history
+// wider than 32 bits fails the recording (see chunk) instead of being
+// stored truncated.
 //
 // Estimate always returns high confidence, so the base Stats of a
 // recording run with the recorder alone (CommittedQ/AllQ and every
@@ -142,7 +179,7 @@ func packInfo(info bpred.Info) uint8 {
 // that drives it.
 type Recorder struct {
 	t   Trace
-	cur *chunk
+	cur *openChunk // nil before the first event and after Trace
 
 	pendPC   int64
 	pendInfo bpred.Info
@@ -199,35 +236,105 @@ func (r *Recorder) Branch(ev obs.BranchEvent) {
 	if !ev.WrongPath {
 		flg |= fCommitted
 	}
-	c := r.chunk()
-	c.setFetch(c.n)
-	c.n++
-	c.pc = append(c.pc, int32(r.pendPC))
-	c.hist = append(c.hist, uint32(r.pendInfo.Hist))
-	c.ctr = append(c.ctr, packInfo(r.pendInfo))
-	c.flg = append(c.flg, flg)
+	o := r.open()
+	pc, hist := uint32(r.pendPC), uint32(r.pendInfo.Hist)
+	f := o.nf
+	o.kinds[o.n>>6] |= 1 << (uint(o.n) & 63)
+	o.pcLo[f], o.pcHi[f] = uint16(pc), uint16(pc>>16)
+	o.histLo[f], o.histHi[f] = uint16(hist), uint16(hist>>16)
+	o.pcWide |= uint16(pc >> 16)
+	o.histWide |= uint16(hist >> 16)
+	o.ctr[f] = packInfo(r.pendInfo)
+	o.flg[f] = flg
+	o.nf++
 	r.t.fetches++
-	r.t.tokens++
+	r.token()
 }
 
 // Resolve implements conf.Estimator: committed branches resolve in
 // fetch order with fetch-time arguments, so the token needs no payload.
 func (r *Recorder) Resolve(pc int64, info bpred.Info, correct bool) {
-	c := r.chunk()
-	c.n++ // kind bit stays clear: resolve token
-	r.t.tokens++
+	r.open() // kind bit stays clear: resolve token
+	r.token()
 }
 
 // Close implements obs.Tracer (the recorder has nothing to flush).
 func (r *Recorder) Close() error { return nil }
 
-// chunk returns the current chunk, opening a new one at capacity.
-func (r *Recorder) chunk() *chunk {
-	if r.cur == nil || r.cur.full() {
-		r.cur = &chunk{kinds: make([]uint64, chunkTokens/64)}
-		r.t.chunks = append(r.t.chunks, r.cur)
+// open returns the chunk being recorded, taking a scratch on the first
+// event.
+func (r *Recorder) open() *openChunk {
+	if r.cur == nil {
+		r.cur = scratch.Get().(*openChunk)
 	}
 	return r.cur
+}
+
+// scratch recycles open chunks across recordings: one is as large as a
+// full chunk's columns, which a short recording would otherwise
+// allocate for a few events. A pooled scratch is always empty (reset).
+var scratch = sync.Pool{New: func() any { return new(openChunk) }}
+
+// token counts the token just written, closing the chunk once it is
+// full.
+func (r *Recorder) token() {
+	r.t.tokens++
+	if r.cur.n++; r.cur.n == chunkTokens {
+		r.flush()
+	}
+}
+
+// flush appends the open chunk to the trace and empties the scratch.
+func (r *Recorder) flush() {
+	r.t.chunks = append(r.t.chunks, r.cur.close())
+	r.cur.reset()
+}
+
+// openChunk is the chunk under construction: fixed-capacity scratch
+// the recorder writes each event into. pc and history are written as
+// both halves; pcWide and histWide OR together the high halves written,
+// and close keeps a column's high halves only when its OR is nonzero.
+type openChunk struct {
+	n, nf            int // tokens, fetch tokens
+	pcWide, histWide uint16
+	kinds            [chunkTokens / 64]uint64
+	pcLo, pcHi       [chunkTokens]uint16
+	histLo, histHi   [chunkTokens]uint16
+	ctr, flg         [chunkTokens]uint8
+}
+
+// close returns the open chunk as an exactly sized chunk. It allocates
+// only the columns and leaves the scratch as it is.
+func (o *openChunk) close() chunk {
+	nf := o.nf
+	c := chunk{
+		n:     o.n,
+		kinds: exact(o.kinds[:(o.n+63)/64]),
+		pc:    halves{lo: exact(o.pcLo[:nf])},
+		hist:  halves{lo: exact(o.histLo[:nf])},
+		ctr:   exact(o.ctr[:nf]),
+		flg:   exact(o.flg[:nf]),
+	}
+	if o.pcWide != 0 {
+		c.pc.hi = exact(o.pcHi[:nf])
+	}
+	if o.histWide != 0 {
+		c.hist.hi = exact(o.histHi[:nf])
+	}
+	return c
+}
+
+// reset empties the scratch for the next chunk.
+func (o *openChunk) reset() {
+	clear(o.kinds[:(o.n+63)/64])
+	o.n, o.nf, o.pcWide, o.histWide = 0, 0, 0, 0
+}
+
+// exact returns a copy of s whose capacity is its length.
+func exact[T any](s []T) []T {
+	c := make([]T, len(s))
+	copy(c, s)
+	return c
 }
 
 // Trace returns the finished recording. It fails if the event stream
@@ -240,6 +347,13 @@ func (r *Recorder) Trace() (*Trace, error) {
 	}
 	if r.havePend {
 		return nil, errors.New("replay: recording ended with an incomplete fetch event")
+	}
+	if r.cur != nil {
+		if r.cur.n > 0 {
+			r.flush()
+		}
+		scratch.Put(r.cur)
+		r.cur = nil
 	}
 	return &r.t, nil
 }

@@ -35,6 +35,9 @@ func testPred(t testing.TB, name string) bpred.Predictor {
 	switch name {
 	case "gshare":
 		return bpred.NewGshare(12)
+	case "gshare20":
+		// Histories past 16 bits: the trace's wide path.
+		return bpred.NewGshare(20)
 	case "mcfarling":
 		return bpred.NewMcFarling(12)
 	case "sag":
@@ -67,13 +70,27 @@ func staticFor(t *testing.T, predName string) conf.Static {
 	if s, ok := testStatic.m[predName]; ok {
 		return s
 	}
-	s, err := profile.Collect(testConfig(), testProg(), testPred(t, predName),
-		profile.Options{Threshold: 0.90})
+	s := profile.FromSites(collectSites(t, predName), profile.Options{Threshold: 0.90})
+	testStatic.m[predName] = s
+	return s
+}
+
+// collectSites is the reference profiling run: the test program
+// simulated on a fresh predictor of the named family with
+// CollectSiteStats, returning its per-site accuracy profile.
+func collectSites(t *testing.T, predName string) map[int64]*pipeline.SiteStats {
+	t.Helper()
+	cfg := testConfig()
+	cfg.CollectSiteStats = true
+	sim, err := pipeline.New(cfg, testProg(), testPred(t, predName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sim.Run()
 	if err != nil {
 		t.Fatalf("profile %s: %v", predName, err)
 	}
-	testStatic.m[predName] = s
-	return s
+	return st.Sites
 }
 
 // allFamilies returns one fresh estimator per family the paper studies:
@@ -84,8 +101,8 @@ func staticFor(t *testing.T, predName string) conf.Static {
 // instances.
 func allFamilies(t *testing.T, predName string) []conf.Estimator {
 	t.Helper()
-	hist := map[string]uint{"gshare": 12, "mcfarling": 12, "sag": 13}[predName]
-	return []conf.Estimator{
+	hist := map[string]uint{"gshare": 12, "gshare20": 20, "mcfarling": 12, "sag": 13}[predName]
+	ests := []conf.Estimator{
 		conf.NewJRS(conf.JRSConfig{Entries: 1024, Bits: 4, Threshold: 12, Enhanced: false}),
 		conf.NewJRS(conf.JRSConfig{Entries: 1024, Bits: 4, Threshold: 12, Enhanced: true}),
 		conf.SatCounters{},
@@ -99,6 +116,12 @@ func allFamilies(t *testing.T, predName string) []conf.Estimator {
 		conf.NewJRSMcFarling(conf.JRSConfig{Entries: 1024, Bits: 4, Threshold: 12}, conf.BothTables),
 		conf.NewJRSMcFarling(conf.JRSConfig{Entries: 1024, Bits: 4, Threshold: 12}, conf.MetaSelected),
 	}
+	if hist > 16 {
+		// Indexed by every history bit, so replay must read the
+		// trace's high halves.
+		ests = append(ests, conf.NewJRS(conf.JRSConfig{Entries: 1 << hist, Bits: 4, Threshold: 12}))
+	}
+	return ests
 }
 
 // directRun simulates with the estimators attached — the ground truth
@@ -149,10 +172,7 @@ func recordRun(t testing.TB, predName string) (*Trace, *pipeline.Stats) {
 func TestTraceSitesMatchCollect(t *testing.T) {
 	for _, pred := range []string{"gshare", "mcfarling", "sag"} {
 		tr, _ := recordRun(t, pred)
-		want, err := profile.Sites(testConfig(), testProg(), testPred(t, pred))
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := collectSites(t, pred)
 		if len(want) == 0 {
 			t.Fatalf("%s: empty profile", pred)
 		}
@@ -170,12 +190,13 @@ func TestTraceSitesMatchCollect(t *testing.T) {
 }
 
 // TestReplayMatchesDirect is the package's reason to exist: for every
-// estimator family, on every predictor family, replaying the recorded
+// estimator family, on every predictor family (and on a gshare whose
+// histories need the trace's high halves), replaying the recorded
 // event stream must reproduce the direct simulation's Stats.Confidence
 // exactly — and, with the first estimator's quadrants patched in, the
 // entire Stats struct.
 func TestReplayMatchesDirect(t *testing.T) {
-	for _, predName := range []string{"gshare", "mcfarling", "sag"} {
+	for _, predName := range []string{"gshare", "gshare20", "mcfarling", "sag"} {
 		t.Run(predName, func(t *testing.T) {
 			direct := directRun(t, predName, allFamilies(t, predName))
 			tr, base := recordRun(t, predName)
@@ -202,6 +223,71 @@ func TestReplayMatchesDirect(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRecorderSteadyStateAllocs: appending events to an open chunk
+// allocates nothing, and closing a chunk allocates only its exact
+// columns — kinds, both low halves, counters and flags, plus a high
+// half for each column with a value past 16 bits.
+func TestRecorderSteadyStateAllocs(t *testing.T) {
+	r := NewRecorder()
+	synthFetch(r, 4096, true) // opens the chunk
+	r.Resolve(0, bpred.Info{}, false)
+	if a := testing.AllocsPerRun(1000, func() {
+		synthFetch(r, 4100, true)
+		r.Resolve(0, bpred.Info{}, false)
+	}); a != 0 {
+		t.Errorf("appending to an open chunk allocates %.0f times per event pair", a)
+	}
+	if len(r.t.chunks) != 0 {
+		t.Fatal("the appends closed a chunk")
+	}
+
+	for _, tc := range []struct {
+		name string
+		pc   int64
+		hist uint64
+		cols float64
+	}{
+		{"narrow", 4096, 1<<16 - 1, 5},
+		{"wide pc", 1 << 16, 0, 6},
+		{"wide history", 4096, 1 << 16, 6},
+		{"both wide", -4, 1 << 31, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRecorder()
+			for i := 0; i < 100; i++ {
+				synthFetch(r, 4096, i%3 != 0)
+				r.Resolve(0, bpred.Info{}, false)
+			}
+			r.Estimate(tc.pc, bpred.Info{Hist: tc.hist})
+			r.Branch(obs.BranchEvent{PC: tc.pc})
+			var c chunk
+			if a := testing.AllocsPerRun(10, func() { c = r.cur.close() }); a != tc.cols {
+				t.Errorf("closing the chunk allocates %.0f times, want %.0f", a, tc.cols)
+			}
+			if got := int64(c.pcAt(100)); got != tc.pc {
+				t.Errorf("pc %d read back as %d", tc.pc, got)
+			}
+			if got := uint64(c.hist.at(100)); got != tc.hist {
+				t.Errorf("history %#x read back as %#x", tc.hist, got)
+			}
+		})
+	}
+}
+
+// wideRecording records the test program on a 20-bit gshare, whose
+// histories need the trace's high halves in every chunk; its pcs do not.
+func wideRecording(t testing.TB) *Trace {
+	t.Helper()
+	tr, _ := recordRun(t, "gshare20")
+	for i := range tr.chunks {
+		if c := &tr.chunks[i]; c.hist.hi == nil || c.pc.hi != nil {
+			t.Fatalf("chunk %d: history high half %v, pc high half %v; want only the history's",
+				i, c.hist.hi != nil, c.pc.hi != nil)
+		}
+	}
+	return tr
 }
 
 // TestRecorderBaseStatsEstimatorFree: the recording run's base

@@ -38,7 +38,9 @@ go test -race -count=1 -run 'TestReplay' ./internal/experiments
 #  - cache state: the inlined same-block hit leaves tick and LRU stamps
 #    as the set scan would (the golden's small-I-cache rows evict, but
 #    a wrong stamp on a same-block hit need not change their victims)
-go test -race -count=1 -run 'TestStatsGolden' ./internal/experiments
+#  - trace memory: the suite's recordings on gshare, McFarling and SAg
+#    retain at most 7.0 B per fetched branch (TestTraceBytesPerFetch)
+go test -race -count=1 -run 'TestStatsGolden|TestTraceBytesPerFetch' ./internal/experiments
 go test -race -count=1 -run 'TestHitMatchesAccess' ./internal/cache
 go test -race -count=1 -run 'TestSteadyStateAllocs' ./internal/pipeline
 
