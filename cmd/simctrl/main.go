@@ -10,7 +10,7 @@
 //
 // Experiments are grids of independent cells (one simulation per
 // workload × predictor × estimator-config point) executed on a
-// work-stealing pool. -jobs N sets the pool width (default: all CPUs);
+// worker pool. -jobs N sets the pool width (default: all CPUs);
 // output is byte-identical at every job count. A grid can also be split
 // across machines:
 //
@@ -251,8 +251,8 @@ func main() {
 	}
 
 	for _, name := range names {
-		// One root span per experiment: its cell, record, replay, and
-		// merge spans all hang underneath in the exported trace.
+		// One root span per experiment: its cell, record and replay
+		// spans all hang underneath in the exported trace.
 		root := tracer.Root("exp:" + name)
 		p.SpanParent = root.Context()
 		r, err := experiments.Run(name, p)

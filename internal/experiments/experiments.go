@@ -97,8 +97,8 @@ type Params struct {
 	Run *obs.Progress
 
 	// Ctx, when non-nil, cancels in-flight experiment grids at the
-	// next cell boundary (completed cells keep their results) and ends
-	// a cell's wait on another cell's trace recording.
+	// next cell boundary (cells that completed first are already in
+	// Record) and ends a cell's wait on another cell's trace recording.
 	Ctx context.Context
 	// Jobs is the grid worker-pool width; values <= 1 run serially.
 	// Output is byte-identical for every value of Jobs.

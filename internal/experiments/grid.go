@@ -164,7 +164,15 @@ func (p Params) runGrid(specs []runner.Spec, cell CellFunc) ([]CellResult, error
 		p.SpanParent = root.Context()
 		defer root.End()
 	}
-	wrapped := func(ctx context.Context, sp runner.Spec) (any, error) {
+	opts := runner.Options{
+		Jobs:       p.Jobs,
+		BaseSeed:   p.BaseSeed,
+		Shard:      p.Shard,
+		Obs:        p.Obs,
+		Tracer:     p.Tracer,
+		SpanParent: p.SpanParent,
+	}
+	cells, err := runner.Run(ctx, opts, specs, func(ctx context.Context, sp runner.Spec) (CellResult, error) {
 		key := sp.Key()
 		c, ok := p.Cells[key]
 		source := "cells-in"
@@ -187,7 +195,7 @@ func (p Params) runGrid(specs []runner.Spec, cell CellFunc) ([]CellResult, error
 				c, err = compute(ctx)
 			}
 			if err != nil {
-				return nil, err
+				return CellResult{}, err
 			}
 			if computed {
 				source = "compute"
@@ -205,30 +213,14 @@ func (p Params) runGrid(specs []runner.Spec, cell CellFunc) ([]CellResult, error
 			p.Record.Put(key, c)
 		}
 		return c, nil
-	}
-	r := runner.New(runner.Options{
-		Jobs:       p.Jobs,
-		BaseSeed:   p.BaseSeed,
-		Shard:      p.Shard,
-		Obs:        p.Obs,
-		Tracer:     p.Tracer,
-		SpanParent: p.SpanParent,
 	})
-	results, err := r.Run(ctx, specs, wrapped)
 	if err != nil {
 		return nil, err
 	}
 	if p.Shard.Active() {
 		return nil, ErrShardOnly
 	}
-	merge := p.Tracer.Child(p.SpanParent, "merge")
-	out := make([]CellResult, len(results))
-	for i := range results {
-		out[i] = results[i].Value.(CellResult)
-	}
-	merge.SetAttrs(span.Int("cells", int64(len(out))))
-	merge.End()
-	return out, nil
+	return cells, nil
 }
 
 // ctx returns Params.Ctx, or the background context when it is nil.

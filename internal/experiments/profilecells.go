@@ -15,13 +15,11 @@ import (
 
 // cellCost is one row of the report.
 type cellCost struct {
-	key     string
-	wall    float64 // seconds
-	cycles  int64   // simulated cycles (0 when unknown, e.g. cache hits without stats)
-	source  string  // compute | cache | cells-in
-	worker  int64
-	stolen  bool
-	waitSec float64
+	key    string
+	wall   float64 // seconds
+	cycles int64   // simulated cycles (0 when unknown, e.g. cache hits without stats)
+	source string  // compute | cache | cells-in
+	worker int64
 }
 
 // ProfileCells writes the n slowest grid cells among spans to w, one
@@ -51,12 +49,6 @@ func ProfileCells(w io.Writer, spans []span.Span, n int) {
 		if v, ok := s.Attr("worker").(int64); ok {
 			row.worker = v
 		}
-		if v, ok := s.Attr("stolen").(bool); ok {
-			row.stolen = v
-		}
-		if v, ok := s.Attr("wait_ns").(int64); ok {
-			row.waitSec = float64(v) / 1e9
-		}
 		rows = append(rows, row)
 		total += row.wall
 	}
@@ -81,11 +73,7 @@ func ProfileCells(w io.Writer, spans []span.Span, n int) {
 		if r.cycles > 0 && r.wall > 0 {
 			rate = fmt.Sprintf("%.1f", float64(r.cycles)/r.wall/1e6)
 		}
-		worker := fmt.Sprintf("%d", r.worker)
-		if r.stolen {
-			worker += " (stolen)"
-		}
-		fmt.Fprintf(w, "  %-48s %8.3fs %12d %9s %-8s %s\n",
-			r.key, r.wall, r.cycles, rate, r.source, worker)
+		fmt.Fprintf(w, "  %-48s %8.3fs %12d %9s %-8s %d\n",
+			r.key, r.wall, r.cycles, rate, r.source, r.worker)
 	}
 }

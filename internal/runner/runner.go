@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"specctrl/internal/obs"
@@ -32,20 +33,7 @@ func (s Spec) Key() string {
 	return s.Experiment + "/" + s.Workload + "/" + s.Predictor + "/" + s.Variant
 }
 
-// Cell executes one spec and returns its result. See the package
-// comment for the isolation rules a Cell must follow.
-type Cell func(ctx context.Context, spec Spec) (any, error)
-
-// Result is the outcome of one cell. Run returns results positionally
-// aligned with its input specs.
-type Result struct {
-	Spec  Spec
-	Value any
-	Err   error
-	Ran   bool // false when skipped: not in this shard, or cancelled first
-}
-
-// Options configures a Runner.
+// Options configures Run.
 type Options struct {
 	// Jobs is the worker-pool size. Values <= 1 run serially (a single
 	// worker), which is also the reference order for determinism tests.
@@ -56,7 +44,7 @@ type Options struct {
 	BaseSeed uint64
 
 	// Shard restricts execution to every Count-th spec (see Shard).
-	// Skipped specs come back with Ran == false.
+	// Skipped specs come back as the zero value.
 	Shard Shard
 
 	// Obs, when non-nil, receives the runner's live metrics.
@@ -67,8 +55,7 @@ type Options struct {
 	Tracer *span.Tracer
 
 	// SpanParent is the span context cell spans are parented under.
-	// When invalid (the zero value) and Tracer is set, Run opens its own
-	// root span covering the whole grid.
+	// When invalid (the zero value) each cell span starts its own trace.
 	SpanParent span.Context
 }
 
@@ -83,132 +70,78 @@ var cellSecondsBounds = []float64{
 // results_full.txt and EXPERIMENTS.md are generated with it.
 const DefaultBaseSeed uint64 = 0x5eedc0de15ca1998
 
-// Runner executes spec grids. Construct with New; a Runner is safe for
-// sequential reuse across grids but a single Run call must complete
-// before the next begins.
-type Runner struct {
-	opts Options
-}
-
-// New returns a Runner with the given options.
-func New(opts Options) *Runner {
-	if opts.Jobs < 1 {
-		opts.Jobs = 1
-	}
-	if opts.BaseSeed == 0 {
-		opts.BaseSeed = DefaultBaseSeed
-	}
-	return &Runner{opts: opts}
-}
-
-// Run executes every spec owned by this runner's shard and returns one
-// Result per input spec, positionally aligned with specs.
+// Run executes every spec owned by opts.Shard on opts.Jobs workers and
+// returns one value per input spec, positionally aligned with specs;
+// specs outside the shard come back as the zero T. See the package
+// comment for the isolation rules cell must follow.
 //
-// On a cell error the runner cancels outstanding work and returns the
-// lowest-indexed error among the cells that ran. On context
-// cancellation it returns ctx.Err().
-// In both cases the partial results are still returned: completed cells
-// carry their values and Ran == true.
-func (r *Runner) Run(ctx context.Context, specs []Spec, cell Cell) ([]Result, error) {
-	if err := r.opts.Shard.Validate(); err != nil {
+// On a cell error Run cancels outstanding work and returns the
+// lowest-indexed error among the cells that ran; on context
+// cancellation it returns ctx.Err(). Either way it returns no values.
+func Run[T any](ctx context.Context, opts Options, specs []Spec,
+	cell func(context.Context, Spec) (T, error)) ([]T, error) {
+	if err := opts.Shard.Validate(); err != nil {
 		return nil, err
 	}
-	results := make([]Result, len(specs))
-	for i := range specs {
-		sp := specs[i]
-		sp.Seed = DeriveSeed(r.opts.BaseSeed, sp.Key())
-		results[i].Spec = sp
+	base := opts.BaseSeed
+	if base == 0 {
+		base = DefaultBaseSeed
 	}
-
 	// Shard filter: this machine owns every Count-th spec.
 	mine := make([]int, 0, len(specs))
 	for i := range specs {
-		if r.opts.Shard.Owns(i) {
+		if opts.Shard.Owns(i) {
 			mine = append(mine, i)
 		}
 	}
-	jobs := r.opts.Jobs
-	if jobs > len(mine) {
-		jobs = len(mine)
-	}
-	if jobs < 1 {
-		jobs = 1
-	}
+	jobs := max(1, min(opts.Jobs, len(mine)))
 
 	var (
 		cellsDone *obs.Counter
-		steals    *obs.Counter
+		depth     *obs.Gauge
 		cellHist  *obs.Histogram
 	)
-	queueGauge := func(int) *obs.Gauge { return nil }
-	if reg := r.opts.Obs; reg != nil {
+	if reg := opts.Obs; reg != nil {
 		reg.Gauge("specctrl_runner_workers", nil).SetUint(uint64(jobs))
 		cellsDone = reg.Counter("specctrl_runner_cells_total", nil)
-		steals = reg.Counter("specctrl_runner_steals_total", nil)
 		cellHist = reg.Histogram("specctrl_sim_cell_seconds", nil, cellSecondsBounds)
-		queueGauge = func(w int) *obs.Gauge {
-			return reg.Gauge("specctrl_runner_queue_depth", obs.Labels{"worker": strconv.Itoa(w)})
-		}
+		depth = reg.Gauge("specctrl_runner_queue_depth", nil)
+		depth.SetUint(uint64(len(mine)))
 	}
-
-	// Span parent for this grid: the caller's, or a private root so a
-	// bare traced Run still yields a coherent trace.
-	tr := r.opts.Tracer
-	parent := r.opts.SpanParent
-	var enqueued time.Time
-	if tr != nil {
-		if !parent.Valid() {
-			runSpan := tr.Root("run")
-			parent = runSpan.Context()
-			defer runSpan.End()
-		}
-		enqueued = time.Now()
-	}
-
-	// Deal cells round-robin so each worker starts with a spread of
-	// workloads (adjacent specs are usually the same slow benchmark).
-	deques := make([]*deque, jobs)
-	for w := range deques {
-		deques[w] = &deque{gauge: queueGauge(w)}
-	}
-	for k, i := range mine {
-		deques[k%jobs].push(i)
-	}
+	tr, parent := opts.Tracer, opts.SpanParent
+	enqueued := time.Now()
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	results := make([]T, len(specs))
 	var (
+		next     atomic.Int64 // position in mine of the next unstarted cell
 		errMu    sync.Mutex
 		errIdx   = -1
 		firstErr error
+		wg       sync.WaitGroup
 	)
-	var wg sync.WaitGroup
 	for w := 0; w < jobs; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for runCtx.Err() == nil {
-				stolen := false
-				i, ok := deques[w].pop()
-				if !ok {
-					victim, ok := stealInto(deques, w)
-					if !ok {
-						return
-					}
-					if steals != nil {
-						steals.Inc()
-					}
-					i, stolen = victim, true
+				k := int(next.Add(1) - 1)
+				if depth != nil {
+					depth.SetUint(uint64(max(0, len(mine)-k-1)))
 				}
+				if k >= len(mine) {
+					return
+				}
+				i := mine[k]
+				sp := specs[i]
+				sp.Seed = DeriveSeed(base, sp.Key())
 				cellCtx := runCtx
 				var cellSpan *span.Span
-				var started time.Time
-				if tr != nil || cellHist != nil {
-					started = time.Now()
-				}
+				started := time.Now()
 				if tr != nil {
-					key := results[i].Spec.Key()
+					key := sp.Key()
 					// Queue-wait phase, backdated to enqueue, on the
 					// worker's queue track.
 					ws := tr.Child(parent, "wait:"+key,
@@ -223,30 +156,21 @@ func (r *Runner) Run(ctx context.Context, specs []Spec, cell Cell) ([]Result, er
 					cellSpan = tr.Child(parent, "cell:"+key,
 						span.Str("key", key),
 						span.Int("worker", int64(w)),
-						span.Bool("stolen", stolen),
 						span.Int("wait_ns", started.Sub(enqueued).Nanoseconds()),
 						span.Int(span.TIDAttr, int64(w+1)),
 						span.Str(span.ThreadAttr, "worker "+strconv.Itoa(w)))
 					cellSpan.Start = started
 					cellCtx = span.NewContext(runCtx, cellSpan)
 				}
-				v, err := cell(cellCtx, results[i].Spec)
-				if tr != nil || cellHist != nil {
-					elapsed := time.Since(started)
-					if cellSpan != nil {
-						if err != nil {
-							cellSpan.SetAttrs(span.Str("error", err.Error()))
-						}
-						cellSpan.End()
+				v, err := cell(cellCtx, sp)
+				if cellSpan != nil {
+					if err != nil {
+						cellSpan.SetAttrs(span.Str("error", err.Error()))
 					}
-					if cellHist != nil {
-						cellHist.Observe(elapsed.Seconds())
-					}
+					cellSpan.End()
 				}
-				results[i].Value = v
-				results[i].Err = err
-				results[i].Ran = true
-				if cellsDone != nil {
+				if cellHist != nil {
+					cellHist.Observe(time.Since(started).Seconds())
 					cellsDone.Inc()
 				}
 				if err != nil {
@@ -258,41 +182,17 @@ func (r *Runner) Run(ctx context.Context, specs []Spec, cell Cell) ([]Result, er
 					cancel()
 					return
 				}
+				results[i] = v
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
 	if errIdx >= 0 {
-		return results, fmt.Errorf("runner: cell %s: %w", results[errIdx].Spec.Key(), firstErr)
+		return nil, fmt.Errorf("runner: cell %s: %w", specs[errIdx].Key(), firstErr)
 	}
 	if err := ctx.Err(); err != nil {
-		return results, err
+		return nil, err
 	}
 	return results, nil
-}
-
-// stealInto takes work for worker w from the longest other deque,
-// moving half of it onto w's deque and returning one index to run.
-func stealInto(deques []*deque, w int) (int, bool) {
-	for {
-		victim, depth := -1, 0
-		for v := range deques {
-			if v == w {
-				continue
-			}
-			if d := deques[v].depth(); d > depth {
-				victim, depth = v, d
-			}
-		}
-		if victim < 0 {
-			return 0, false
-		}
-		batch := deques[victim].stealHalf()
-		if len(batch) == 0 {
-			continue // raced with the victim draining; look again
-		}
-		deques[w].push(batch[1:]...)
-		return batch[0], true
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,26 +31,28 @@ func grid(n int) []Spec {
 
 // TestRunPositionalDeterminism checks that results come back aligned
 // with the input specs and identical across worker counts, even when
-// cells finish out of order.
+// cells finish out of order, and that every cell runs exactly once.
 func TestRunPositionalDeterminism(t *testing.T) {
 	specs := grid(37)
-	cell := func(_ context.Context, sp Spec) (any, error) {
-		// Uneven, scheduling-visible durations: later cells finish first.
-		time.Sleep(time.Duration(len(sp.Workload)) * 100 * time.Microsecond)
-		return sp.Key() + ":" + fmt.Sprint(sp.Seed), nil
-	}
-	var ref []Result
+	var ref []string
 	for _, jobs := range []int{1, 4, 16} {
-		res, err := New(Options{Jobs: jobs}).Run(context.Background(), specs, cell)
+		runs := make([]atomic.Int32, len(specs))
+		cell := func(_ context.Context, sp Spec) (string, error) {
+			runs[index(sp)].Add(1)
+			// Uneven, scheduling-visible durations: later cells finish first.
+			time.Sleep(time.Duration(len(sp.Workload)) * 100 * time.Microsecond)
+			return sp.Key() + ":" + fmt.Sprint(sp.Seed), nil
+		}
+		res, err := Run(context.Background(), Options{Jobs: jobs}, specs, cell)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		for i, r := range res {
-			if !r.Ran || r.Err != nil {
-				t.Fatalf("jobs=%d: cell %d not run cleanly: %+v", jobs, i, r)
+			if n := runs[i].Load(); n != 1 {
+				t.Fatalf("jobs=%d: cell %d ran %d times", jobs, i, n)
 			}
-			if r.Spec.Key() != specs[i].Key() {
-				t.Fatalf("jobs=%d: result %d misaligned: %s", jobs, i, r.Spec.Key())
+			if want := specs[i].Key() + ":"; !strings.HasPrefix(r, want) {
+				t.Fatalf("jobs=%d: result %d misaligned: %s", jobs, i, r)
 			}
 		}
 		if ref == nil {
@@ -60,66 +63,74 @@ func TestRunPositionalDeterminism(t *testing.T) {
 	}
 }
 
-// TestStealOccurs forces one worker's queue to be slow and checks the
-// steal counter moves: the parallel path must not silently degrade to
-// static partitioning.
-func TestStealOccurs(t *testing.T) {
-	reg := obs.NewRegistry()
-	specs := grid(64)
-	// Round-robin dealing gives worker 0 the specs with index ≡ 0
-	// (mod 8). Make exactly those slow: the other workers drain their
-	// queues quickly and must steal worker 0's backlog to finish.
-	cell := func(_ context.Context, sp Spec) (any, error) {
-		var i int
-		fmt.Sscanf(sp.Workload, "w%d", &i)
-		d := 50 * time.Microsecond
-		if i%8 == 0 {
-			d = 3 * time.Millisecond
+// index recovers a grid spec's position from its workload name.
+func index(sp Spec) int {
+	var i int
+	fmt.Sscanf(sp.Workload, "w%d", &i)
+	return i
+}
+
+// TestSharedQueueDrainsBacklog blocks cell 0 until every other cell
+// has finished. Workers share one queue, so the worker holding cell 0
+// stalls alone while the rest drain the grid; any static partition of
+// cells to workers leaves cells queued behind cell 0 and deadlocks
+// until the timeout fails the test.
+func TestSharedQueueDrainsBacklog(t *testing.T) {
+	const n = 64
+	for _, jobs := range []int{2, 8} {
+		reg := obs.NewRegistry()
+		var finished atomic.Int32
+		othersDone := make(chan struct{})
+		cell := func(_ context.Context, sp Spec) (struct{}, error) {
+			if index(sp) == 0 {
+				select {
+				case <-othersDone:
+					return struct{}{}, nil
+				case <-time.After(10 * time.Second):
+					return struct{}{}, errors.New("cell 0 still waiting: cells are queued behind it")
+				}
+			}
+			if finished.Add(1) == n-1 {
+				close(othersDone)
+			}
+			return struct{}{}, nil
 		}
-		time.Sleep(d)
-		return nil, nil
-	}
-	if _, err := New(Options{Jobs: 8, Obs: reg}).Run(context.Background(), specs, cell); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("specctrl_runner_cells_total", nil).Value(); got != 64 {
-		t.Fatalf("cells_total = %d, want 64", got)
-	}
-	if reg.Counter("specctrl_runner_steals_total", nil).Value() == 0 {
-		t.Fatal("no steals observed: idle workers left worker 0's backlog alone")
+		if _, err := Run(context.Background(), Options{Jobs: jobs, Obs: reg}, grid(n), cell); err != nil {
+			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		if got := reg.Counter("specctrl_runner_cells_total", nil).Value(); got != n {
+			t.Fatalf("jobs=%d: cells_total = %d, want %d", jobs, got, n)
+		}
+		if got := reg.Gauge("specctrl_runner_queue_depth", nil).Value(); got != 0 {
+			t.Fatalf("jobs=%d: queue_depth = %v after the run, want 0", jobs, got)
+		}
 	}
 }
 
 // TestCancelMidFlight cancels a sweep while cells are running and
-// checks partial-result reporting and that no worker goroutines leak.
+// checks that dispatch stops at a cell boundary and that no worker
+// goroutines leak.
 func TestCancelMidFlight(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int32
-	cell := func(ctx context.Context, _ Spec) (any, error) {
+	cell := func(ctx context.Context, _ Spec) (string, error) {
 		if started.Add(1) == 3 {
 			cancel()
 		}
 		time.Sleep(100 * time.Microsecond)
 		return "done", nil
 	}
-	res, err := New(Options{Jobs: 4}).Run(ctx, grid(100), cell)
+	const n = 100
+	res, err := Run(ctx, Options{Jobs: 4}, grid(n), cell)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	ran, skipped := 0, 0
-	for _, r := range res {
-		if r.Ran {
-			ran++
-			if r.Value != "done" {
-				t.Fatalf("ran cell has wrong value %v", r.Value)
-			}
-		} else {
-			skipped++
-		}
+	if res != nil {
+		t.Fatalf("cancelled run returned %d results, want none", len(res))
 	}
-	if ran == 0 || skipped == 0 {
-		t.Fatalf("want a mid-flight split, got ran=%d skipped=%d", ran, skipped)
+	if ran := started.Load(); ran < 3 || ran == n {
+		t.Fatalf("want a mid-flight split, got %d of %d cells run", ran, n)
 	}
 	// Workers exit at the next cell boundary; give them a moment.
 	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
@@ -134,26 +145,29 @@ func TestCancelMidFlight(t *testing.T) {
 // reported with its spec key.
 func TestCellError(t *testing.T) {
 	boom := errors.New("boom")
-	cell := func(_ context.Context, sp Spec) (any, error) {
+	var failed atomic.Bool
+	cell := func(_ context.Context, sp Spec) (int, error) {
 		if sp.Workload == "w5" {
-			return nil, boom
+			failed.Store(true)
+			return 0, boom
 		}
 		return 1, nil
 	}
-	res, err := New(Options{Jobs: 4}).Run(context.Background(), grid(20), cell)
+	res, err := Run(context.Background(), Options{Jobs: 4}, grid(20), cell)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
 	if want := "test/w5/gshare/main"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("err %q does not name failing cell %q", err, want)
 	}
-	if !res[5].Ran || res[5].Err == nil {
-		t.Fatalf("failing cell result not recorded: %+v", res[5])
+	if !failed.Load() || res != nil {
+		t.Fatalf("failing cell ran = %v, results = %v; want ran, no results", failed.Load(), res)
 	}
 }
 
 // TestShardPartition checks that n shards partition the grid exactly:
-// every spec runs on exactly one shard.
+// every spec runs on exactly one shard, and only its own shard returns
+// a value for it.
 func TestShardPartition(t *testing.T) {
 	const n = 4
 	specs := grid(26)
@@ -161,19 +175,25 @@ func TestShardPartition(t *testing.T) {
 	for i := range owner {
 		owner[i] = -1
 	}
-	cell := func(_ context.Context, _ Spec) (any, error) { return true, nil }
 	for s := 0; s < n; s++ {
-		res, err := New(Options{Jobs: 2, Shard: Shard{Index: s, Count: n}}).
-			Run(context.Background(), specs, cell)
+		var mu sync.Mutex
+		cell := func(_ context.Context, sp Spec) (bool, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if i := index(sp); owner[i] != -1 {
+				t.Errorf("spec %d ran on shards %d and %d", i, owner[i], s)
+			} else {
+				owner[i] = s
+			}
+			return true, nil
+		}
+		res, err := Run(context.Background(), Options{Jobs: 2, Shard: Shard{Index: s, Count: n}}, specs, cell)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, r := range res {
-			if r.Ran {
-				if owner[i] != -1 {
-					t.Fatalf("spec %d ran on shards %d and %d", i, owner[i], s)
-				}
-				owner[i] = s
+		for i, ok := range res {
+			if ok != (owner[i] == s) {
+				t.Fatalf("shard %d: spec %d returned %v, but ran on shard %d", s, i, ok, owner[i])
 			}
 		}
 	}

@@ -16,10 +16,11 @@ import (
 // -race this also exercises concurrent span emission from all workers.
 func TestRunEmitsCellSpans(t *testing.T) {
 	tr := span.New(span.Options{})
+	root := tr.Root("grid:test")
 	specs := grid(48)
 	sawCtx := 0
 	var mu sync.Mutex
-	cell := func(ctx context.Context, sp Spec) (any, error) {
+	cell := func(ctx context.Context, sp Spec) (struct{}, error) {
 		if cs := span.FromContext(ctx); cs != nil {
 			// Child spans from inside the cell must be legal concurrently.
 			c := tr.Child(cs.Context(), "body:"+sp.Key())
@@ -28,12 +29,13 @@ func TestRunEmitsCellSpans(t *testing.T) {
 			sawCtx++
 			mu.Unlock()
 		}
-		return nil, nil
+		return struct{}{}, nil
 	}
-	res, err := New(Options{Jobs: 8, Tracer: tr}).Run(context.Background(), specs, cell)
+	res, err := Run(context.Background(), Options{Jobs: 8, Tracer: tr, SpanParent: root.Context()}, specs, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
+	root.End()
 	if len(res) != len(specs) {
 		t.Fatalf("got %d results, want %d", len(res), len(specs))
 	}
@@ -74,13 +76,13 @@ func TestRunEmitsCellSpans(t *testing.T) {
 // TestRunNilTracerNoSpans: the default path stays span-free — no
 // tracer, no span in the cell context.
 func TestRunNilTracerNoSpans(t *testing.T) {
-	cell := func(ctx context.Context, sp Spec) (any, error) {
+	cell := func(ctx context.Context, sp Spec) (struct{}, error) {
 		if span.FromContext(ctx) != nil {
 			t.Error("cell context carries a span with tracing disabled")
 		}
-		return nil, nil
+		return struct{}{}, nil
 	}
-	if _, err := New(Options{Jobs: 4}).Run(context.Background(), grid(8), cell); err != nil {
+	if _, err := Run(context.Background(), Options{Jobs: 4}, grid(8), cell); err != nil {
 		t.Fatal(err)
 	}
 }

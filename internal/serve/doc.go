@@ -1,6 +1,6 @@
 // Package serve turns the batch experiment harness into a long-running
-// simulation service: simulation-as-a-service over the work-stealing
-// grid runner.
+// simulation service: simulation-as-a-service over the parallel grid
+// runner.
 //
 // Four layers:
 //

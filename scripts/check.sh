@@ -119,7 +119,7 @@ grep -q 'slowest' "$SMOKE/trace.log"
 # Cell-cost smoke: every row -profile-cells reports as computed must
 # carry the simulated cycles it cost, across every experiment.
 "$SMOKE/simctrl" -exp all -committed 30000 -jobs 2 -profile-cells 1000 \
-    > /dev/null 2> "$SMOKE/cells.log"
+    > "$SMOKE/all-j2.txt" 2> "$SMOKE/cells.log"
 grep -q ' compute ' "$SMOKE/cells.log"
 ZERO_ROWS=$(awk '$5 == "compute" && $3 == 0' "$SMOKE/cells.log")
 [ -z "$ZERO_ROWS" ] || {
@@ -127,6 +127,13 @@ ZERO_ROWS=$(awk '$5 == "compute" && $3 == 0' "$SMOKE/cells.log")
     echo "$ZERO_ROWS" >&2
     exit 1
 }
+
+# -jobs determinism gate: every experiment must render the exact bytes
+# of the -jobs 2 run above at -jobs 1 and at -jobs 8.
+for jobs in 1 8; do
+    "$SMOKE/simctrl" -exp all -committed 30000 -jobs "$jobs" > "$SMOKE/all-j$jobs.txt"
+    cmp "$SMOKE/all-j2.txt" "$SMOKE/all-j$jobs.txt"
+done
 
 # Synth smoke (docs/WORKLOADS.md): record an SPBT branch trace, ingest
 # it plus a profile vector, and render the sweepspace panel — replay
