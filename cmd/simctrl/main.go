@@ -70,7 +70,7 @@ func printRendered(w io.Writer, out string) {
 // localOnly holds the flags that configure only a local run; -server
 // rejects each of them rather than silently ignoring it.
 type localOnly struct {
-	shard, cellsIn, policy, policyLevels, ingestTrace string
+	shard, cellsIn, policy, ingestTrace string
 }
 
 // serverConflict returns an error naming the first local-run-only flag
@@ -87,7 +87,6 @@ func serverConflict(f localOnly) error {
 		// Job submissions carry no pipeline configuration; the server's
 		// base policy is fixed at startup.
 		{cliflags.PolicyFlag, f.policy, atServer},
-		{cliflags.PolicyLevelsFlag, f.policyLevels, atServer},
 		// Trace files cannot travel in a job submission (only profile
 		// vectors can); ingest them on the server instead.
 		{cliflags.IngestTraceFlag, f.ingestTrace, atServer},
@@ -151,11 +150,10 @@ func main() {
 
 	if *server != "" {
 		if err := serverConflict(localOnly{
-			shard:        *shard,
-			cellsIn:      *cellsIn,
-			policy:       *policyF.Spec,
-			policyLevels: *policyF.Levels,
-			ingestTrace:  *synthF.Traces,
+			shard:       *shard,
+			cellsIn:     *cellsIn,
+			policy:      *policyF.Spec,
+			ingestTrace: *synthF.Traces,
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "simctrl: %v\n", err)
 			os.Exit(2)

@@ -36,7 +36,6 @@ func TestServerConflict(t *testing.T) {
 		{localOnly{shard: "0/2"}, "-shard"},
 		{localOnly{cellsIn: "x.json"}, "-cells-in"},
 		{localOnly{policy: "gate:2"}, "-policy"},
-		{localOnly{policyLevels: "4,2,1"}, "-policy-levels"},
 		{localOnly{ingestTrace: "t.spbt"}, "-ingest-trace"},
 	} {
 		err := serverConflict(tc.flags)

@@ -60,9 +60,6 @@ func (s *SAg) Resolve(pc int64, info Info, taken bool) {
 // Recover implements Predictor. SAg holds no speculative state.
 func (s *SAg) Recover(ckpt Checkpoint, pc int64, taken bool) {}
 
-// HistoryBits returns the length of the per-branch history registers.
-func (s *SAg) HistoryBits() uint { return s.histBits }
-
 // HistoryFor returns the current history pattern of the branch at pc.
 func (s *SAg) HistoryFor(pc int64) uint64 { return s.bht[s.bhtIndex(pc)] }
 

@@ -138,6 +138,3 @@ func (r *RAS) Checkpoint() int { return r.top }
 // clobbered since the checkpoint are not recovered (hardware-accurate
 // pointer-only repair).
 func (r *RAS) Restore(ckpt int) { r.top = ckpt }
-
-// Depth returns the stack capacity.
-func (r *RAS) Depth() int { return r.depth }

@@ -44,7 +44,6 @@ const (
 	SynthNFlag       = "synth-n"
 	IngestTraceFlag  = "ingest-trace"
 	PolicyFlag       = "policy"
-	PolicyLevelsFlag = "policy-levels"
 )
 
 // Jobs registers -jobs. The default and help text are the caller's:
@@ -83,12 +82,10 @@ func Replay(fs *flag.FlagSet) *string {
 }
 
 // ParseReplay validates a -replay value and returns the canonical
-// Params.Replay string. The empty string and the legacy spellings
-// "auto", "arch" and "events" canonicalize to on, so older command
-// lines keep working.
+// Params.Replay string; the empty string means on.
 func ParseReplay(v string) (string, error) {
 	switch v {
-	case "", experiments.ReplayOn, "auto", "arch", "events":
+	case "", experiments.ReplayOn:
 		return experiments.ReplayOn, nil
 	case experiments.ReplayOff:
 		return experiments.ReplayOff, nil
@@ -104,42 +101,28 @@ func TraceCacheMB(fs *flag.FlagSet) *int {
 		"replay trace cache budget in MiB (LRU by retained bytes; 0 = default 256)")
 }
 
-// PolicyFlags bundles the speculation-control policy flags shared by
-// the grid binaries: -policy installs a policy on every simulated
-// pipeline's base configuration, and -policy-levels supplies a
-// throttle's fetch-width ladder separately so specs stay readable.
-// Register with RegisterPolicy, then call Load after parsing.
+// PolicyFlags holds the speculation-control policy flag shared by the
+// grid binaries: -policy installs a policy on every simulated
+// pipeline's base configuration. Register with RegisterPolicy, then
+// call Load after parsing.
 type PolicyFlags struct {
-	Spec   *string
-	Levels *string
+	Spec *string
 }
 
-// RegisterPolicy registers -policy and -policy-levels.
+// RegisterPolicy registers -policy.
 func RegisterPolicy(fs *flag.FlagSet) PolicyFlags {
 	return PolicyFlags{
 		Spec: fs.String(PolicyFlag, "",
-			"speculation-control policy installed on the base pipeline: gate:<t>, throttle:<w0,w1,...>, boost:<t,p>, or throttle with -policy-levels (default: none)"),
-		Levels: fs.String(PolicyLevelsFlag, "",
-			"fetch-width ladder for -policy throttle, indexed by pending low-confidence branches, e.g. 4,2,1"),
+			"speculation-control policy installed on the base pipeline: gate:<t>, throttle:<w0,w1,...> (fetch widths by pending low-confidence branches), or boost:<t,p> (default: none)"),
 	}
 }
 
-// Load parses the policy flags into a pipeline.Policy (nil when no
-// policy was requested). `-policy throttle -policy-levels 4,2,1` is
-// shorthand for `-policy throttle:4,2,1`.
+// Load parses -policy into a pipeline.Policy (nil when no policy was
+// requested).
 func (p PolicyFlags) Load() (pipeline.Policy, error) {
-	var spec, levels string
+	var spec string
 	if p.Spec != nil {
 		spec = strings.TrimSpace(*p.Spec)
-	}
-	if p.Levels != nil {
-		levels = strings.TrimSpace(*p.Levels)
-	}
-	if levels != "" {
-		if spec != "throttle" {
-			return nil, fmt.Errorf("-%s only applies with -%s throttle", PolicyLevelsFlag, PolicyFlag)
-		}
-		spec = "throttle:" + levels
 	}
 	if spec == "" {
 		return nil, nil

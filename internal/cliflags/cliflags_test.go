@@ -37,7 +37,7 @@ func TestFlagNamesPinned(t *testing.T) {
 		"replay": true, "trace-cache-mb": true,
 		"trace-out": true, "profile-cells": true, "span-sample": true,
 		"synth-profile": true, "synth-n": true, "ingest-trace": true,
-		"policy": true, "policy-levels": true,
+		"policy": true,
 	}
 	got := map[string]bool{}
 	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = true })
@@ -98,9 +98,9 @@ func TestParseReplay(t *testing.T) {
 		{"", "on", true},
 		{"on", "on", true},
 		{"off", "off", true},
-		{"auto", "on", true},
-		{"arch", "on", true},
-		{"events", "on", true},
+		{"auto", "", false},
+		{"arch", "", false},
+		{"events", "", false},
 		{"ON", "", false},
 		{"AUTO", "", false},
 		{"bogus", "", false},
@@ -241,14 +241,13 @@ func TestPolicyFlagsLoad(t *testing.T) {
 	if err != nil || pol == nil || pol.Name() != "gate:2" {
 		t.Errorf("gate:2: Load() = %v, %v", pol, err)
 	}
-	p, _ = parse("-policy", "throttle", "-policy-levels", "4,2,1")
+	p, _ = parse("-policy", "throttle:4,2,1")
 	pol, err = p.Load()
 	if err != nil || pol == nil || pol.Name() != "throttle:4,2,1" {
-		t.Errorf("throttle levels: Load() = %v, %v", pol, err)
+		t.Errorf("throttle:4,2,1: Load() = %v, %v", pol, err)
 	}
-	p, _ = parse("-policy-levels", "4,2,1")
-	if _, err := p.Load(); err == nil {
-		t.Error("-policy-levels without -policy throttle accepted")
+	if _, err := parse("-policy-levels", "4,2,1"); err == nil {
+		t.Error("-policy-levels is registered")
 	}
 	p, _ = parse("-policy", "bogus:1")
 	if _, err := p.Load(); err == nil {

@@ -165,8 +165,5 @@ func Str(key, value string) Attr { return Attr{Key: key, Value: value} }
 // Int returns an integer attribute.
 func Int(key string, value int64) Attr { return Attr{Key: key, Value: value} }
 
-// Float returns a float attribute.
-func Float(key string, value float64) Attr { return Attr{Key: key, Value: value} }
-
 // Bool returns a boolean attribute.
 func Bool(key string, value bool) Attr { return Attr{Key: key, Value: value} }

@@ -1,9 +1,12 @@
 package replay
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"specctrl/internal/conf"
@@ -145,4 +148,62 @@ func TestDecodeEmptyTrace(t *testing.T) {
 	if dec.Events() != 0 || dec.Fetches() != 0 {
 		t.Fatalf("empty trace round-tripped to %d events / %d fetches", dec.Events(), dec.Fetches())
 	}
+}
+
+// TestDecodeAllocBound: Decode allocates for a chunk, a kind word or a
+// fetch only once the remaining input could hold it, so a hostile file
+// costs at most maxBytesPerInputByte heap bytes per input byte before
+// it is rejected, whatever counts it declares.
+func TestDecodeAllocBound(t *testing.T) {
+	header := func(nchunks uint64) []byte {
+		return binary.AppendUvarint([]byte(traceMagic+"\x01"), nchunks)
+	}
+	// declared returns a file of size bytes that declares nchunks
+	// chunks and holds only zero bytes after the count.
+	declared := func(size int, nchunks uint64) []byte {
+		b := header(nchunks)
+		return append(b, make([]byte, size-len(b))...)
+	}
+	// fullChunk starts one chunk of chunkTokens tokens.
+	fullChunk := binary.AppendUvarint(header(1), chunkTokens)
+	allOnes := bytes.Clone(fullChunk)
+	for range chunkTokens / 64 {
+		allOnes = binary.AppendUvarint(allOnes, math.MaxUint64)
+	}
+
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"chunk count = input size, 64 KiB", declared(64<<10, 64<<10)},
+		{"chunk count = input size, 1 MiB", declared(1<<20, 1<<20)},
+		{"chunk count the input could hold, no chunks, 1 MiB", declared(1<<20, (1<<20-8)/minChunkBytes)},
+		{"65536 tokens, short body", append(bytes.Clone(fullChunk), make([]byte, 500)...)},
+		{"all-ones kind words, no columns", allOnes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Decode(tc.data); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Decode = %v, want ErrCorrupt", err)
+			}
+			perByte := allocPerInputByte(tc.data, func(b []byte) { Decode(b) })
+			t.Logf("%d input bytes: %.2f allocated bytes per input byte", len(tc.data), perByte)
+			if perByte > maxBytesPerInputByte {
+				t.Fatalf("Decode of %d bytes allocated %.1f bytes per input byte, want at most %d",
+					len(tc.data), perByte, maxBytesPerInputByte)
+			}
+		})
+	}
+}
+
+// allocPerInputByte is the heap bytes one call of decode allocates per
+// byte of data: the runtime's TotalAlloc delta over repeated calls.
+func allocPerInputByte(data []byte, decode func([]byte)) float64 {
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		decode(data)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*len(data))
 }

@@ -15,7 +15,9 @@ import (
 // a trace that (a) retains at most a small constant multiple of the
 // input's size, (b) replays without panicking — every structural
 // invariant Replay relies on was validated — and (c) re-encodes
-// canonically: Decode(Encode(decoded)) is the decoded trace again.
+// canonically: the re-encoding is never longer than the accepted input
+// (which may pad its varints), and Decode(Encode(decoded)) is the
+// decoded trace again.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SPR"))
@@ -52,6 +54,9 @@ func FuzzDecode(f *testing.F) {
 		Replay(tr, []conf.Estimator{conf.SatCounters{}})
 
 		enc := tr.Encode()
+		if len(enc) > len(data) {
+			t.Fatalf("canonical encoding (%d bytes) longer than the input (%d bytes)", len(enc), len(data))
+		}
 		tr2, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("re-decode of canonical encoding failed: %v", err)

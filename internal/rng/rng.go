@@ -57,11 +57,6 @@ func (g *XorShift128) Uint64() uint64 {
 	return x + y
 }
 
-// Uint32 returns the next 32-bit value.
-func (g *XorShift128) Uint32() uint32 {
-	return uint32(g.Uint64() >> 32)
-}
-
 // Intn returns a value in [0, n). It panics if n <= 0.
 func (g *XorShift128) Intn(n int) int {
 	if n <= 0 {

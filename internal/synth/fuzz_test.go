@@ -9,13 +9,17 @@ import (
 
 // FuzzTraceDecode pins the decoder's contract on arbitrary input: it
 // either fails with one of the three typed errors, or yields a valid
-// trace whose canonical re-encoding round-trips and is never larger
-// than the accepted input.
+// trace that retains at most maxBytesPerInputByte bytes per input byte
+// and whose canonical re-encoding round-trips and is never larger than
+// the accepted input.
 func FuzzTraceDecode(f *testing.F) {
 	if valid, err := EncodeTrace(testTrace()); err == nil {
 		f.Add(valid)
 	}
 	f.Add([]byte("SPBT\x01\x01\x40\x01\x01"))
+	// One site and 100 one-byte events: the retention bound is tightest
+	// when events dominate.
+	f.Add(append([]byte("SPBT\x01\x01\x40\x64"), bytes.Repeat([]byte{1}, 100)...))
 	f.Add([]byte("SPBT\x01\x02\x40\x08\x02\x01\x03"))
 	f.Add([]byte("SPBT\x02\x01\x40\x01\x01"))
 	f.Add([]byte("SPBT\x01"))
@@ -31,6 +35,9 @@ func FuzzTraceDecode(f *testing.F) {
 		}
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("decoded trace fails Validate: %v", err)
+		}
+		if retained := 8*cap(tr.SitePCs) + 4*cap(tr.Events); retained > maxBytesPerInputByte*len(data) {
+			t.Fatalf("decoded trace retains %d bytes for %d input bytes", retained, len(data))
 		}
 		enc, err := EncodeTrace(tr)
 		if err != nil {
@@ -54,3 +61,8 @@ func FuzzTraceDecode(f *testing.F) {
 		}
 	})
 }
+
+// maxBytesPerInputByte bounds a decoded trace's retained memory per
+// input byte: a site is an 8-byte pc and an event a 4-byte word, and
+// each is encoded in at least one byte.
+const maxBytesPerInputByte = 8

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 
+	"specctrl/internal/codec"
 	"specctrl/internal/isa"
 	"specctrl/internal/workload"
 )
@@ -34,20 +35,19 @@ const (
 	maxTraceEvents = 1 << 20
 )
 
-// Typed decode errors, mirroring internal/replay's codec contract.
+// spbt is the branch-trace format's header and typed errors.
+var spbt = codec.NewFormat("synth", "branch-trace file", traceMagic, traceVersion)
+
+// Typed decode errors, distinguishable by errors.Is. Each wraps the
+// codec kernel's error of the same name.
 var (
 	// ErrBadMagic means the input does not start with "SPBT".
-	ErrBadMagic = errors.New("synth: not a branch-trace file (bad magic)")
+	ErrBadMagic = spbt.ErrBadMagic
 	// ErrVersion means a well-formed header with an unknown version.
-	ErrVersion = errors.New("synth: unsupported branch-trace version")
+	ErrVersion = spbt.ErrVersion
 	// ErrCorrupt means a structural violation after a valid header.
-	ErrCorrupt = errors.New("synth: corrupt branch-trace file")
+	ErrCorrupt = spbt.ErrCorrupt
 )
-
-// corruptf wraps ErrCorrupt with position context.
-func corruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-}
 
 // Trace is a decoded branch trace: the static branch sites (by original
 // PC, strictly increasing) and the dynamic outcome stream over them.
@@ -62,21 +62,21 @@ type Trace struct {
 // Validate checks the structural invariants EncodeTrace requires.
 func (t *Trace) Validate() error {
 	if len(t.SitePCs) == 0 || len(t.SitePCs) > maxTraceSites {
-		return corruptf("site count %d out of range [1,%d]", len(t.SitePCs), maxTraceSites)
+		return spbt.Corruptf("site count %d out of range [1,%d]", len(t.SitePCs), maxTraceSites)
 	}
 	if len(t.Events) == 0 || len(t.Events) > maxTraceEvents {
-		return corruptf("event count %d out of range [1,%d]", len(t.Events), maxTraceEvents)
+		return spbt.Corruptf("event count %d out of range [1,%d]", len(t.Events), maxTraceEvents)
 	}
 	prev := int64(-1)
 	for i, pc := range t.SitePCs {
 		if pc < 0 || pc <= prev {
-			return corruptf("site %d: pc %d not strictly increasing and non-negative", i, pc)
+			return spbt.Corruptf("site %d: pc %d not strictly increasing and non-negative", i, pc)
 		}
 		prev = pc
 	}
 	for i, e := range t.Events {
 		if int(e>>1) >= len(t.SitePCs) {
-			return corruptf("event %d: site index %d out of range", i, e>>1)
+			return spbt.Corruptf("event %d: site index %d out of range", i, e>>1)
 		}
 	}
 	return nil
@@ -125,8 +125,7 @@ func EncodeTrace(t *Trace) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, 0, 8+len(t.SitePCs)*2+len(t.Events)*2)
-	out = append(out, traceMagic...)
-	out = append(out, traceVersion)
+	out = spbt.Header(out)
 	out = binary.AppendUvarint(out, uint64(len(t.SitePCs)))
 	prev := int64(0)
 	for i, pc := range t.SitePCs {
@@ -144,95 +143,75 @@ func EncodeTrace(t *Trace) ([]byte, error) {
 	return out, nil
 }
 
-// traceReader tracks a decode position for error context.
-type traceReader struct {
-	data []byte
-	off  int
-}
-
-func (r *traceReader) uvarint(what string) (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, corruptf("truncated or oversized varint (%s) at offset %d", what, r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-// DecodeTrace parses SPBT bytes, enforcing every structural invariant
-// before allocation is proportional to declared counts: counts are
-// bounded by the remaining input size (each entry is at least one
-// byte), site PCs must be strictly increasing (the canonical order),
-// event site indices must be in range, and trailing bytes are rejected.
+// DecodeTrace parses SPBT bytes, enforcing every structural invariant:
+// counts are within the format's caps and bounded by the remaining
+// input before anything is allocated for them (each site and each
+// event encodes to at least one byte), site PCs must be strictly
+// increasing (the canonical order), event site indices must be in
+// range, and trailing bytes are rejected.
 func DecodeTrace(data []byte) (*Trace, error) {
-	if len(data) < len(traceMagic)+1 {
-		return nil, ErrBadMagic
-	}
-	if string(data[:len(traceMagic)]) != traceMagic {
-		return nil, ErrBadMagic
-	}
-	if data[len(traceMagic)] != traceVersion {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, data[len(traceMagic)], traceVersion)
-	}
-	r := &traceReader{data: data, off: len(traceMagic) + 1}
-
-	nSites, err := r.uvarint("site count")
+	r, err := spbt.Open(data)
 	if err != nil {
 		return nil, err
 	}
-	if nSites == 0 || nSites > maxTraceSites {
-		return nil, corruptf("site count %d out of range [1,%d]", nSites, maxTraceSites)
+	n, err := r.Uvarint("site count")
+	if err != nil {
+		return nil, err
 	}
-	if nSites > uint64(len(data)-r.off) {
-		return nil, corruptf("site count %d exceeds remaining input (%d bytes)", nSites, len(data)-r.off)
+	if n == 0 || n > maxTraceSites {
+		return nil, spbt.Corruptf("site count %d out of range [1,%d]", n, maxTraceSites)
 	}
-	t := &Trace{SitePCs: make([]int64, 0, nSites)}
+	nSites, err := r.Count(n, 1, "site count")
+	if err != nil {
+		return nil, err
+	}
+	t := &Trace{SitePCs: make([]int64, nSites)}
 	pc := int64(0)
-	for i := uint64(0); i < nSites; i++ {
-		d, err := r.uvarint("site pc")
+	for i := range nSites {
+		d, err := r.Uvarint("site pc")
 		if err != nil {
 			return nil, err
 		}
 		if d > 1<<62 {
-			return nil, corruptf("site %d: pc delta %d out of range", i, d)
+			return nil, spbt.Corruptf("site %d: pc delta %d out of range", i, d)
 		}
 		if i == 0 {
 			pc = int64(d)
 		} else {
 			if d == 0 {
-				return nil, corruptf("site %d: zero pc delta (sites must be strictly increasing)", i)
+				return nil, spbt.Corruptf("site %d: zero pc delta (sites must be strictly increasing)", i)
 			}
 			pc += int64(d)
 			if pc < 0 {
-				return nil, corruptf("site %d: pc overflow", i)
+				return nil, spbt.Corruptf("site %d: pc overflow", i)
 			}
 		}
-		t.SitePCs = append(t.SitePCs, pc)
+		t.SitePCs[i] = pc
 	}
 
-	nEvents, err := r.uvarint("event count")
+	if n, err = r.Uvarint("event count"); err != nil {
+		return nil, err
+	}
+	if n == 0 || n > maxTraceEvents {
+		return nil, spbt.Corruptf("event count %d out of range [1,%d]", n, maxTraceEvents)
+	}
+	nEvents, err := r.Count(n, 1, "event count")
 	if err != nil {
 		return nil, err
 	}
-	if nEvents == 0 || nEvents > maxTraceEvents {
-		return nil, corruptf("event count %d out of range [1,%d]", nEvents, maxTraceEvents)
-	}
-	if nEvents > uint64(len(data)-r.off) {
-		return nil, corruptf("event count %d exceeds remaining input (%d bytes)", nEvents, len(data)-r.off)
-	}
-	t.Events = make([]uint32, 0, nEvents)
-	for i := uint64(0); i < nEvents; i++ {
-		e, err := r.uvarint("event")
+	t.Events = make([]uint32, nEvents)
+	for i := range nEvents {
+		e, err := r.Uvarint("event")
 		if err != nil {
 			return nil, err
 		}
-		if e>>1 >= nSites {
-			return nil, corruptf("event %d: site index %d out of range [0,%d)", i, e>>1, nSites)
+		if e>>1 >= uint64(nSites) {
+			return nil, spbt.Corruptf("event %d: site index %d out of range [0,%d)", i, e>>1, nSites)
 		}
-		t.Events = append(t.Events, uint32(e))
+		t.Events[i] = uint32(e)
 	}
-	if r.off != len(data) {
-		return nil, corruptf("%d trailing bytes after event stream", len(data)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -2,8 +2,10 @@ package synth
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -38,6 +40,29 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(data, again) {
 		t.Fatal("encoding is not canonical: re-encode differs")
+	}
+}
+
+// TestTraceGolden pins the SPBT bytes of testTrace and the workload
+// name FromTrace derives from them. The name is an ingested workload's
+// identity and so part of its cell addresses: a codec change that
+// moved either would silently orphan every cached cell of an ingested
+// trace.
+func TestTraceGolden(t *testing.T) {
+	const (
+		wantBytes = "SPBT\x01\x03\x40\x08\xb8\x01\x05\x01\x02\x05\x00\x05"
+		wantName  = "synth:t-0dbb28efe590"
+	)
+	data, err := EncodeTrace(testTrace())
+	if err != nil {
+		t.Fatalf("EncodeTrace: %v", err)
+	}
+	if string(data) != wantBytes {
+		t.Fatalf("EncodeTrace(testTrace()) = %q, want %q", data, wantBytes)
+	}
+	name, err := FromTrace(data)
+	if err != nil || name != wantName {
+		t.Fatalf("FromTrace = %q, %v; want %q", name, err, wantName)
 	}
 }
 
@@ -160,4 +185,51 @@ func TestNewTraceEmpty(t *testing.T) {
 	if _, err := NewTrace(nil, nil); err == nil {
 		t.Fatal("NewTrace of an empty stream succeeded")
 	}
+}
+
+// TestDecodeTraceAllocBound: DecodeTrace allocates for sites and events
+// only once the remaining input could hold them, so a file declaring
+// oversized counts costs at most maxBytesPerInputByte heap bytes per
+// input byte before it is rejected.
+func TestDecodeTraceAllocBound(t *testing.T) {
+	header := []byte(traceMagic + "\x01")
+	count := func(b []byte, n uint64) []byte { return binary.AppendUvarint(bytes.Clone(b), n) }
+	pad := func(b []byte, size int) []byte { return append(b, make([]byte, size-len(b))...) }
+	// sites declares n sites at pcs 1..n, one byte each.
+	sites := func(n int) []byte { return append(count(header, uint64(n)), bytes.Repeat([]byte{1}, n)...) }
+
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"site count over the cap, 64 KiB", pad(count(header, 1<<40), 64<<10)},
+		{"site count over the input", pad(count(header, maxTraceSites), 500)},
+		{"event count over the cap, 1 MiB", pad(count(sites(10), 1<<40), 1<<20)},
+		{"event count over the input", pad(count(sites(10), maxTraceEvents), 64<<10)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := DecodeTrace(tc.data); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeTrace = %v, want ErrCorrupt", err)
+			}
+			perByte := allocPerInputByte(tc.data, func(b []byte) { DecodeTrace(b) })
+			t.Logf("%d input bytes: %.2f allocated bytes per input byte", len(tc.data), perByte)
+			if perByte > maxBytesPerInputByte {
+				t.Fatalf("DecodeTrace of %d bytes allocated %.1f bytes per input byte, want at most %d",
+					len(tc.data), perByte, maxBytesPerInputByte)
+			}
+		})
+	}
+}
+
+// allocPerInputByte is the heap bytes one call of decode allocates per
+// byte of data: the runtime's TotalAlloc delta over repeated calls.
+func allocPerInputByte(data []byte, decode func([]byte)) float64 {
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		decode(data)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*len(data))
 }

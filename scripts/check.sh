@@ -28,6 +28,17 @@ go test -race -count=1 ./internal/memo
 go test -race -count=1 ./internal/replay
 go test -race -count=1 -run 'TestReplay' ./internal/experiments
 
+# Codec gate (likewise named for diagnosis): the shared kernel of the
+# two binary trace formats (internal/codec) and both formats' codec
+# tests — round trips, typed errors, the SPBT golden and the allocation
+# bound on hostile input — then each format's fuzz target for a fixed
+# 5000 inputs.
+go test -race -count=1 ./internal/codec
+go test -race -count=1 -run 'TestCodec|TestDecode|FuzzDecode' ./internal/replay
+go test -race -count=1 -run 'Trace' ./internal/synth
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5000x ./internal/replay
+go test -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 5000x ./internal/synth
+
 # Hot-path gates (likewise named for diagnosis): a failure here points
 # at the pipeline's fetch and branch paths.
 #  - exactness: every Stats field of the golden grid (suite x
@@ -47,7 +58,7 @@ go test -race -count=1 -run 'TestSteadyStateAllocs' ./internal/pipeline
 # Godoc contract: the serving stack is the operational surface;
 # every exported identifier there must carry a doc comment, and the
 # package comment must live in doc.go.
-go run ./scripts/doccheck internal/serve internal/runner internal/replay internal/memo internal/obs/span internal/synth
+go run ./scripts/doccheck internal/serve internal/runner internal/replay internal/memo internal/obs/span internal/synth internal/codec
 
 # RNG hygiene: experiment cells must take randomness from spec.Seed only;
 # a process-global RNG would break cross-job determinism silently.
