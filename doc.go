@@ -12,8 +12,7 @@
 //
 // Start with README.md for the architecture, DESIGN.md for the system
 // inventory and experiment index, and EXPERIMENTS.md for measured-vs-
-// paper results. The root package holds only the benchmark harness
-// (bench_test.go): one Go benchmark per paper artifact.
+// paper results. The root package holds only this documentation.
 //
 //	go run ./cmd/simctrl -list
 //	go run ./examples/quickstart

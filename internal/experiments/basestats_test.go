@@ -132,56 +132,84 @@ func TestAblationDepthSimulatesOnlyOtherDepths(t *testing.T) {
 	}
 }
 
-// TestDirectRunsOpenSimulateSpans: cells that change the machine
-// (abl-depth off the configured depth, abl-indirect's BTB front end)
-// simulate through runOne, so each opens exactly one "simulate" span
-// under its cell span, and the default-config cells simulate nothing.
+// TestDirectRunsOpenSimulateSpans pins where cells simulate under
+// -replay on. Every experiment of -exp all runs with a tracer, a cold
+// cell cache and one trace cache across experiments, as simctrl runs
+// them. A cell that simulates lists for its experiment changes the
+// machine, the program or the predictor, or watches the run itself, so
+// no recording serves it: it opens exactly one "simulate" span under
+// its cell span. Every other cell opens none.
 func TestDirectRunsOpenSimulateSpans(t *testing.T) {
-	for _, tc := range []struct {
-		exp      string
-		simCells func(variant string) bool
-		want     int
+	n := len(suite())
+	all := func(string) bool { return true }
+	policied := func(key string) bool { return strings.Contains(key, "|") } // a variant with a policy
+	offDepth := fmt.Sprintf("/d%d", frontierParams().Pipeline.ResolveDelay)
+	simulates := map[string]struct {
+		cell func(key string) bool
+		want int
 	}{
-		{"abl-depth", func(v string) bool { return v != fmt.Sprintf("d%d", frontierParams().Pipeline.ResolveDelay) },
-			2 * (len(depthSweep) - 1) * len(suite())},
-		{"abl-indirect", func(v string) bool { return v == "btb" }, len(suite())},
-	} {
-		p := frontierParams()
-		p.TraceCache = replay.NewCache(0, nil)
-		p.Tracer = span.New(span.Options{})
-		if _, err := Run(tc.exp, p); err != nil {
-			t.Fatal(err)
-		}
-		spans := p.Tracer.Snapshot()
-		cells := map[span.SpanID]string{} // cell span → its variant
-		for _, s := range spans {
-			if strings.HasPrefix(s.Name, "cell:") {
-				key := strings.TrimPrefix(s.Name, "cell:")
-				cells[s.Context().Span] = key[strings.LastIndex(key, "/")+1:]
+		// A policy perturbs timing; each policy-free baseline is the
+		// pair's default run.
+		"abl-gating": {policied, 9 * n},
+		"frontier":   {policied, frontierCells() - n},
+		// A resolve delay off the default, the BTB front end, a
+		// predictor no other experiment records, alternative-input
+		// programs.
+		"abl-depth":    {func(k string) bool { return !strings.HasSuffix(k, offDepth) }, 2 * (len(depthSweep) - 1) * n},
+		"abl-indirect": {func(k string) bool { return strings.HasSuffix(k, "/btb") }, n},
+		"abl-spechist": {func(k string) bool { return strings.Contains(k, "/gshare-nonspec/") }, n},
+		"xinput":       {all, n},
+		// boost folds the events of a live run in its tracer.
+		"boost":     {all, n},
+		"boost-mcf": {all, n},
+		// smt simulates through smt.Run, which opens no simulate span.
+	}
+	traces := replay.NewCache(0, nil)
+	for _, e := range Experiments() {
+		t.Run(e.Name, func(t *testing.T) {
+			p := frontierParams()
+			p.TraceCache = traces
+			p.Cache = newMemoCells()
+			p.Tracer = span.New(span.Options{})
+			if _, err := e.Run(p); err != nil {
+				t.Fatal(err)
 			}
-		}
-		perCell := map[span.SpanID]int{}
-		for _, s := range spans {
-			if s.Name == "simulate" {
-				perCell[s.Parent]++
-			}
-		}
-		want := 0
-		for id, variant := range cells {
-			if !tc.simCells(variant) {
-				if perCell[id] != 0 {
-					t.Errorf("%s: default cell %s opened %d simulate spans, want 0", tc.exp, variant, perCell[id])
+			spans := p.Tracer.Snapshot()
+			cells := map[span.SpanID]string{} // cell span → its key
+			for _, s := range spans {
+				if key, ok := strings.CutPrefix(s.Name, "cell:"); ok {
+					cells[s.Context().Span] = key
 				}
-				continue
 			}
-			want++
-			if perCell[id] != 1 {
-				t.Errorf("%s: cell %s opened %d simulate spans, want 1", tc.exp, variant, perCell[id])
+			perCell := map[span.SpanID]int{}
+			for _, s := range spans {
+				if s.Name == "simulate" {
+					perCell[s.Parent]++
+				}
 			}
-		}
-		if want != tc.want {
-			t.Errorf("%s: %d non-default cells, want %d", tc.exp, want, tc.want)
-		}
+			rule, listed := simulates[e.Name]
+			want := 0
+			for id, key := range cells {
+				if !listed || !rule.cell(key) {
+					if perCell[id] != 0 {
+						t.Errorf("cell %s opened %d simulate spans, want 0", key, perCell[id])
+					}
+					continue
+				}
+				want++
+				if perCell[id] != 1 {
+					t.Errorf("cell %s opened %d simulate spans, want 1", key, perCell[id])
+				}
+			}
+			if listed && want != rule.want {
+				t.Errorf("%d cells simulate, want %d", want, rule.want)
+			}
+			for id, c := range perCell {
+				if _, ok := cells[id]; !ok {
+					t.Errorf("%d simulate spans outside any cell span", c)
+				}
+			}
+		})
 	}
 }
 

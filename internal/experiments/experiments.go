@@ -2,8 +2,7 @@
 // evaluation. Each experiment has a driver returning structured results
 // plus a Render method producing a paper-style text table; cmd/simctrl
 // exposes them on the command line (with -jobs N parallel execution and
-// -shard i/n cross-machine splitting) and bench_test.go regenerates
-// them as Go benchmarks.
+// -shard i/n cross-machine splitting).
 //
 // # Grid execution model
 //
@@ -32,8 +31,9 @@
 // no cell of its own: estimatorGrid runs one cell per (workload,
 // predictor) from an estimator builder, and suiteStats is its
 // one-cell-per-benchmark shape), give each cell a stable spec key
-// ("experiment/workload/predictor/variant"), register the driver in
-// cmd/simctrl, and add a benchmark in bench_test.go. Never fold
+// ("experiment/workload/predictor/variant") and register the driver
+// (registry.go), which puts it in simctrl, simserved and specbench's
+// per-experiment timings. Never fold
 // per-cell results into shared accumulators inside the cell — return
 // them in CellResult (Stats, or Extra for derived scalars) and
 // accumulate during assembly.

@@ -21,8 +21,8 @@ func (d detailed) Render() string { return d.r.Render() + "\n" + d.r.RenderDetai
 
 // registry maps experiment names to drivers. It is the single source of
 // truth for every front end: cmd/simctrl runs entries locally,
-// cmd/simserved executes them as service jobs, and bench_test.go
-// regenerates them as benchmarks.
+// cmd/simserved executes them as service jobs, and specbench times
+// each one.
 var registry = map[string]Entry{}
 
 // order fixes the presentation order for "run everything" front ends.

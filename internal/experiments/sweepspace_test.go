@@ -107,16 +107,5 @@ func TestSweepSpaceExtraWorkloads(t *testing.T) {
 }
 
 // BenchmarkSweepSpace measures the whole sweepspace experiment at a
-// reduced profile count — generation, registration, record, and panel
-// replay per workload.
-func BenchmarkSweepSpace(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p := sweepParams(8)
-		p.Jobs = 4
-		p.TraceCache = replay.NewCache(0, nil)
-		if _, err := SweepSpace(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// reduced profile count (sweepSpace).
+func BenchmarkSweepSpace(b *testing.B) { benchEval(b, sweepSpace) }

@@ -4,9 +4,9 @@ import "testing"
 
 // BenchmarkSpanOverhead measures the disabled-tracing path the runner
 // pays on every grid cell: a Child/End pair against a nil tracer. The
-// contract — gated by scripts/benchgate.go — is one nil-check and zero
-// allocations, so leaving instrumentation compiled into the hot path
-// costs nothing when tracing is off.
+// contract is one nil-check and zero allocations
+// (TestSpanDisabledAllocs), so leaving instrumentation compiled into
+// the hot path costs nothing when tracing is off.
 func BenchmarkSpanOverhead(b *testing.B) {
 	var tr *Tracer
 	var parent Context
@@ -31,9 +31,7 @@ func BenchmarkSpanEnabled(b *testing.B) {
 	}
 }
 
-// TestSpanDisabledAllocs pins the disabled path to zero allocations —
-// the same property BenchmarkSpanOverhead gates, but enforced in the
-// ordinary test suite where it runs on every `go test ./...`.
+// TestSpanDisabledAllocs pins the disabled path to zero allocations.
 func TestSpanDisabledAllocs(t *testing.T) {
 	var tr *Tracer
 	var parent Context

@@ -16,7 +16,8 @@
 // Tracing is off by default and off means free: every entry point is a
 // method on a possibly-nil *Tracer or *Span, so the instrumented hot
 // paths pay exactly one nil-check and zero allocations when disabled
-// (BenchmarkSpanOverhead gates this through scripts/benchgate.go).
+// (TestSpanDisabledAllocs pins the zero; BenchmarkSpanOverhead times
+// it).
 // Enabled tracing allocates only at span granularity — per grid cell,
 // HTTP request, or record pass — never per simulated cycle.
 //

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -101,5 +102,20 @@ func TestMultiSinkDegenerate(t *testing.T) {
 	one := &countSink{}
 	if got := MultiSink(one); got != Tracer(one) {
 		t.Error("single-sink MultiSink should return the sink itself")
+	}
+}
+
+// BenchmarkJSONLBranch times the JSONL sink's work per branch event, the
+// cost simtrace -record-jsonl adds to each conditional branch on top of
+// the pipeline's own share (BenchmarkPipelineTickTraced).
+func BenchmarkJSONLBranch(b *testing.B) {
+	j := NewJSONL(io.Discard)
+	events := sampleEvents()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		j.Branch(events[i%len(events)])
+	}
+	if err := j.Close(); err != nil {
+		b.Fatal(err)
 	}
 }

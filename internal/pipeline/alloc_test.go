@@ -143,6 +143,19 @@ func BenchmarkPipelineTickTraced(b *testing.B) {
 	benchTick(b, cfg)
 }
 
+// BenchmarkPipelineTickMetrics is BenchmarkPipelineTick with live
+// metrics and progress published at the default interval, the cost a
+// run pays for simctrl -metrics-addr or -progress.
+func BenchmarkPipelineTickMetrics(b *testing.B) {
+	cfg := testConfig()
+	cfg.MaxCycles = 0
+	cfg.Estimators = []conf.Estimator{conf.NewJRS(conf.DefaultJRS)}
+	cfg.Metrics = obs.NewRegistry()
+	cfg.MetricsLabels = obs.Labels{"workload": "looper"}
+	cfg.Progress = obs.NewProgress()
+	benchTick(b, cfg)
+}
+
 func BenchmarkPipelineTickNoEstimators(b *testing.B) {
 	cfg := testConfig()
 	cfg.MaxCycles = 0

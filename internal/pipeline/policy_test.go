@@ -199,10 +199,9 @@ func TestSteadyStateAllocsWithPolicy(t *testing.T) {
 	}
 }
 
-// BenchmarkPolicyOverheadNil pins the nil-policy hot path — the
-// configuration every non-policy experiment runs — so benchgate catches
-// any regression the policy hook introduces (<5% enforced against
-// BENCH_PIPELINE.json).
+// BenchmarkPolicyOverheadNil times the nil-policy hot path, the
+// configuration every non-policy experiment runs, to compare against
+// BenchmarkPolicyOverheadGate.
 func BenchmarkPolicyOverheadNil(b *testing.B) {
 	cfg := testConfig()
 	cfg.MaxCycles = 0

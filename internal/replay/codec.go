@@ -8,7 +8,8 @@
 //	version  1 byte
 //	nchunks  uvarint
 //	per chunk:
-//	  ntok   uvarint            // tokens in chunk, 1..chunkTokens
+//	  ntok   uvarint            // tokens in chunk: chunkTokens, except
+//	                            // that the last chunk may hold 1..chunkTokens
 //	  kinds  ⌈ntok/64⌉ uvarints // token-kind bitset words
 //	  pc     one zigzag varint per fetch, delta from previous fetch pc
 //	         (the running pc must stay within int32)
@@ -16,7 +17,8 @@
 //	  ctr    one raw byte per fetch
 //	  flg    one raw byte per fetch
 //
-// Decode validates structure, not just syntax: kind-bit counts must
+// Decode validates structure, not just syntax: every chunk but the
+// last must be full, as the recorder writes them, kind-bit counts must
 // match payload counts, padding bits must be zero, reserved flag bits
 // must be zero, pcs and histories must fit their 32-bit columns, and
 // the running committed-minus-resolved balance must never go negative
@@ -31,7 +33,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"slices"
 
 	"specctrl/internal/codec"
 )
@@ -93,17 +94,14 @@ func (t *Trace) Encode() []byte {
 	return buf
 }
 
-// Minimum encoded sizes, for the kernel's count checks: a chunk is at
-// least its token count and one kind word, a kind word at least one
-// byte, and a fetch at least a pc delta, a history, a counter and a
-// flag byte.
+// Minimum encoded sizes, for the kernel's count checks: a kind word is
+// at least one byte, a full chunk at least its 3-byte token count and
+// its chunkTokens/64 kind words, and a fetch at least a pc delta, a
+// history, a counter and a flag byte.
 const (
-	minChunkBytes = 2
-	minWordBytes  = 1
-	minFetchBytes = 4
-	// inputBytesPerChunk keeps a preallocated chunk slice under 6
-	// bytes per input byte, whatever the declared count.
-	inputBytesPerChunk = 32
+	minWordBytes      = 1
+	minFullChunkBytes = 3 + chunkTokens/64*minWordBytes
+	minFetchBytes     = 4
 )
 
 // Decode parses and validates an encoded trace. The returned trace is
@@ -121,16 +119,19 @@ func Decode(data []byte) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	nchunks, err := r.Count(n, minChunkBytes, "chunk count")
-	if err != nil {
-		return nil, err
+	nchunks := 0
+	if n > 0 {
+		// Every chunk but the last is full, so each costs at least
+		// minFullChunkBytes of input: a chunk header (176 bytes) is
+		// paid for before it is allocated.
+		full, err := r.Count(n-1, minFullChunkBytes, "full chunk count")
+		if err != nil {
+			return nil, err
+		}
+		nchunks = full + 1
 	}
 
-	// A chunk header is 176 bytes, far more than the 2 input bytes that
-	// can declare it, so the chunk slice is preallocated only as far as
-	// inputBytesPerChunk input bytes pay for each header; a trace of
-	// smaller chunks (the recorder writes none) grows it as it reads.
-	t := &Trace{chunks: make([]chunk, 0, min(nchunks, len(data)/inputBytesPerChunk))}
+	t := &Trace{chunks: make([]chunk, 0, nchunks)}
 	prevPC := int64(0)
 	pending := 0 // committed fetches not yet resolved, across chunks
 	for ci := range nchunks {
@@ -140,6 +141,9 @@ func Decode(data []byte) (*Trace, error) {
 		}
 		if ntok == 0 || ntok > chunkTokens {
 			return nil, sprt.Corruptf("chunk %d: token count %d out of range (1..%d)", ci, ntok, chunkTokens)
+		}
+		if ntok != chunkTokens && ci != nchunks-1 {
+			return nil, sprt.Corruptf("chunk %d: %d tokens in a chunk before the last, want %d", ci, ntok, chunkTokens)
 		}
 		words, err := r.Count((ntok+63)/64, minWordBytes, "kind word count")
 		if err != nil {
@@ -221,10 +225,6 @@ func Decode(data []byte) (*Trace, error) {
 				}
 				pending--
 			}
-		}
-		if len(t.chunks) == cap(t.chunks) {
-			// Double, up to the declared count.
-			t.chunks = slices.Grow(t.chunks, min(len(t.chunks)+1, nchunks-len(t.chunks)))
 		}
 		t.chunks = append(t.chunks, c)
 		t.fetches += fetches

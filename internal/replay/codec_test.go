@@ -102,6 +102,7 @@ func TestDecodeErrors(t *testing.T) {
 		{"trailing bytes", append(append([]byte{}, valid...), 0), ErrCorrupt},
 		{"reserved flag bits", corruptKinds, ErrCorrupt},
 		{"zero tokens in chunk", []byte("SPRT\x01\x01\x00"), ErrCorrupt},
+		{"short chunk before the last", shortChunks(2), ErrCorrupt},
 		{"resolve with nothing pending", []byte("SPRT\x01\x01\x01\x00"), ErrCorrupt},
 		{"pc above int32", oneFetch(zigzag(1<<31), 0), ErrCorrupt},
 		{"pc below int32", oneFetch(zigzag(-1<<31-1), 0), ErrCorrupt},
@@ -115,14 +116,28 @@ func TestDecodeErrors(t *testing.T) {
 		})
 	}
 
-	if _, err := Decode(valid); err != nil {
-		t.Fatalf("valid trace rejected: %v", err)
+	for _, data := range [][]byte{valid, shortChunks(1), recordSynthetic(chunkTokens + 5).Encode()} {
+		if _, err := Decode(data); err != nil {
+			t.Fatalf("valid trace rejected: %v", err)
+		}
 	}
 	for _, data := range [][]byte{oneFetch(zigzag(1<<31-1), 1<<32-1), oneFetch(zigzag(-1<<31), 0)} {
 		if _, err := Decode(data); err != nil {
 			t.Fatalf("in-range fetch rejected: %v", err)
 		}
 	}
+}
+
+// shortChunks encodes a trace of n chunks of 1000 tokens each. Only a
+// trace's last chunk may be short, so it is a valid trace for n = 1
+// only.
+func shortChunks(n int) []byte {
+	c := recordSynthetic(1000).chunks[0]
+	tr := &Trace{}
+	for range n {
+		tr.chunks = append(tr.chunks, c)
+	}
+	return tr.Encode()
 }
 
 // oneFetch encodes a one-chunk trace holding a single committed fetch
@@ -177,9 +192,10 @@ func TestDecodeAllocBound(t *testing.T) {
 	}{
 		{"chunk count = input size, 64 KiB", declared(64<<10, 64<<10)},
 		{"chunk count = input size, 1 MiB", declared(1<<20, 1<<20)},
-		{"chunk count the input could hold, no chunks, 1 MiB", declared(1<<20, (1<<20-8)/minChunkBytes)},
+		{"chunk count the input could hold, no chunks, 1 MiB", declared(1<<20, (1<<20-8)/minFullChunkBytes+1)},
 		{"65536 tokens, short body", append(bytes.Clone(fullChunk), make([]byte, 500)...)},
 		{"all-ones kind words, no columns", allOnes},
+		{"one-token chunks, 400 KB", smallChunks(100_000)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := Decode(tc.data); !errors.Is(err, ErrCorrupt) {

@@ -35,7 +35,7 @@ func FuzzDecode(f *testing.F) {
 		enc := recordSynthetic(50).Encode()
 		f.Add(enc[:len(enc)-3])
 	}
-	f.Add(smallChunks(100_000))
+	f.Add(smallChunks(100_000))      // rejected: only the last chunk may be short
 	f.Add(wideRecording(f).Encode()) // histories past 16 bits in every chunk
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -82,7 +82,8 @@ const maxBytesPerInputByte = 8
 
 // smallChunks encodes n one-token chunks that alternate a committed
 // fetch and its resolve — about 4 input bytes per chunk, the shape that
-// most rewards over-allocating per chunk.
+// would most reward over-allocating per chunk. Decode rejects it for
+// n > 1: every chunk but the last must be full.
 func smallChunks(n int) []byte {
 	data := binary.AppendUvarint([]byte("SPRT\x01"), uint64(n))
 	for i := 0; i < n; i++ {

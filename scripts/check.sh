@@ -1,10 +1,12 @@
 #!/bin/sh
-# check.sh — the full local gate: vet, build, and the test suite under
-# the race detector, plus the parallel-runner determinism and RNG
-# hygiene gates. CI and pre-commit both run exactly this.
+# check.sh — the full local gate: vet, gofmt, build, and the test suite
+# under the race detector, plus named subsystem gates, the RNG hygiene
+# gate, the timing gate and the end-to-end smokes. CI and pre-commit
+# both run exactly this.
 set -eux
 cd "$(dirname "$0")/.."
 go vet ./...
+test -z "$(gofmt -l .)"
 go build ./...
 go test -race ./...
 
@@ -67,13 +69,6 @@ if grep -rn 'math/rand' internal/experiments internal/runner internal/workload i
     exit 1
 fi
 
-# Bench gate: wall-clock and allocation regressions against the
-# checked-in baseline (BENCH_PIPELINE.json). A >5% min-of-count ns/op
-# regression (10% for the end-to-end runner) or any allocation on the
-# allocation-free hot path fails the build; refresh the baseline with
-# `go run ./scripts/benchgate.go -update` after intentional changes.
-go run ./scripts/benchgate.go
-
 # Serving smoke: results fetched through simserved must be byte-identical
 # to a local simctrl run, and a resubmission must be served entirely from
 # the content-addressed cache (zero new simulations).
@@ -91,6 +86,22 @@ cleanup() {
     rm -rf "$SMOKE"
 }
 trap cleanup EXIT INT TERM
+
+# Timing gate: BenchmarkPipelineTick at the change against its parent,
+# in alternating pairs; it fails when the change is slower in 29 or
+# more of 40 pairs (the rule and its derivation are in
+# scripts/benchpair). The change is the work tree. The parent is HEAD
+# when the work tree differs from HEAD (a run before committing), and
+# HEAD's first parent when it does not (a run on a commit). It is
+# built from a git archive, so nothing in .git changes.
+if git diff --quiet HEAD --; then
+    PARENT=HEAD~1
+else
+    PARENT=HEAD
+fi
+mkdir "$SMOKE/parent"
+git archive "$PARENT" | tar -x -C "$SMOKE/parent"
+go run ./scripts/benchpair "$SMOKE/parent"
 
 go build -o "$SMOKE/simctrl" ./cmd/simctrl
 go build -o "$SMOKE/simserved" ./cmd/simserved
