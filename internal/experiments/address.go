@@ -31,7 +31,9 @@ import (
 // evaluation (direct simulation or event-trace replay): their cell
 // results changed again under unchanged identities, so a v4 store must
 // never serve its trace-driven cells to a v5 build.
-const cellAddressVersion = 5
+//
+// v6: the base seed left the identity; no cell ever read a seed.
+const cellAddressVersion = 6
 
 // cacheIdentity is the determinism-relevant subset of cache.Config
 // (Name is cosmetic and excluded).
@@ -129,7 +131,6 @@ type cellIdentity struct {
 	AddressVersion int    `json:"addressVersion"`
 	CellsVersion   int    `json:"cellsVersion"`
 	Key            string `json:"key"` // experiment/workload/predictor/variant
-	BaseSeed       uint64 `json:"baseSeed"`
 
 	MaxCommitted    uint64           `json:"maxCommitted"`
 	BuildIters      int              `json:"buildIters"`
@@ -143,8 +144,8 @@ type cellIdentity struct {
 
 // CellAddress returns the content address of one grid cell under these
 // parameters: a hex SHA-256 of the canonical JSON encoding of the
-// cell's full identity — spec key, resolved base seed, committed-
-// instruction budget, predictor geometries, and pipeline configuration.
+// cell's full identity — spec key, committed-instruction budget,
+// predictor geometries, and pipeline configuration.
 // Two (Params, Spec) pairs share an address exactly when the cell
 // contract guarantees them byte-identical results, so the address is
 // safe to use as a forever cache key across processes and machines.
@@ -153,15 +154,10 @@ type cellIdentity struct {
 // results_full.txt, cached cells are invalidated by clearing the store
 // when simulator behaviour changes (see docs/SERVING.md).
 func (p Params) CellAddress(sp runner.Spec) string {
-	seed := p.BaseSeed
-	if seed == 0 {
-		seed = runner.DefaultBaseSeed
-	}
 	id := cellIdentity{
 		AddressVersion:  cellAddressVersion,
 		CellsVersion:    CellsVersion,
 		Key:             sp.Key(),
-		BaseSeed:        seed,
 		MaxCommitted:    p.MaxCommitted,
 		BuildIters:      p.BuildIters,
 		GshareBits:      p.GshareBits,
@@ -184,7 +180,9 @@ func (p Params) CellAddress(sp runner.Spec) string {
 // versions cellIdentity.
 //
 // v2: pipelineIdentity gained Policy.
-const traceAddressVersion = 2
+//
+// v3: the base seed left the identity; no recording ever read one.
+const traceAddressVersion = 3
 
 // traceIdentity is the canonical identity of one recorded branch-event
 // trace: everything the estimator-visible event stream is a function
@@ -197,7 +195,6 @@ type traceIdentity struct {
 	AddressVersion int    `json:"addressVersion"`
 	Workload       string `json:"workload"`
 	Predictor      string `json:"predictor"`
-	BaseSeed       uint64 `json:"baseSeed"`
 
 	MaxCommitted uint64           `json:"maxCommitted"`
 	BuildIters   int              `json:"buildIters"`
@@ -216,15 +213,10 @@ type traceIdentity struct {
 // streams, so the address keys the replay trace cache the same way
 // CellAddress keys the result cache.
 func (p Params) TraceAddress(workload string, spec PredictorSpec) string {
-	seed := p.BaseSeed
-	if seed == 0 {
-		seed = runner.DefaultBaseSeed
-	}
 	id := traceIdentity{
 		AddressVersion: traceAddressVersion,
 		Workload:       workload,
 		Predictor:      spec.Name,
-		BaseSeed:       seed,
 		MaxCommitted:   p.MaxCommitted,
 		BuildIters:     p.BuildIters,
 		GshareBits:     p.GshareBits,

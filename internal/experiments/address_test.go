@@ -22,18 +22,6 @@ func TestCellAddressStable(t *testing.T) {
 	}
 }
 
-// TestCellAddressZeroSeedCanonical: BaseSeed 0 means "the default", so
-// it must address identically to an explicit DefaultBaseSeed — the
-// cache would otherwise split into two entries for one result.
-func TestCellAddressZeroSeedCanonical(t *testing.T) {
-	zero := DefaultParams()
-	explicit := DefaultParams()
-	explicit.BaseSeed = runner.DefaultBaseSeed
-	if zero.CellAddress(addrSpec()) != explicit.CellAddress(addrSpec()) {
-		t.Error("BaseSeed 0 and explicit DefaultBaseSeed address differently")
-	}
-}
-
 // TestCellAddressSensitivity perturbs every determinism-relevant input
 // one at a time: each must move the address, or two different
 // simulations would collide in the cache and serve wrong results.
@@ -70,7 +58,6 @@ func TestCellAddressSensitivity(t *testing.T) {
 	other.Experiment = "table2"
 	perturb("spec.Experiment", nil, other)
 
-	perturb("BaseSeed", func(p *Params) { p.BaseSeed = 12345 }, sp)
 	perturb("MaxCommitted", func(p *Params) { p.MaxCommitted++ }, sp)
 	perturb("BuildIters", func(p *Params) { p.BuildIters++ }, sp)
 	perturb("GshareBits", func(p *Params) { p.GshareBits++ }, sp)

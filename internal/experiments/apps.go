@@ -83,8 +83,16 @@ func SMTStudy(p Params) (*SMTResult, error) {
 		}
 		newPred := func() bpred.Predictor { return bpred.NewGshare(p.GshareBits) }
 		newEst := func() conf.Estimator { return conf.NewJRS(conf.DefaultJRS) }
-		p.progress("smt %s policy %s", sp.Workload, smtPol)
-		r, err := smt.Run(cfg, progs, newPred, newEst)
+		// One smt.Run is one run, however many threads it interleaves;
+		// each thread carries its own JRS estimator.
+		var r *smt.Result
+		err := p.simulate(sp.Workload+"/"+sp.Variant, sp.Predictor, len(progs), func() (uint64, error) {
+			var err error
+			if r, err = smt.Run(cfg, progs, newPred, newEst); err != nil {
+				return 0, err
+			}
+			return r.ThreadCycles, nil
+		})
 		if err != nil {
 			return CellResult{}, fmt.Errorf("smt %s/%s: %w", sp.Workload, smtPol, err)
 		}

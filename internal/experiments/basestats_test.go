@@ -162,7 +162,8 @@ func TestDirectRunsOpenSimulateSpans(t *testing.T) {
 		// boost folds the events of a live run in its tracer.
 		"boost":     {all, n},
 		"boost-mcf": {all, n},
-		// smt simulates through smt.Run, which opens no simulate span.
+		// Every smt cell is one smt.Run of its thread mix.
+		"smt": {all, 3 * len(smtPolicies)}, // three thread mixes
 	}
 	traces := replay.NewCache(0, nil)
 	for _, e := range Experiments() {

@@ -15,7 +15,7 @@
 //     order the old serial loops used;
 //  2. a CellFunc that simulates exactly one cell, constructing all of
 //     its own state (pipeline, predictor, estimators, workload program)
-//     and taking any randomness from spec.Seed;
+//     and drawing no random numbers at run time;
 //  3. an assemble step that folds the returned []CellResult — which
 //     runGrid keeps positionally aligned with the spec list — into the
 //     experiment's result struct.
@@ -103,10 +103,6 @@ type Params struct {
 	// Jobs is the grid worker-pool width; values <= 1 run serially.
 	// Output is byte-identical for every value of Jobs.
 	Jobs int
-	// BaseSeed roots each cell's derived RNG stream (see
-	// runner.DeriveSeed); zero selects runner.DefaultBaseSeed, which
-	// all published results use.
-	BaseSeed uint64
 	// Shard restricts grid execution to every Count-th cell for
 	// cross-machine sweeps; drivers then return ErrShardOnly after
 	// recording their cells into Record.
@@ -282,9 +278,10 @@ func buildProgram(w workload.Workload, iters int) *isa.Program {
 }
 
 // runOne simulates one workload on one predictor with the given
-// estimators and returns the statistics. Every direct simulation goes
-// through it (cells that change the machine override p.Pipeline), so
-// each one opens a "simulate" span, prints a progress line and counts
+// estimators and returns the statistics. Every direct single-thread
+// simulation goes through it (cells that change the machine override
+// p.Pipeline). It and the smt cells run through simulate, so every
+// direct run opens a "simulate" span, prints a progress line and counts
 // in specctrl_runs_total. When Params carries an obs registry or
 // progress view, the run publishes live metrics under {workload,
 // predictor} labels.
@@ -294,13 +291,6 @@ func (p Params) runOne(w workload.Workload, spec PredictorSpec, ests ...conf.Est
 
 // runProgram is runOne on a given build of the named workload.
 func (p Params) runProgram(name string, prog *isa.Program, spec PredictorSpec, ests ...conf.Estimator) (*pipeline.Stats, error) {
-	var rs *span.Span
-	if p.Tracer != nil {
-		rs = p.Tracer.Child(p.SpanParent, "simulate",
-			span.Str("workload", name), span.Str("predictor", spec.Name),
-			span.Int("estimators", int64(len(ests))))
-		defer rs.End()
-	}
 	cfg := p.Pipeline
 	cfg.MaxCommitted = p.MaxCommitted
 	if p.Obs != nil {
@@ -320,23 +310,50 @@ func (p Params) runProgram(name string, prog *isa.Program, spec PredictorSpec, e
 	} else {
 		cfg.Estimators = ests
 	}
-	sim, err := pipeline.New(cfg, prog, spec.New(p))
+	var st *pipeline.Stats
+	err := p.simulate(name, spec.Name, len(ests), func() (uint64, error) {
+		sim, err := pipeline.New(cfg, prog, spec.New(p))
+		if err != nil {
+			return 0, fmt.Errorf("run %s/%s: %w", name, spec.Name, err)
+		}
+		if st, err = sim.Run(); err != nil {
+			return 0, err
+		}
+		return st.Cycles, nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("run %s/%s: %w", name, spec.Name, err)
+		return nil, err
 	}
-	p.progress("run %-9s on %-9s (%d estimators)", name, spec.Name, len(ests))
-	st, err := sim.Run()
-	if err == nil {
-		if rs != nil {
-			rs.SetAttrs(span.Int("cycles", int64(st.Cycles)))
-		}
-		if p.Obs != nil {
-			p.Obs.Histogram("specctrl_run_ipc", obs.Labels{"predictor": spec.Name}, ipcBounds).
-				Observe(st.IPC())
-			p.Obs.Counter("specctrl_runs_total", nil).Inc()
-		}
+	if p.Obs != nil {
+		p.Obs.Histogram("specctrl_run_ipc", obs.Labels{"predictor": spec.Name}, ipcBounds).
+			Observe(st.IPC())
 	}
-	return st, err
+	return st, nil
+}
+
+// simulate brackets one direct simulation with the bookkeeping every
+// direct run shares, whatever it simulates: a "simulate" span under
+// the cell, a "run ..." progress line, and one count in
+// specctrl_runs_total once run succeeds. run returns the simulated
+// cycles, which the span records.
+func (p Params) simulate(name, predictor string, estimators int, run func() (cycles uint64, err error)) error {
+	var rs *span.Span
+	if p.Tracer != nil {
+		rs = p.Tracer.Child(p.SpanParent, "simulate",
+			span.Str("workload", name), span.Str("predictor", predictor),
+			span.Int("estimators", int64(estimators)))
+		defer rs.End()
+	}
+	p.progress("run %-9s on %-9s (%d estimators)", name, predictor, estimators)
+	cycles, err := run()
+	if err != nil {
+		return err
+	}
+	rs.SetAttrs(span.Int("cycles", int64(cycles)))
+	if p.Obs != nil {
+		p.Obs.Counter("specctrl_runs_total", nil).Inc()
+	}
+	return nil
 }
 
 // staticFor builds the static estimator for one (workload, predictor)

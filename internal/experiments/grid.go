@@ -37,8 +37,8 @@ type CellResult struct {
 
 // CellFunc is an experiment's per-cell body. It must follow the
 // isolation rules in the runner package comment: build every pipeline,
-// predictor, estimator and workload program inside the cell, take
-// randomness only from spec.Seed, and never read other cells' output.
+// predictor, estimator and workload program inside the cell, draw no
+// random numbers at run time, and never read other cells' output.
 type CellFunc func(ctx context.Context, p Params, spec runner.Spec) (CellResult, error)
 
 // ErrShardOnly is returned by experiment drivers when Params.Shard is
@@ -166,7 +166,6 @@ func (p Params) runGrid(specs []runner.Spec, cell CellFunc) ([]CellResult, error
 	}
 	opts := runner.Options{
 		Jobs:       p.Jobs,
-		BaseSeed:   p.BaseSeed,
 		Shard:      p.Shard,
 		Obs:        p.Obs,
 		Tracer:     p.Tracer,

@@ -10,31 +10,22 @@ import (
 
 func TestOrderCoversRegistry(t *testing.T) {
 	seen := map[string]bool{}
-	for _, name := range order {
-		if _, ok := registry[name]; !ok {
-			t.Errorf("order entry %q missing from registry", name)
+	for _, e := range registry {
+		if seen[e.Name] {
+			t.Errorf("registry entry %q duplicated", e.Name)
 		}
-		if seen[name] {
-			t.Errorf("order entry %q duplicated", name)
-		}
-		seen[name] = true
-	}
-	for name := range registry {
-		if !seen[name] {
-			t.Errorf("registry entry %q missing from presentation order", name)
-		}
+		seen[e.Name] = true
 	}
 }
 
 func TestRegistryEntries(t *testing.T) {
-	for name, e := range registry {
-		if e.Desc == "" || e.Run == nil || e.Name != name {
-			t.Errorf("registry entry %q incomplete: %+v", name, e)
+	for _, e := range registry {
+		if e.Name == "" || e.Desc == "" || e.Run == nil {
+			t.Errorf("registry entry %q incomplete: %+v", e.Name, e)
 		}
-	}
-	if len(Experiments()) != len(registry) {
-		t.Errorf("Experiments() returns %d entries, registry has %d",
-			len(Experiments()), len(registry))
+		if got, ok := Lookup(e.Name); !ok || got.Name != e.Name {
+			t.Errorf("Lookup(%q) = %q, %v", e.Name, got.Name, ok)
+		}
 	}
 }
 
@@ -56,12 +47,12 @@ func TestShardOnlyCoverage(t *testing.T) {
 	p.MaxCommitted = 40_000
 	p.Shard = runner.Shard{Index: 63, Count: 64}
 	p.Record = NewCellStore()
-	for name, e := range registry {
-		if name == "fig1" || name == "cost" {
+	for _, e := range registry {
+		if e.Name == "fig1" || e.Name == "cost" {
 			continue // analytic, no simulation grid
 		}
 		if _, err := e.Run(p); !errors.Is(err, ErrShardOnly) {
-			t.Errorf("%s: got %v, want ErrShardOnly (driver bypasses the grid?)", name, err)
+			t.Errorf("%s: got %v, want ErrShardOnly (driver bypasses the grid?)", e.Name, err)
 		}
 	}
 }

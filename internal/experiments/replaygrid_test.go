@@ -192,7 +192,6 @@ func TestTraceAddressExcludesEstimatorIdentity(t *testing.T) {
 
 	for name, mutate := range map[string]func(*Params){
 		"MaxCommitted": func(p *Params) { p.MaxCommitted++ },
-		"BaseSeed":     func(p *Params) { p.BaseSeed++ },
 		"GshareBits":   func(p *Params) { p.GshareBits++ },
 		"FetchWidth":   func(p *Params) { p.Pipeline.FetchWidth++ },
 	} {

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"specctrl/internal/replay"
@@ -53,6 +56,26 @@ func TestSweepSpaceDeterminism(t *testing.T) {
 	if want.Render() != off.Render() {
 		t.Errorf("render differs between replay and direct evaluation:\n--- replay ---\n%s\n--- direct ---\n%s",
 			want.Render(), off.Render())
+	}
+}
+
+// TestSweepSpaceNamesGolden pins the workload names of the default
+// sweep. They are the sweepspace cells' keys and row labels, so a drift
+// of sweepSpaceSeed, or of the generator behind it, would change every
+// sweepspace row of results_full.txt. The golden names are the ones
+// results_full.txt was generated with.
+func TestSweepSpaceNamesGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/sweepspace_names.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(data))
+	var got []string
+	for _, prof := range synth.Space(sweepSpaceSeed, DefaultSynthN) {
+		got = append(got, prof.WorkloadName())
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("sweepspace names drifted:\ngot  %v\nwant %v", got, want)
 	}
 }
 

@@ -32,9 +32,8 @@ type XInputResult struct {
 // both that cross-trained estimator and the self-profiled one on the
 // reference input, in a single evaluation run.
 func XInput(p Params) (*XInputResult, error) {
-	// altSeed is a fixed arbitrary alternative input. It is deliberately
-	// a constant — not derived from the cell seed — because it names a
-	// specific published input, not a random one.
+	// altSeed is a fixed arbitrary alternative input. It is a constant
+	// because it names a specific published input, not a random one.
 	const altSeed = 0xA17E12
 	stats, err := p.suiteStats("xinput", GshareSpec(), "main",
 		func(p Params, w workload.Workload) ([]conf.Estimator, error) {

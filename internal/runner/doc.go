@@ -7,18 +7,16 @@
 //
 // # The Spec/cell contract
 //
-// A grid is a []Spec; each Spec names exactly one cell and carries the
-// cell's private RNG seed. The cell body is the func passed to Run. The
-// contract a cell must honor for the runner's determinism guarantee to
-// hold:
+// A grid is a []Spec; each Spec names exactly one cell. The cell body
+// is the func passed to Run. The contract a cell must honor for the
+// runner's determinism guarantee to hold:
 //
 //   - No shared mutable state. Every pipeline, predictor, estimator,
 //     cache, and workload program the cell needs is constructed inside
 //     the cell. Cells may close over read-only configuration only.
-//   - No process-global randomness. Any randomness is drawn from a
-//     generator seeded with spec.Seed (derived as
-//     DeriveSeed(baseSeed, spec.Key()) — a pure function of the spec,
-//     never of scheduling).
+//   - No run-time randomness. A cell's result is a function of its
+//     spec and configuration alone; the only random draws are made
+//     inside program builders, from fixed seeds.
 //   - No dependence on execution order. A cell may not read another
 //     cell's output or any accumulator written by other cells.
 //

@@ -13,22 +13,16 @@ import (
 )
 
 // Spec identifies one independent grid cell. The four name fields form
-// the cell's stable identity (Key); Seed is filled in by Run from the
-// base seed and that identity.
+// the cell's stable identity (Key).
 type Spec struct {
 	Experiment string // experiment family, e.g. "table2"
 	Workload   string // benchmark name, e.g. "gcc"
 	Predictor  string // branch predictor name, e.g. "gshare"
 	Variant    string // estimator/config discriminator, e.g. "main"
-
-	// Seed is the cell's private RNG stream, derived by Run as
-	// DeriveSeed(baseSeed, Key()). Cells must take any randomness they
-	// need from this value and never from process-global state.
-	Seed uint64 `json:"-"`
 }
 
-// Key returns the stable identity of the spec, used for seed
-// derivation, sharding and cross-machine result merging.
+// Key returns the stable identity of the spec, used for sharding,
+// cross-machine result merging and content addressing.
 func (s Spec) Key() string {
 	return s.Experiment + "/" + s.Workload + "/" + s.Predictor + "/" + s.Variant
 }
@@ -38,10 +32,6 @@ type Options struct {
 	// Jobs is the worker-pool size. Values <= 1 run serially (a single
 	// worker), which is also the reference order for determinism tests.
 	Jobs int
-
-	// BaseSeed is the root of every cell's derived seed. Zero selects
-	// DefaultBaseSeed so that library callers and the CLI agree.
-	BaseSeed uint64
 
 	// Shard restricts execution to every Count-th spec (see Shard).
 	// Skipped specs come back as the zero value.
@@ -66,10 +56,6 @@ var cellSecondsBounds = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
 
-// DefaultBaseSeed is the published base seed for all experiment grids;
-// results_full.txt and EXPERIMENTS.md are generated with it.
-const DefaultBaseSeed uint64 = 0x5eedc0de15ca1998
-
 // Run executes every spec owned by opts.Shard on opts.Jobs workers and
 // returns one value per input spec, positionally aligned with specs;
 // specs outside the shard come back as the zero T. See the package
@@ -82,10 +68,6 @@ func Run[T any](ctx context.Context, opts Options, specs []Spec,
 	cell func(context.Context, Spec) (T, error)) ([]T, error) {
 	if err := opts.Shard.Validate(); err != nil {
 		return nil, err
-	}
-	base := opts.BaseSeed
-	if base == 0 {
-		base = DefaultBaseSeed
 	}
 	// Shard filter: this machine owns every Count-th spec.
 	mine := make([]int, 0, len(specs))
@@ -136,7 +118,6 @@ func Run[T any](ctx context.Context, opts Options, specs []Spec,
 				}
 				i := mine[k]
 				sp := specs[i]
-				sp.Seed = DeriveSeed(base, sp.Key())
 				cellCtx := runCtx
 				var cellSpan *span.Span
 				started := time.Now()

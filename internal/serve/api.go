@@ -27,8 +27,6 @@ type SubmitRequest struct {
 	// Committed overrides the server's committed-instruction budget
 	// per simulation (0 = server default).
 	Committed uint64 `json:"committed,omitempty"`
-	// BaseSeed overrides the grid base seed (0 = default).
-	BaseSeed uint64 `json:"baseSeed,omitempty"`
 	// SynthN overrides the sweepspace experiment's generated profile
 	// count (0 = default).
 	SynthN int `json:"synthN,omitempty"`
@@ -160,6 +158,9 @@ func (s *Server) retryAfter(w http.ResponseWriter) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	dec := json.NewDecoder(r.Body)
+	// An unknown field is a request this server cannot honor; running
+	// the job without it would quietly compute a different one.
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return

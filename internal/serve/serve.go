@@ -43,7 +43,7 @@ type Config struct {
 	RetryAfter time.Duration
 	// Params is the base parameter set jobs derive from; a zero
 	// MaxCommitted selects experiments.DefaultParams(). Per-request
-	// overrides (committed, baseSeed) apply on top.
+	// overrides (committed, synthN, synthProfiles) apply on top.
 	Params experiments.Params
 	// TraceCacheBytes bounds the in-process replay trace cache New
 	// installs on Params when Params.TraceCache is nil (0 selects
@@ -221,9 +221,6 @@ func (s *Server) jobParams(req SubmitRequest) experiments.Params {
 	p := s.cfg.Params
 	if req.Committed > 0 {
 		p.MaxCommitted = req.Committed
-	}
-	if req.BaseSeed != 0 {
-		p.BaseSeed = req.BaseSeed
 	}
 	if req.SynthN > 0 {
 		p.SynthN = req.SynthN

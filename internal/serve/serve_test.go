@@ -212,6 +212,9 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"version":1,"experiments":[]}`, http.StatusBadRequest},
 		{`{"version":99,"experiments":["table3"]}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
+		// An unknown field, here the removed baseSeed: ignoring it
+		// would run a job other than the one asked for.
+		{`{"version":1,"experiments":["table3"],"baseSeed":5}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		_, resp := postJob(t, srv, c.body)

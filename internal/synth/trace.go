@@ -145,8 +145,9 @@ func EncodeTrace(t *Trace) ([]byte, error) {
 
 // DecodeTrace parses SPBT bytes, enforcing every structural invariant:
 // counts are within the format's caps and bounded by the remaining
-// input before anything is allocated for them (each site and each
-// event encodes to at least one byte), site PCs must be strictly
+// input (each site and each event encodes to at least one byte), and
+// nothing is allocated until the site table and the event count have
+// been checked; site PCs must be strictly
 // increasing (the canonical order), event site indices must be in
 // range, and trailing bytes are rejected.
 func DecodeTrace(data []byte) (*Trace, error) {
@@ -165,28 +166,12 @@ func DecodeTrace(data []byte) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{SitePCs: make([]int64, nSites)}
-	pc := int64(0)
-	for i := range nSites {
-		d, err := r.Uvarint("site pc")
-		if err != nil {
-			return nil, err
-		}
-		if d > 1<<62 {
-			return nil, spbt.Corruptf("site %d: pc delta %d out of range", i, d)
-		}
-		if i == 0 {
-			pc = int64(d)
-		} else {
-			if d == 0 {
-				return nil, spbt.Corruptf("site %d: zero pc delta (sites must be strictly increasing)", i)
-			}
-			pc += int64(d)
-			if pc < 0 {
-				return nil, spbt.Corruptf("site %d: pc overflow", i)
-			}
-		}
-		t.SitePCs[i] = pc
+	// Check the site table before allocating for it: a table with no
+	// events after it is rejected at the cost of reading it, and the
+	// fill pass below rereads it from sites.
+	sites := *r
+	if err := readSitePCs(r, nil, nSites); err != nil {
+		return nil, err
 	}
 
 	if n, err = r.Uvarint("event count"); err != nil {
@@ -199,7 +184,10 @@ func DecodeTrace(data []byte) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Events = make([]uint32, nEvents)
+	t := &Trace{SitePCs: make([]int64, nSites), Events: make([]uint32, nEvents)}
+	if err := readSitePCs(&sites, t.SitePCs, nSites); err != nil {
+		return nil, err
+	}
 	for i := range nEvents {
 		e, err := r.Uvarint("event")
 		if err != nil {
@@ -214,6 +202,37 @@ func DecodeTrace(data []byte) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// readSitePCs reads n site PCs from r (the first one absolute, the rest
+// as deltas ≥ 1), checking each, and stores them in pcs when it is
+// non-nil.
+func readSitePCs(r *codec.Reader, pcs []int64, n int) error {
+	pc := int64(0)
+	for i := range n {
+		d, err := r.Uvarint("site pc")
+		if err != nil {
+			return err
+		}
+		if d > 1<<62 {
+			return spbt.Corruptf("site %d: pc delta %d out of range", i, d)
+		}
+		if i == 0 {
+			pc = int64(d)
+		} else {
+			if d == 0 {
+				return spbt.Corruptf("site %d: zero pc delta (sites must be strictly increasing)", i)
+			}
+			pc += int64(d)
+			if pc < 0 {
+				return spbt.Corruptf("site %d: pc overflow", i)
+			}
+		}
+		if pcs != nil {
+			pcs[i] = pc
+		}
+	}
+	return nil
 }
 
 // Trace-replay program layout (word addresses).

@@ -206,6 +206,7 @@ func TestDecodeTraceAllocBound(t *testing.T) {
 		{"site count over the input", pad(count(header, maxTraceSites), 500)},
 		{"event count over the cap, 1 MiB", pad(count(sites(10), 1<<40), 1<<20)},
 		{"event count over the input", pad(count(sites(10), maxTraceEvents), 64<<10)},
+		{"full site table, no event count", sites(maxTraceSites)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := DecodeTrace(tc.data); !errors.Is(err, ErrCorrupt) {

@@ -9,7 +9,8 @@
 //	go run ./scripts/benchpair <parent-checkout>
 //
 // scripts/check.sh makes the parent checkout with git archive and runs
-// this from the repository root.
+// this from the repository root. SIGINT or SIGTERM interrupts the
+// running child, removes the built binaries and exits non-zero.
 //
 // Only pairs give a verdict on a shared host. Its speed drifts by tens
 // of percent between minutes, so an absolute ns/op, or a ratio from a
@@ -30,14 +31,18 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
 	"strings"
+	"syscall"
+	"time"
 )
 
 const (
@@ -56,24 +61,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchpair <parent-checkout>")
 		os.Exit(2)
 	}
-	if err := run(os.Args[1]); err != nil {
+	// A signal cancels ctx, which interrupts the running child; run
+	// then returns and its deferred cleanup removes the binaries.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1])
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchpair:", err)
 		os.Exit(1)
 	}
 }
 
-func run(parentDir string) error {
+func run(ctx context.Context, parentDir string) error {
 	tmp, err := os.MkdirTemp("", "benchpair")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(tmp)
 
-	change, err := build(".", filepath.Join(tmp, "change.test"))
+	change, err := build(ctx, ".", tmp, "change.test")
 	if err != nil {
 		return err
 	}
-	parent, err := build(parentDir, filepath.Join(tmp, "parent.test"))
+	parent, err := build(ctx, parentDir, tmp, "parent.test")
 	if err != nil {
 		return err
 	}
@@ -83,11 +93,11 @@ func run(parentDir string) error {
 		if i%2 == 1 {
 			first, second = parent, change
 		}
-		a, err := first.bench()
+		a, err := first.bench(ctx)
 		if err != nil {
 			return err
 		}
-		b, err := second.bench()
+		b, err := second.bench(ctx)
 		if err != nil {
 			return err
 		}
@@ -105,23 +115,41 @@ func run(parentDir string) error {
 // binary is a built test binary and the package directory it runs in.
 type binary struct{ path, dir string }
 
+// command runs name in dir, with env added to the environment, until
+// it exits or ctx is cancelled. On cancellation the child gets SIGINT,
+// so the go command can stop its own children, and a SIGKILL if it has
+// not exited 10 s later.
+func command(ctx context.Context, dir string, env []string, name string, args ...string) ([]byte, error) {
+	cmd := exec.CommandContext(ctx, name, args...)
+	cmd.Dir = dir
+	if env != nil {
+		cmd.Env = append(os.Environ(), env...)
+	}
+	cmd.Cancel = func() error { return cmd.Process.Signal(os.Interrupt) }
+	cmd.WaitDelay = 10 * time.Second
+	out, err := cmd.CombinedOutput()
+	if ctx.Err() != nil {
+		return nil, fmt.Errorf("%s interrupted: %w", name, context.Cause(ctx))
+	}
+	return out, err
+}
+
 // build compiles the pipeline package's test binary from the module
-// rooted at root.
-func build(root, out string) (binary, error) {
-	cmd := exec.Command("go", "test", "-c", "-o", out, pkg)
-	cmd.Dir = root
-	if msg, err := cmd.CombinedOutput(); err != nil {
+// rooted at root into tmp/name. The go command's work directory goes
+// under tmp too, so removing tmp removes everything a build left, even
+// one cut short.
+func build(ctx context.Context, root, tmp, name string) (binary, error) {
+	out := filepath.Join(tmp, name)
+	if msg, err := command(ctx, root, []string{"GOTMPDIR=" + tmp}, "go", "test", "-c", "-o", out, pkg); err != nil {
 		return binary{}, fmt.Errorf("building %s in %s: %v\n%s", pkg, root, err, msg)
 	}
 	return binary{out, filepath.Join(root, pkg)}, nil
 }
 
 // bench runs the benchmark once and returns its output.
-func (b binary) bench() ([]byte, error) {
-	cmd := exec.Command(b.path, "-test.run", "^$", "-test.bench", "^"+bench+"$",
+func (b binary) bench(ctx context.Context) ([]byte, error) {
+	out, err := command(ctx, b.dir, nil, b.path, "-test.run", "^$", "-test.bench", "^"+bench+"$",
 		"-test.benchtime", benchtime, "-test.timeout", "5m")
-	cmd.Dir = b.dir
-	out, err := cmd.CombinedOutput()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %v\n%s", b.path, err, out)
 	}

@@ -2,8 +2,13 @@ package main
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // aaPairs are 40 consecutive pairs (change ns/op, parent ns/op) of
@@ -83,5 +88,46 @@ func TestVerdictFailsUnparseable(t *testing.T) {
 	change, parent := runs(1)
 	if _, err := verdict(change[:pairs-1], parent[:pairs-1]); err == nil {
 		t.Error("too few pairs passed the gate")
+	}
+}
+
+// TestSignalRemovesBinaries sends SIGTERM to a running benchpair once
+// it has made its temporary directory: the process must exit non-zero
+// and leave nothing behind in the temp dir, neither its binaries nor
+// the go command's work directory.
+func TestSignalRemovesBinaries(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go command on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "benchpair")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	tmp := t.TempDir()
+	cmd := exec.Command(bin, ".")
+	cmd.Dir = "../.." // the module root, which holds the benchmark's package
+	cmd.Env = append(os.Environ(), "TMPDIR="+tmp)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	made := func() bool {
+		m, _ := filepath.Glob(filepath.Join(tmp, "benchpair*"))
+		return len(m) > 0
+	}
+	for deadline := time.Now().Add(30 * time.Second); !made(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatal("benchpair made no temporary directory in 30 s")
+		}
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err == nil {
+		t.Error("benchpair exited 0 after SIGTERM")
+	}
+	if left, _ := os.ReadDir(tmp); len(left) > 0 {
+		t.Errorf("benchpair left %d entries in the temp dir after SIGTERM, first %s", len(left), left[0].Name())
 	}
 }

@@ -62,10 +62,12 @@ go test -race -count=1 -run 'TestSteadyStateAllocs' ./internal/pipeline
 # package comment must live in doc.go.
 go run ./scripts/doccheck internal/serve internal/runner internal/replay internal/memo internal/obs/span internal/synth internal/codec
 
-# RNG hygiene: experiment cells must take randomness from spec.Seed only;
-# a process-global RNG would break cross-job determinism silently.
+# RNG hygiene: nothing draws random numbers at run time; every draw
+# happens inside a program builder, from a fixed seed through
+# internal/rng. A process-global RNG would break cross-job determinism
+# silently.
 if grep -rn 'math/rand' internal/experiments internal/runner internal/workload internal/serve internal/synth; then
-    echo "check.sh: process-global RNG import found (use seed-derived rng streams)" >&2
+    echo "check.sh: process-global RNG import found (draw from a fixed-seed internal/rng generator)" >&2
     exit 1
 fi
 
