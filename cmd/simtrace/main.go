@@ -33,6 +33,7 @@ import (
 	"specctrl/internal/bpred"
 	"specctrl/internal/cliflags"
 	"specctrl/internal/conf"
+	"specctrl/internal/experiments"
 	"specctrl/internal/isa"
 	"specctrl/internal/obs"
 	"specctrl/internal/obs/span"
@@ -104,14 +105,13 @@ func fail(err error) {
 	os.Exit(1)
 }
 
+// newPredictor builds the named predictor in the paper's geometry, as
+// every experiment does.
 func newPredictor(name string) (bpred.Predictor, error) {
-	switch name {
-	case "gshare":
-		return bpred.NewGshare(12), nil
-	case "mcfarling":
-		return bpred.NewMcFarling(12), nil
-	case "sag":
-		return bpred.NewSAg(11, 13), nil
+	for _, spec := range experiments.AllPredictors() {
+		if spec.Name == name {
+			return spec.New(), nil
+		}
 	}
 	return nil, fmt.Errorf("unknown predictor %q", name)
 }
@@ -180,10 +180,8 @@ func doRecord(o recordOptions) error {
 		cfg.Metrics = started.Registry
 		cfg.MetricsLabels = obs.Labels{"workload": w.Name, "predictor": o.predictor}
 	}
-	if started.Run != nil {
-		cfg.Progress = started.Run
-		cfg.Progress.StartRun(w.Name+"/"+o.predictor, o.committed)
-	}
+	cfg.Progress = started.Run.StartRun(w.Name+"/"+o.predictor, o.committed)
+	defer cfg.Progress.End()
 
 	sim, err := pipeline.New(cfg, w.Build(o.iters), pred)
 	if err != nil {

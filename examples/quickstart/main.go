@@ -36,7 +36,7 @@ func main() {
 	sat := conf.SatCounters{}           // the free one (predictor state)
 	dist := conf.NewDistance(4)         // the one-counter one (§4.1)
 	cfg.Estimators = []conf.Estimator{jrs, sat, dist}
-	sim, err := pipeline.New(cfg, prog, bpred.NewGshare(12))
+	sim, err := pipeline.New(cfg, prog, bpred.NewGshare(bpred.GshareBits))
 	if err != nil {
 		log.Fatal(err) // a ConfigError names the offending Config field
 	}

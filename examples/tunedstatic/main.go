@@ -1,7 +1,7 @@
 // Tunedstatic: demonstrate the paper's §5 future-work item implemented
 // in this library — tuning static confidence to hit a SPEC or PVN target
-// instead of using one fixed accuracy threshold — plus estimator
-// combinators (And/Or) for composing hardware schemes with static hints.
+// instead of using one fixed accuracy threshold — plus the And
+// combinator for composing a hardware scheme with static hints.
 //
 //	go run ./examples/tunedstatic
 package main
@@ -29,7 +29,7 @@ func main() {
 	// 1. Profile pass: per-branch-site accuracy under the predictor.
 	pcfg := cfg
 	pcfg.CollectSiteStats = true
-	train, err := pipeline.New(pcfg, prog, bpred.NewGshare(12))
+	train, err := pipeline.New(pcfg, prog, bpred.NewGshare(bpred.GshareBits))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func main() {
 	names := []string{"Static>90% (paper)", "Tuned SPEC>=70%", "Tuned SPEC>=90%",
 		"Tuned PVN>=30%", "And(SPEC70, SatCnt)"}
 	cfg.Estimators = []conf.Estimator{fixed, spec70, spec90, pvn30, combo}
-	sim, err := pipeline.New(cfg, prog, bpred.NewGshare(12))
+	sim, err := pipeline.New(cfg, prog, bpred.NewGshare(bpred.GshareBits))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,9 +23,9 @@ func benchPredict(b *testing.B, p Predictor) {
 	}
 }
 
-func BenchmarkPredictGshare(b *testing.B)        { benchPredict(b, NewGshare(12)) }
-func BenchmarkPredictGshareNonSpec(b *testing.B) { benchPredict(b, NewGshareNonSpec(12)) }
-func BenchmarkPredictMcFarling(b *testing.B)     { benchPredict(b, NewMcFarling(12)) }
-func BenchmarkPredictSAg(b *testing.B)           { benchPredict(b, NewSAg(11, 13)) }
+func BenchmarkPredictGshare(b *testing.B)        { benchPredict(b, NewGshare(GshareBits)) }
+func BenchmarkPredictGshareNonSpec(b *testing.B) { benchPredict(b, NewGshareNonSpec(GshareBits)) }
+func BenchmarkPredictMcFarling(b *testing.B)     { benchPredict(b, NewMcFarling(McFarlingBits)) }
+func BenchmarkPredictSAg(b *testing.B)           { benchPredict(b, NewSAg(SAgBHTBits, SAgHistBits)) }
 func BenchmarkPredictBimodal(b *testing.B)       { benchPredict(b, NewBimodal(12)) }
 func BenchmarkPredictStatic(b *testing.B)        { benchPredict(b, Static{Taken: true}) }

@@ -31,6 +31,24 @@
 // wrong-path branches can update tables before the squash.
 package bpred
 
+// The paper's predictor geometry: the one machine every experiment, every
+// simtrace recording and synth's calibration evaluate. Nothing varies
+// it; the constructors take it as arguments only so tests can build
+// small tables.
+const (
+	// GshareBits sizes gshare: a 4096-entry counter table indexed by
+	// the PC XOR a 12-bit global history.
+	GshareBits = 12
+	// McFarlingBits sizes each of McFarling's three tables (gshare,
+	// bimodal, chooser) at 4096 entries.
+	McFarlingBits = 12
+	// SAgBHTBits sizes SAg's first level at 2048 per-branch histories.
+	SAgBHTBits = 11
+	// SAgHistBits is SAg's history length, so its pattern table holds
+	// 8192 counters.
+	SAgHistBits = 13
+)
+
 // Counter2 is a 2-bit saturating counter with the conventional state
 // encoding: 0 = strongly not-taken, 1 = weakly not-taken, 2 = weakly
 // taken, 3 = strongly taken.

@@ -243,12 +243,12 @@ func TestSAgSeparateHistories(t *testing.T) {
 			s.Resolve(pc, info, taken)
 		}
 	}
-	p1, _, _ := s.Predict(10)
-	p2, _, _ := s.Predict(20)
+	p1, _, i1 := s.Predict(10)
+	p2, _, i2 := s.Predict(20)
 	if !p1 || p2 {
 		t.Errorf("sag predictions (%v,%v), want (true,false)", p1, p2)
 	}
-	if s.HistoryFor(10) == 0 || s.HistoryFor(20) != 0 {
+	if i1.Hist == 0 || i2.Hist != 0 {
 		t.Error("per-branch histories not tracked independently")
 	}
 }
@@ -261,7 +261,9 @@ func TestSAgAliasing(t *testing.T) {
 		_, _, info := s.Predict(pcA)
 		s.Resolve(pcA, info, true)
 	}
-	if s.HistoryFor(pcB) != s.HistoryFor(pcA) {
+	_, _, a := s.Predict(pcA)
+	_, _, b := s.Predict(pcB)
+	if a.Hist != b.Hist {
 		t.Error("aliased PCs should share a BHT entry")
 	}
 }

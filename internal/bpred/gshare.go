@@ -13,7 +13,7 @@ type Gshare struct {
 
 // NewGshare returns a gshare predictor with 2^indexBits counters and an
 // indexBits-long global history register. The paper's configuration is
-// indexBits=12 (a 4096-entry table).
+// GshareBits.
 func NewGshare(indexBits uint) *Gshare {
 	if indexBits == 0 || indexBits > 30 {
 		panic("bpred: gshare index bits out of range")

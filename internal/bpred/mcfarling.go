@@ -18,7 +18,7 @@ type McFarling struct {
 }
 
 // NewMcFarling returns a combining predictor whose three tables each have
-// 2^indexBits entries. The paper's configuration is indexBits=12.
+// 2^indexBits entries. The paper's configuration is McFarlingBits.
 func NewMcFarling(indexBits uint) *McFarling {
 	if indexBits == 0 || indexBits > 30 {
 		panic("bpred: mcfarling index bits out of range")

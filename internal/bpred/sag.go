@@ -20,7 +20,7 @@ type SAg struct {
 
 // NewSAg returns a SAg predictor with 2^bhtBits history registers, each
 // histBits long, and a 2^histBits-entry pattern table. The paper uses
-// bhtBits=11 (2048 entries) and histBits=13 (8192 counters).
+// SAgBHTBits and SAgHistBits.
 func NewSAg(bhtBits, histBits uint) *SAg {
 	if bhtBits == 0 || bhtBits > 24 || histBits == 0 || histBits > 26 {
 		panic("bpred: sag configuration out of range")
@@ -59,9 +59,6 @@ func (s *SAg) Resolve(pc int64, info Info, taken bool) {
 
 // Recover implements Predictor. SAg holds no speculative state.
 func (s *SAg) Recover(ckpt Checkpoint, pc int64, taken bool) {}
-
-// HistoryFor returns the current history pattern of the branch at pc.
-func (s *SAg) HistoryFor(pc int64) uint64 { return s.bht[s.bhtIndex(pc)] }
 
 // Snapshot implements Predictor (no speculative state).
 func (s *SAg) Snapshot() Checkpoint { return Checkpoint{} }

@@ -29,7 +29,6 @@ func BenchmarkEstimateSatCountersMcFarling(b *testing.B) {
 }
 func BenchmarkEstimatePatternHistory(b *testing.B) { benchEstimate(b, NewPatternHistory(10)) }
 func BenchmarkEstimateDistance(b *testing.B)       { benchEstimate(b, NewDistance(4)) }
-func BenchmarkEstimateBoost(b *testing.B)          { benchEstimate(b, NewBoost(SatCounters{}, 4)) }
 func BenchmarkEstimateOnesCount(b *testing.B) {
 	benchEstimate(b, NewOnesCount(OnesCountConfig{Entries: 1024, Bits: 16, Threshold: 15, Enhanced: true}))
 }

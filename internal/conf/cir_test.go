@@ -213,12 +213,6 @@ func TestAndOrCombinators(t *testing.T) {
 		{And{hi, lo}, false},
 		{And{lo, hi}, false},
 		{And{lo, lo}, false},
-		{Or{hi, hi}, true},
-		{Or{hi, lo}, true},
-		{Or{lo, hi}, true},
-		{Or{lo, lo}, false},
-		{Invert{hi}, false},
-		{Invert{lo}, true},
 	}
 	for _, c := range cases {
 		if got := c.est.Estimate(0, in); got != c.want {
@@ -230,11 +224,6 @@ func TestAndOrCombinators(t *testing.T) {
 func TestCombinatorsEvaluateBothSides(t *testing.T) {
 	// Stateful inner estimators must see every branch even when the
 	// other side short-circuits the logical result.
-	a, b := &scripted{seq: []bool{true}}, &scripted{seq: []bool{true}}
-	Or{a, b}.Estimate(0, bpred.Info{})
-	if a.i != 1 || b.i != 1 {
-		t.Error("Or short-circuited an inner estimator")
-	}
 	c, d := &scripted{seq: []bool{false}}, &scripted{seq: []bool{false}}
 	And{c, d}.Estimate(0, bpred.Info{})
 	if c.i != 1 || d.i != 1 {
@@ -245,31 +234,24 @@ func TestCombinatorsEvaluateBothSides(t *testing.T) {
 func TestCombinatorsForwardResolve(t *testing.T) {
 	a, b := &scripted{seq: []bool{true}}, &scripted{seq: []bool{true}}
 	And{a, b}.Resolve(0, bpred.Info{}, true)
-	Or{a, b}.Resolve(0, bpred.Info{}, false)
-	Invert{a}.Resolve(0, bpred.Info{}, true)
-	if a.res != 3 || b.res != 2 {
-		t.Errorf("resolve counts = %d,%d, want 3,2", a.res, b.res)
+	if a.res != 1 || b.res != 1 {
+		t.Errorf("resolve counts = %d,%d, want 1,1", a.res, b.res)
 	}
 }
 
 func TestAndTightensOrLoosens(t *testing.T) {
-	// Property on random estimate pairs: And implies each side; each
-	// side implies Or.
+	// Property on random estimate pairs: And implies each side.
 	j := NewJRS(JRSConfig{Entries: 64, Bits: 4, Threshold: 2})
 	s := SatCounters{}
-	and, or := And{j, s}, Or{j, s}
+	and := And{j, s}
 	for i := 0; i < 500; i++ {
 		in := bpred.Info{Pred: i&1 == 0, Hist: uint64(i * 7), C1: bpred.Counter2(i % 4)}
 		pc := int64(i % 50)
 		av := and.Estimate(pc, in)
-		ov := or.Estimate(pc, in)
 		jv := j.Estimate(pc, in)
 		sv := s.Estimate(pc, in)
 		if av && (!jv || !sv) {
 			t.Fatal("And true while a side is false")
-		}
-		if (jv || sv) && !ov {
-			t.Fatal("Or false while a side is true")
 		}
 		j.Resolve(pc, in, i%3 != 0)
 	}

@@ -20,7 +20,7 @@ func (c And) Name() string { return fmt.Sprintf("And(%s,%s)", c.A.Name(), c.B.Na
 // Estimate implements Estimator.
 func (c And) Estimate(pc int64, info bpred.Info) bool {
 	// Evaluate both unconditionally: stateful estimators (Distance,
-	// Boost) must observe every branch.
+	// JRS) must observe every branch.
 	a := c.A.Estimate(pc, info)
 	b := c.B.Estimate(pc, info)
 	return a && b
@@ -30,47 +30,4 @@ func (c And) Estimate(pc int64, info bpred.Info) bool {
 func (c And) Resolve(pc int64, info bpred.Info, correct bool) {
 	c.A.Resolve(pc, info, correct)
 	c.B.Resolve(pc, info, correct)
-}
-
-// Or combines two estimators permissively: low confidence only when both
-// agree. SENS can only improve; SPEC can only fall ("Either Strong" is
-// the hand-built special case).
-type Or struct {
-	A, B Estimator
-}
-
-// Name implements Estimator.
-func (c Or) Name() string { return fmt.Sprintf("Or(%s,%s)", c.A.Name(), c.B.Name()) }
-
-// Estimate implements Estimator.
-func (c Or) Estimate(pc int64, info bpred.Info) bool {
-	a := c.A.Estimate(pc, info)
-	b := c.B.Estimate(pc, info)
-	return a || b
-}
-
-// Resolve implements Estimator.
-func (c Or) Resolve(pc int64, info bpred.Info, correct bool) {
-	c.A.Resolve(pc, info, correct)
-	c.B.Resolve(pc, info, correct)
-}
-
-// Invert flips another estimator's estimates; useful in analysis
-// tooling (e.g. measuring what the complement of a confident set looks
-// like), not as a hardware proposal.
-type Invert struct {
-	Inner Estimator
-}
-
-// Name implements Estimator.
-func (c Invert) Name() string { return fmt.Sprintf("Not(%s)", c.Inner.Name()) }
-
-// Estimate implements Estimator.
-func (c Invert) Estimate(pc int64, info bpred.Info) bool {
-	return !c.Inner.Estimate(pc, info)
-}
-
-// Resolve implements Estimator.
-func (c Invert) Resolve(pc int64, info bpred.Info, correct bool) {
-	c.Inner.Resolve(pc, info, correct)
 }

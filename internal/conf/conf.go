@@ -20,14 +20,13 @@
 //   - Distance: the paper's new misprediction-distance estimator — a
 //     single global counter of branches fetched since the last *detected*
 //     misprediction (§4.1).
-//   - Boost: a composite that requires k consecutive low-confidence
-//     estimates before signalling low confidence (§4.2).
 //   - OnesCount / GlobalMDCIndexed: Jacobsen et al's correct/incorrect-
 //     register designs, including the global-MDC-indexed variant §4.1
 //     argues against.
 //   - JRSMcFarling: the §5 future-work sketch — two MDC tables mirroring
 //     the McFarling predictor's two indexing structures.
-//   - And / Or / Invert: combinators for composing estimators.
+//   - And: the combinator for composing two estimators (high
+//     confidence only when both agree).
 //   - PatternProfiler: an analysis probe measuring per-pattern accuracy
 //     (the §3.2 dominance measurement), not a hardware scheme.
 //

@@ -280,38 +280,6 @@ func TestDistanceThresholdZero(t *testing.T) {
 	}
 }
 
-func TestBoostRequiresRun(t *testing.T) {
-	b := NewBoost(Always{High: false}, 3)
-	in := info(true, 0)
-	got := []bool{}
-	for i := 0; i < 7; i++ {
-		got = append(got, b.Estimate(0, in))
-	}
-	// Runs of 3 LC: indices 2 and 5 fire (run resets after firing).
-	want := []bool{true, true, false, true, true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("boost estimate %d = %v, want %v (%v)", i, got[i], want[i], got)
-		}
-	}
-}
-
-func TestBoostResetsOnHighConfidence(t *testing.T) {
-	inner := &scripted{seq: []bool{false, false, true, false, false, false}}
-	b := NewBoost(inner, 3)
-	in := info(true, 0)
-	var got []bool
-	for range inner.seq {
-		got = append(got, b.Estimate(0, in))
-	}
-	want := []bool{true, true, true, true, true, false}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("boost estimate %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 // scripted replays a fixed estimate sequence (test double).
 type scripted struct {
 	seq []bool
@@ -327,15 +295,6 @@ func (s *scripted) Estimate(pc int64, info bpred.Info) bool {
 }
 func (s *scripted) Resolve(pc int64, info bpred.Info, correct bool) { s.res++ }
 
-func TestBoostForwardsResolve(t *testing.T) {
-	inner := &scripted{seq: []bool{true}}
-	b := NewBoost(inner, 2)
-	b.Resolve(0, info(true, 0), true)
-	if inner.res != 1 {
-		t.Error("Resolve not forwarded to inner estimator")
-	}
-}
-
 func TestAlwaysEstimators(t *testing.T) {
 	if !(Always{High: true}).Estimate(0, bpred.Info{}) {
 		t.Error("AlwaysHC returned low confidence")
@@ -350,7 +309,6 @@ func TestConstructorPanics(t *testing.T) {
 		"jrs":      func() { NewJRS(JRSConfig{}) },
 		"pattern":  func() { NewPatternHistory(0) },
 		"distance": func() { NewDistance(-1) },
-		"boost":    func() { NewBoost(Always{}, 0) },
 	} {
 		func() {
 			defer func() {
@@ -373,7 +331,6 @@ func TestNames(t *testing.T) {
 		NewPatternHistory(13),
 		Static{Threshold: 0.9},
 		NewDistance(4),
-		NewBoost(NewDistance(1), 2),
 		Always{High: true},
 		Always{High: false},
 	}

@@ -55,50 +55,6 @@ func (d *Distance) Resolve(pc int64, info bpred.Info, correct bool) {
 // Count exposes the current distance (for tests and diagnostics).
 func (d *Distance) Count() int { return d.count }
 
-// Boost wraps another estimator and signals low confidence only after K
-// consecutive low-confidence estimates from the inner estimator (§4.2).
-// Approximating estimates as Bernoulli trials, the PVN of the boosted
-// low-confidence signal is about 1-(1-PVN)^K — but the signal describes
-// the state of the *pipeline* (at least one of the K branches is likely
-// wrong), not any single branch, so only applications like thread
-// switching that act on pipeline state can use it.
-type Boost struct {
-	Inner Estimator
-	// K is the required run length of low-confidence estimates.
-	K   int
-	run int
-}
-
-// NewBoost wraps inner with a K-deep booster; it panics when K < 1.
-func NewBoost(inner Estimator, k int) *Boost {
-	if k < 1 {
-		panic(fmt.Sprintf("conf: boost depth %d < 1", k))
-	}
-	return &Boost{Inner: inner, K: k}
-}
-
-// Name implements Estimator.
-func (b *Boost) Name() string { return fmt.Sprintf("Boost(%s,k=%d)", b.Inner.Name(), b.K) }
-
-// Estimate implements Estimator.
-func (b *Boost) Estimate(pc int64, info bpred.Info) bool {
-	if b.Inner.Estimate(pc, info) {
-		b.run = 0
-		return true
-	}
-	b.run++
-	if b.run >= b.K {
-		b.run = 0
-		return false
-	}
-	return true
-}
-
-// Resolve implements Estimator: forwarded to the inner estimator.
-func (b *Boost) Resolve(pc int64, info bpred.Info, correct bool) {
-	b.Inner.Resolve(pc, info, correct)
-}
-
 // Always is a reference estimator that reports a fixed confidence for
 // every branch: Always{true} marks everything high confidence (its PVN
 // is undefined and its SENS is 1), Always{false} marks everything low

@@ -70,10 +70,6 @@ type Outcome struct {
 	SavedPerKilo float64
 }
 
-// Profitable reports whether forking on this estimator's low-confidence
-// branches beats the baseline.
-func (o Outcome) Profitable() bool { return o.SavedPerKilo > 0 }
-
 // Evaluate applies the model to a committed-branch quadrant table.
 func (m Model) Evaluate(q metrics.Quadrant) (Outcome, error) {
 	if err := m.Validate(); err != nil {

@@ -22,7 +22,7 @@ func TestEvaluateWinCase(t *testing.T) {
 	if o.EagerCost != 200 {
 		t.Errorf("eager = %v, want 200", o.EagerCost)
 	}
-	if !o.Profitable() {
+	if o.SavedPerKilo <= 0 {
 		t.Error("perfect estimator should be profitable")
 	}
 }
@@ -36,12 +36,12 @@ func TestEvaluateFalseAlarmsHurt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Profitable() {
+	if o.SavedPerKilo > 0 {
 		t.Errorf("forking every branch at 1%% mispredict should lose: %+v", o)
 	}
 	frequent := metrics.Quadrant{Clc: 700, Ilc: 300} // 30% mispredict
 	o2, _ := m.Evaluate(frequent)
-	if !o2.Profitable() {
+	if o2.SavedPerKilo <= 0 {
 		t.Errorf("forking every branch at 30%% mispredict should win: %+v", o2)
 	}
 }

@@ -98,8 +98,8 @@ type AblationSpecHistoryResult struct {
 func AblationSpecHistory(p Params) (*AblationSpecHistoryResult, error) {
 	nonspec := PredictorSpec{
 		Name:     "gshare-nonspec",
-		New:      func(p Params) bpred.Predictor { return bpred.NewGshareNonSpec(p.GshareBits) },
-		HistBits: func(p Params) uint { return p.GshareBits },
+		New:      func() bpred.Predictor { return bpred.NewGshareNonSpec(bpred.GshareBits) },
+		HistBits: bpred.GshareBits,
 	}
 	var gridSpecs []runner.Spec
 	for _, w := range suite() {

@@ -33,7 +33,9 @@ import (
 // never serve its trace-driven cells to a v5 build.
 //
 // v6: the base seed left the identity; no cell ever read a seed.
-const cellAddressVersion = 6
+//
+// v7: the fixed geometry, build length, static threshold and BTB size left it.
+const cellAddressVersion = 7
 
 // cacheIdentity is the determinism-relevant subset of cache.Config
 // (Name is cosmetic and excluded).
@@ -67,8 +69,6 @@ type pipelineIdentity struct {
 	DCache                 cacheIdentity `json:"dcache"`
 	MaxCycles              uint64        `json:"maxCycles"`
 	IndirectPrediction     bool          `json:"indirectPrediction"`
-	BTBEntries             int           `json:"btbEntries"`
-	BTBAssoc               int           `json:"btbAssoc"`
 	RASDepth               int           `json:"rasDepth"`
 
 	// Estimators lists the Name() of every estimator configured on the
@@ -116,8 +116,6 @@ func (p Params) pipelineID() pipelineIdentity {
 		DCache:                 cacheID(p.Pipeline.DCache),
 		MaxCycles:              p.Pipeline.MaxCycles,
 		IndirectPrediction:     p.Pipeline.IndirectPrediction,
-		BTBEntries:             p.Pipeline.BTBEntries,
-		BTBAssoc:               p.Pipeline.BTBAssoc,
 		RASDepth:               p.Pipeline.RASDepth,
 		Estimators:             estimatorNames(p.Pipeline.Estimators),
 		Policy:                 policyName(p.Pipeline.Policy),
@@ -132,20 +130,14 @@ type cellIdentity struct {
 	CellsVersion   int    `json:"cellsVersion"`
 	Key            string `json:"key"` // experiment/workload/predictor/variant
 
-	MaxCommitted    uint64           `json:"maxCommitted"`
-	BuildIters      int              `json:"buildIters"`
-	GshareBits      uint             `json:"gshareBits"`
-	McFBits         uint             `json:"mcfBits"`
-	SAgBHTBits      uint             `json:"sagBHTBits"`
-	SAgHistBits     uint             `json:"sagHistBits"`
-	StaticThreshold float64          `json:"staticThreshold"`
-	Pipeline        pipelineIdentity `json:"pipeline"`
+	MaxCommitted uint64           `json:"maxCommitted"`
+	Pipeline     pipelineIdentity `json:"pipeline"`
 }
 
 // CellAddress returns the content address of one grid cell under these
 // parameters: a hex SHA-256 of the canonical JSON encoding of the
-// cell's full identity — spec key, committed-instruction budget,
-// predictor geometries, and pipeline configuration.
+// cell's full identity — spec key, committed-instruction budget and
+// pipeline configuration.
 // Two (Params, Spec) pairs share an address exactly when the cell
 // contract guarantees them byte-identical results, so the address is
 // safe to use as a forever cache key across processes and machines.
@@ -155,17 +147,11 @@ type cellIdentity struct {
 // when simulator behaviour changes (see docs/SERVING.md).
 func (p Params) CellAddress(sp runner.Spec) string {
 	id := cellIdentity{
-		AddressVersion:  cellAddressVersion,
-		CellsVersion:    CellsVersion,
-		Key:             sp.Key(),
-		MaxCommitted:    p.MaxCommitted,
-		BuildIters:      p.BuildIters,
-		GshareBits:      p.GshareBits,
-		McFBits:         p.McFBits,
-		SAgBHTBits:      p.SAgBHTBits,
-		SAgHistBits:     p.SAgHistBits,
-		StaticThreshold: p.StaticThreshold,
-		Pipeline:        p.pipelineID(),
+		AddressVersion: cellAddressVersion,
+		CellsVersion:   CellsVersion,
+		Key:            sp.Key(),
+		MaxCommitted:   p.MaxCommitted,
+		Pipeline:       p.pipelineID(),
 	}
 	data, err := json.Marshal(id)
 	if err != nil {
@@ -182,26 +168,22 @@ func (p Params) CellAddress(sp runner.Spec) string {
 // v2: pipelineIdentity gained Policy.
 //
 // v3: the base seed left the identity; no recording ever read one.
-const traceAddressVersion = 3
+//
+// v4: the fixed predictor geometry, build length and BTB size left it.
+const traceAddressVersion = 4
 
 // traceIdentity is the canonical identity of one recorded branch-event
 // trace: everything the estimator-visible event stream is a function
 // of, and nothing else. Compared to cellIdentity it drops the spec key
 // (experiment and variant select estimators, which cannot influence the
-// stream) and the static estimator's profile threshold — that is
-// exactly why one trace serves every estimator configuration of a
-// (workload, predictor) pair across all experiments.
+// stream) — that is exactly why one trace serves every estimator
+// configuration of a (workload, predictor) pair across all experiments.
 type traceIdentity struct {
 	AddressVersion int    `json:"addressVersion"`
 	Workload       string `json:"workload"`
 	Predictor      string `json:"predictor"`
 
 	MaxCommitted uint64           `json:"maxCommitted"`
-	BuildIters   int              `json:"buildIters"`
-	GshareBits   uint             `json:"gshareBits"`
-	McFBits      uint             `json:"mcfBits"`
-	SAgBHTBits   uint             `json:"sagBHTBits"`
-	SAgHistBits  uint             `json:"sagHistBits"`
 	Pipeline     pipelineIdentity `json:"pipeline"`
 }
 
@@ -218,11 +200,6 @@ func (p Params) TraceAddress(workload string, spec PredictorSpec) string {
 		Workload:       workload,
 		Predictor:      spec.Name,
 		MaxCommitted:   p.MaxCommitted,
-		BuildIters:     p.BuildIters,
-		GshareBits:     p.GshareBits,
-		McFBits:        p.McFBits,
-		SAgBHTBits:     p.SAgBHTBits,
-		SAgHistBits:    p.SAgHistBits,
 		Pipeline:       p.pipelineID(),
 	}
 	data, err := json.Marshal(id)

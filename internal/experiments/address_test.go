@@ -59,19 +59,11 @@ func TestCellAddressSensitivity(t *testing.T) {
 	perturb("spec.Experiment", nil, other)
 
 	perturb("MaxCommitted", func(p *Params) { p.MaxCommitted++ }, sp)
-	perturb("BuildIters", func(p *Params) { p.BuildIters++ }, sp)
-	perturb("GshareBits", func(p *Params) { p.GshareBits++ }, sp)
-	perturb("McFBits", func(p *Params) { p.McFBits++ }, sp)
-	perturb("SAgBHTBits", func(p *Params) { p.SAgBHTBits++ }, sp)
-	perturb("SAgHistBits", func(p *Params) { p.SAgHistBits++ }, sp)
-	perturb("StaticThreshold", func(p *Params) { p.StaticThreshold += 0.01 }, sp)
 	perturb("Pipeline.FetchWidth", func(p *Params) { p.Pipeline.FetchWidth++ }, sp)
 	perturb("Pipeline.ResolveDelay", func(p *Params) { p.Pipeline.ResolveDelay++ }, sp)
 	perturb("Pipeline.ExtraMispredictPenalty", func(p *Params) { p.Pipeline.ExtraMispredictPenalty++ }, sp)
 	perturb("Pipeline.MaxCycles", func(p *Params) { p.Pipeline.MaxCycles++ }, sp)
 	perturb("Pipeline.IndirectPrediction", func(p *Params) { p.Pipeline.IndirectPrediction = !p.Pipeline.IndirectPrediction }, sp)
-	perturb("Pipeline.BTBEntries", func(p *Params) { p.Pipeline.BTBEntries++ }, sp)
-	perturb("Pipeline.BTBAssoc", func(p *Params) { p.Pipeline.BTBAssoc++ }, sp)
 	perturb("Pipeline.RASDepth", func(p *Params) { p.Pipeline.RASDepth++ }, sp)
 	perturb("Pipeline.ICache.SizeWords", func(p *Params) { p.Pipeline.ICache.SizeWords *= 2 }, sp)
 	perturb("Pipeline.ICache.BlockWords", func(p *Params) { p.Pipeline.ICache.BlockWords *= 2 }, sp)

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"specctrl/internal/bpred"
 	"specctrl/internal/conf"
 	"specctrl/internal/eager"
 	"specctrl/internal/isa"
@@ -74,21 +73,20 @@ func SMTStudy(p Params) (*SMTResult, error) {
 			if err != nil {
 				return CellResult{}, fmt.Errorf("smt mix %s: %w", sp.Workload, err)
 			}
-			progs = append(progs, buildProgram(w, p.BuildIters))
+			progs = append(progs, buildProgram(w))
 		}
 		cfg := smt.Config{
 			CycleBudget: p.MaxCommitted / 4, // roughly IPC~2+ worth of work
 			Pipeline:    p.Pipeline,
 			Policy:      smtPol,
 		}
-		newPred := func() bpred.Predictor { return bpred.NewGshare(p.GshareBits) }
 		newEst := func() conf.Estimator { return conf.NewJRS(conf.DefaultJRS) }
 		// One smt.Run is one run, however many threads it interleaves;
 		// each thread carries its own JRS estimator.
 		var r *smt.Result
-		err := p.simulate(sp.Workload+"/"+sp.Variant, sp.Predictor, len(progs), func() (uint64, error) {
+		err := p.simulate(simulateRun, sp.Workload+"/"+sp.Variant, sp.Predictor, len(progs), func(*span.Span) (uint64, error) {
 			var err error
-			if r, err = smt.Run(cfg, progs, newPred, newEst); err != nil {
+			if r, err = smt.Run(cfg, progs, GshareSpec().New, newEst); err != nil {
 				return 0, err
 			}
 			return r.ThreadCycles, nil

@@ -138,7 +138,10 @@ func TestAblationDepthSimulatesOnlyOtherDepths(t *testing.T) {
 // them. A cell that simulates lists for its experiment changes the
 // machine, the program or the predictor, or watches the run itself, so
 // no recording serves it: it opens exactly one "simulate" span under
-// its cell span. Every other cell opens none.
+// its cell span. Every other cell opens none. Across the experiments,
+// each recorded (workload, predictor) pair opens exactly one "record"
+// span; in each experiment specctrl_runs_total counts one run per
+// simulate or record span, and no run is left live in the progress view.
 func TestDirectRunsOpenSimulateSpans(t *testing.T) {
 	n := len(suite())
 	all := func(string) bool { return true }
@@ -166,16 +169,35 @@ func TestDirectRunsOpenSimulateSpans(t *testing.T) {
 		"smt": {all, 3 * len(smtPolicies)}, // three thread mixes
 	}
 	traces := replay.NewCache(0, nil)
+	records := map[string]int{} // "workload/predictor" → record spans
 	for _, e := range Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
 			p := frontierParams()
 			p.TraceCache = traces
 			p.Cache = newMemoCells()
 			p.Tracer = span.New(span.Options{})
+			p.Obs = obs.NewRegistry()
+			p.Run = obs.NewProgress()
 			if _, err := e.Run(p); err != nil {
 				t.Fatal(err)
 			}
 			spans := p.Tracer.Snapshot()
+			runs := 0
+			for _, s := range spans {
+				switch s.Name {
+				case "record":
+					records[fmt.Sprintf("%v/%v", s.Attr("workload"), s.Attr("predictor"))]++
+					runs++
+				case "simulate":
+					runs++
+				}
+			}
+			if got := p.Obs.Counter("specctrl_runs_total", nil).Value(); got != uint64(runs) {
+				t.Errorf("specctrl_runs_total = %d, want %d (one per simulate or record span)", got, runs)
+			}
+			if live := p.Run.Snapshot(); len(live) != 0 {
+				t.Errorf("%d runs still live in the progress view after the experiment (first %s)", len(live), live[0].Run)
+			}
 			cells := map[span.SpanID]string{} // cell span → its key
 			for _, s := range spans {
 				if key, ok := strings.CutPrefix(s.Name, "cell:"); ok {
@@ -211,6 +233,14 @@ func TestDirectRunsOpenSimulateSpans(t *testing.T) {
 				}
 			}
 		})
+	}
+	if len(records) == 0 {
+		t.Error("no recording opened a record span")
+	}
+	for pair, n := range records {
+		if n != 1 {
+			t.Errorf("%s opened %d record spans, want 1", pair, n)
+		}
 	}
 }
 

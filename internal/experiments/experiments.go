@@ -70,20 +70,15 @@ import (
 	"specctrl/internal/workload"
 )
 
-// Params scales and configures every experiment.
+// Params scales and observes every experiment. The machine itself is
+// fixed: the paper's predictor geometry is declared in internal/bpred
+// (GshareSpec, McFarlingSpec and SAgSpec build it), the static
+// estimator's threshold is profile.DefaultOptions, and every workload
+// is built long enough (buildIters) that none halts before
+// MaxCommitted.
 type Params struct {
 	// MaxCommitted caps committed instructions per simulation run.
 	MaxCommitted uint64
-	// BuildIters is the workload outer-iteration count; it must be
-	// large enough that no program halts before MaxCommitted.
-	BuildIters int
-	// Predictor geometries (paper defaults in DefaultParams).
-	GshareBits  uint
-	McFBits     uint
-	SAgBHTBits  uint
-	SAgHistBits uint
-	// StaticThreshold is the static estimator's profile threshold.
-	StaticThreshold float64
 	// Pipeline is the simulator configuration.
 	Pipeline pipeline.Config
 	// Progress, when non-nil, receives one line per simulation run.
@@ -92,8 +87,8 @@ type Params struct {
 	// run, labelled {workload, predictor} (and estimator for the
 	// confidence gauges), plus a per-run IPC histogram.
 	Obs *obs.Registry
-	// Run, when non-nil, is updated with the current run's identity
-	// and live counters for heartbeat printing.
+	// Run, when non-nil, gets one live counter block per running
+	// single-thread simulation for heartbeat printing.
 	Run *obs.Progress
 
 	// Ctx, when non-nil, cancels in-flight experiment grids at the
@@ -166,20 +161,15 @@ const (
 	ReplayOff = "off"
 )
 
-// DefaultParams returns the paper's configuration at a laptop-scale run
-// length (raise MaxCommitted for tighter confidence intervals).
+// DefaultParams returns the paper's pipeline at a laptop-scale run
+// length (raise MaxCommitted for tighter confidence intervals), with
+// no observers, serial grids and trace replay on.
 func DefaultParams() Params {
 	cfg := pipeline.DefaultConfig()
 	cfg.MaxCycles = 4_000_000_000
 	return Params{
-		MaxCommitted:    2_000_000,
-		BuildIters:      1 << 30,
-		GshareBits:      12, // 4096-entry gshare
-		McFBits:         12,
-		SAgBHTBits:      11, // 2048 histories
-		SAgHistBits:     13, // 8192 counters
-		StaticThreshold: 0.90,
-		Pipeline:        cfg,
+		MaxCommitted: 2_000_000,
+		Pipeline:     cfg,
 	}
 }
 
@@ -200,18 +190,18 @@ func (p Params) progress(format string, args ...interface{}) {
 // instances of it (every run needs untrained tables).
 type PredictorSpec struct {
 	Name string
-	New  func(p Params) bpred.Predictor
+	New  func() bpred.Predictor
 	// HistBits is the history length the pattern estimator should
 	// classify for this predictor.
-	HistBits func(p Params) uint
+	HistBits uint
 }
 
 // GshareSpec is the paper's speculative gshare configuration.
 func GshareSpec() PredictorSpec {
 	return PredictorSpec{
 		Name:     "gshare",
-		New:      func(p Params) bpred.Predictor { return bpred.NewGshare(p.GshareBits) },
-		HistBits: func(p Params) uint { return p.GshareBits },
+		New:      func() bpred.Predictor { return bpred.NewGshare(bpred.GshareBits) },
+		HistBits: bpred.GshareBits,
 	}
 }
 
@@ -219,8 +209,8 @@ func GshareSpec() PredictorSpec {
 func McFarlingSpec() PredictorSpec {
 	return PredictorSpec{
 		Name:     "mcfarling",
-		New:      func(p Params) bpred.Predictor { return bpred.NewMcFarling(p.McFBits) },
-		HistBits: func(p Params) uint { return p.McFBits },
+		New:      func() bpred.Predictor { return bpred.NewMcFarling(bpred.McFarlingBits) },
+		HistBits: bpred.McFarlingBits,
 	}
 }
 
@@ -228,8 +218,8 @@ func McFarlingSpec() PredictorSpec {
 func SAgSpec() PredictorSpec {
 	return PredictorSpec{
 		Name:     "sag",
-		New:      func(p Params) bpred.Predictor { return bpred.NewSAg(p.SAgBHTBits, p.SAgHistBits) },
-		HistBits: func(p Params) uint { return p.SAgHistBits },
+		New:      func() bpred.Predictor { return bpred.NewSAg(bpred.SAgBHTBits, bpred.SAgHistBits) },
+		HistBits: bpred.SAgHistBits,
 	}
 }
 
@@ -250,57 +240,46 @@ func SatCntFor(spec PredictorSpec, variant conf.McFarlingVariant) conf.Estimator
 // ipcBounds buckets per-run IPC observations for the suite histogram.
 var ipcBounds = []float64{0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0}
 
+// buildIters is every workload's outer-iteration count: large enough
+// that no program halts before any run's MaxCommitted.
+const buildIters = 1 << 30
+
 // progCache memoizes Workload.Build results across grid cells. Cells
 // are isolated by contract, but an isa.Program is immutable once built
 // (the simulator copies the data image into its own memory and only
 // reads Code), so every cell of the same workload can share one build.
-// Build is deterministic per (name, iters), making a cache hit
+// Build is deterministic per name, making a cache hit
 // indistinguishable from a rebuild; profiles showed the per-cell
 // builder cost at ~5% of a full grid run. It is not singleflight: cells
 // that miss at once may each build, and LoadOrStore keeps one build.
-var progCache sync.Map // progKey → *isa.Program
+var progCache sync.Map // workload name → *isa.Program
 
-type progKey struct {
-	name  string
-	iters int
-}
-
-// buildProgram returns w.Build(iters), memoized per workload name and
-// iteration count. Seeded alternative-input builds (BuildSeeded) are
-// not cached; only xinput uses them, once per grid.
-func buildProgram(w workload.Workload, iters int) *isa.Program {
-	key := progKey{w.Name, iters}
-	if p, ok := progCache.Load(key); ok {
+// buildProgram returns w.Build(buildIters), memoized per workload
+// name. Seeded alternative-input builds (BuildSeeded) are not cached;
+// only xinput uses them, once per grid.
+func buildProgram(w workload.Workload) *isa.Program {
+	if p, ok := progCache.Load(w.Name); ok {
 		return p.(*isa.Program)
 	}
-	p, _ := progCache.LoadOrStore(key, w.Build(iters))
+	p, _ := progCache.LoadOrStore(w.Name, w.Build(buildIters))
 	return p.(*isa.Program)
 }
 
 // runOne simulates one workload on one predictor with the given
 // estimators and returns the statistics. Every direct single-thread
 // simulation goes through it (cells that change the machine override
-// p.Pipeline). It and the smt cells run through simulate, so every
-// direct run opens a "simulate" span, prints a progress line and counts
-// in specctrl_runs_total. When Params carries an obs registry or
-// progress view, the run publishes live metrics under {workload,
-// predictor} labels.
+// p.Pipeline). It, the smt cells and trace recordings run inside
+// simulate's bracket, so every direct run opens one span, prints a
+// progress line and counts in specctrl_runs_total. When Params carries
+// an obs registry or progress view, the run publishes live metrics
+// under {workload, predictor} labels.
 func (p Params) runOne(w workload.Workload, spec PredictorSpec, ests ...conf.Estimator) (*pipeline.Stats, error) {
-	return p.runProgram(w.Name, buildProgram(w, p.BuildIters), spec, ests...)
+	return p.runProgram(w.Name, buildProgram(w), spec, ests...)
 }
 
 // runProgram is runOne on a given build of the named workload.
 func (p Params) runProgram(name string, prog *isa.Program, spec PredictorSpec, ests ...conf.Estimator) (*pipeline.Stats, error) {
 	cfg := p.Pipeline
-	cfg.MaxCommitted = p.MaxCommitted
-	if p.Obs != nil {
-		cfg.Metrics = p.Obs
-		cfg.MetricsLabels = obs.Labels{"workload": name, "predictor": spec.Name}
-	}
-	if p.Run != nil {
-		cfg.Progress = p.Run
-		p.Run.StartRun(name+"/"+spec.Name, p.MaxCommitted)
-	}
 	// Per-cell estimators come first so Stats.Confidence indices match
 	// the ests argument; estimators configured on Params.Pipeline (hashed
 	// into CellAddress) ride along at the tail.
@@ -310,14 +289,75 @@ func (p Params) runProgram(name string, prog *isa.Program, spec PredictorSpec, e
 	} else {
 		cfg.Estimators = ests
 	}
+	return p.runPipeline(simulateRun, name, prog, spec, cfg, len(ests), nil)
+}
+
+// runKind names what a direct run is for: the span it opens and the
+// verb its progress line and errors start with.
+type runKind struct{ span, verb string }
+
+var (
+	// simulateRun is a run whose statistics a cell reads.
+	simulateRun = runKind{span: "simulate", verb: "run"}
+	// recordRun records a (workload, predictor) pair's branch events.
+	recordRun = runKind{span: "record", verb: "record"}
+)
+
+// simulate brackets one direct run with the bookkeeping every direct
+// run shares, whatever it simulates: a kind.span span under the cell, a
+// progress line, and one count in specctrl_runs_total once run
+// succeeds. run returns the simulated cycles, which the span records,
+// and may annotate the span itself. A simulateRun's span and line also
+// carry its estimator count.
+func (p Params) simulate(kind runKind, name, predictor string, estimators int, run func(*span.Span) (cycles uint64, err error)) error {
+	attrs := []span.Attr{span.Str("workload", name), span.Str("predictor", predictor)}
+	line := fmt.Sprintf("%s %-9s on %-9s", kind.verb, name, predictor)
+	if kind == simulateRun {
+		attrs = append(attrs, span.Int("estimators", int64(estimators)))
+		line += fmt.Sprintf(" (%d estimators)", estimators)
+	}
+	rs := p.Tracer.Child(p.SpanParent, kind.span, attrs...)
+	defer rs.End()
+	p.progress("%s", line)
+	cycles, err := run(rs)
+	if err != nil {
+		return err
+	}
+	rs.SetAttrs(span.Int("cycles", int64(cycles)))
+	if p.Obs != nil {
+		p.Obs.Counter("specctrl_runs_total", nil).Inc()
+	}
+	return nil
+}
+
+// runPipeline runs prog on a fresh spec predictor under cfg to
+// MaxCommitted, inside simulate's bracket. While it runs it publishes
+// live metrics under {workload, predictor} labels and its own progress
+// counters; once it ends it observes the run's IPC. done, when non-nil,
+// runs inside the bracket after a successful run, so it can annotate
+// the run's span or fail the run.
+func (p Params) runPipeline(kind runKind, name string, prog *isa.Program, spec PredictorSpec, cfg pipeline.Config, estimators int, done func(*span.Span) error) (*pipeline.Stats, error) {
+	cfg.MaxCommitted = p.MaxCommitted
+	if p.Obs != nil {
+		cfg.Metrics = p.Obs
+		cfg.MetricsLabels = obs.Labels{"workload": name, "predictor": spec.Name}
+	}
 	var st *pipeline.Stats
-	err := p.simulate(name, spec.Name, len(ests), func() (uint64, error) {
-		sim, err := pipeline.New(cfg, prog, spec.New(p))
+	err := p.simulate(kind, name, spec.Name, estimators, func(rs *span.Span) (uint64, error) {
+		run := p.Run.StartRun(name+"/"+spec.Name, p.MaxCommitted)
+		defer run.End()
+		cfg.Progress = run
+		sim, err := pipeline.New(cfg, prog, spec.New())
 		if err != nil {
-			return 0, fmt.Errorf("run %s/%s: %w", name, spec.Name, err)
+			return 0, fmt.Errorf("%s %s/%s: %w", kind.verb, name, spec.Name, err)
 		}
 		if st, err = sim.Run(); err != nil {
 			return 0, err
+		}
+		if done != nil {
+			if err := done(rs); err != nil {
+				return 0, err
+			}
 		}
 		return st.Cycles, nil
 	})
@@ -331,31 +371,6 @@ func (p Params) runProgram(name string, prog *isa.Program, spec PredictorSpec, e
 	return st, nil
 }
 
-// simulate brackets one direct simulation with the bookkeeping every
-// direct run shares, whatever it simulates: a "simulate" span under
-// the cell, a "run ..." progress line, and one count in
-// specctrl_runs_total once run succeeds. run returns the simulated
-// cycles, which the span records.
-func (p Params) simulate(name, predictor string, estimators int, run func() (cycles uint64, err error)) error {
-	var rs *span.Span
-	if p.Tracer != nil {
-		rs = p.Tracer.Child(p.SpanParent, "simulate",
-			span.Str("workload", name), span.Str("predictor", predictor),
-			span.Int("estimators", int64(estimators)))
-		defer rs.End()
-	}
-	p.progress("run %-9s on %-9s (%d estimators)", name, predictor, estimators)
-	cycles, err := run()
-	if err != nil {
-		return err
-	}
-	rs.SetAttrs(span.Int("cycles", int64(cycles)))
-	if p.Obs != nil {
-		p.Obs.Counter("specctrl_runs_total", nil).Inc()
-	}
-	return nil
-}
-
 // staticFor builds the static estimator for one (workload, predictor)
 // pair from its site profile (sitesFor): a fold of the pair's recorded
 // trace when replay applies, a profiling simulation otherwise.
@@ -364,7 +379,7 @@ func (p Params) staticFor(w workload.Workload, spec PredictorSpec) (conf.Static,
 	if err != nil {
 		return conf.Static{}, err
 	}
-	return profile.FromSites(sites, profile.Options{Threshold: p.StaticThreshold}), nil
+	return profile.FromSites(sites, profile.DefaultOptions()), nil
 }
 
 // suite returns the benchmark suite (indirection point for tests).

@@ -49,7 +49,7 @@ func patternsCell(_ context.Context, p Params, sp runner.Spec) (CellResult, erro
 	if err != nil {
 		return CellResult{}, err
 	}
-	bits := spec.HistBits(p)
+	bits := spec.HistBits
 	prof := conf.NewPatternProfiler(bits)
 	st, err := p.evalEstimators(w, spec, prof, conf.NewPatternHistory(bits))
 	if err != nil {

@@ -65,47 +65,23 @@ func (p Params) traceCache() *replay.Cache {
 // stats and sitesFor its site profile to every cell that would
 // otherwise simulate that run again.
 func (p Params) recordTrace(w workload.Workload, spec PredictorSpec) (*replay.Trace, *pipeline.Stats, error) {
-	var rs *span.Span
-	if p.Tracer != nil {
-		rs = p.Tracer.Child(p.SpanParent, "record",
-			span.Str("workload", w.Name), span.Str("predictor", spec.Name))
-		defer rs.End()
-	}
 	rec := replay.NewRecorder()
 	cfg := p.Pipeline
-	cfg.MaxCommitted = p.MaxCommitted
 	cfg.Estimators = []conf.Estimator{rec}
 	cfg.Tracer = rec
-	if p.Obs != nil {
-		cfg.Metrics = p.Obs
-		cfg.MetricsLabels = obs.Labels{"workload": w.Name, "predictor": spec.Name}
-	}
-	if p.Run != nil {
-		cfg.Progress = p.Run
-		p.Run.StartRun(w.Name+"/"+spec.Name, p.MaxCommitted)
-	}
-	sim, err := pipeline.New(cfg, buildProgram(w, p.BuildIters), spec.New(p))
-	if err != nil {
-		return nil, nil, fmt.Errorf("record %s/%s: %w", w.Name, spec.Name, err)
-	}
-	p.progress("record %-9s on %-9s", w.Name, spec.Name)
-	st, err := sim.Run()
+	var tr *replay.Trace
+	st, err := p.runPipeline(recordRun, w.Name, buildProgram(w), spec, cfg, 0, func(rs *span.Span) error {
+		var err error
+		if tr, err = rec.Trace(); err != nil {
+			return fmt.Errorf("record %s/%s: %w", w.Name, spec.Name, err)
+		}
+		rs.SetAttrs(span.Int("events", int64(tr.Events())))
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, err := rec.Trace()
-	if err != nil {
-		return nil, nil, fmt.Errorf("record %s/%s: %w", w.Name, spec.Name, err)
-	}
 	st.Confidence = nil
-	if rs != nil {
-		rs.SetAttrs(span.Int("events", int64(tr.Events())), span.Int("cycles", int64(st.Cycles)))
-	}
-	if p.Obs != nil {
-		p.Obs.Histogram("specctrl_run_ipc", obs.Labels{"predictor": spec.Name}, ipcBounds).
-			Observe(st.IPC())
-		p.Obs.Counter("specctrl_runs_total", nil).Inc()
-	}
 	return tr, st, nil
 }
 

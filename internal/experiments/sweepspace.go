@@ -26,7 +26,7 @@ func sweepSpaceEstimators(p Params) []conf.Estimator {
 	return []conf.Estimator{
 		conf.NewJRS(conf.JRSConfig{Entries: 4096, Bits: 4, Threshold: 15, Enhanced: true}),
 		SatCntFor(GshareSpec(), conf.BothStrong),
-		conf.NewPatternHistory(GshareSpec().HistBits(p)),
+		conf.NewPatternHistory(GshareSpec().HistBits),
 		conf.NewDistance(3),
 	}
 }

@@ -51,7 +51,7 @@ func table2Estimators(p Params, w workload.Workload, spec PredictorSpec, _ strin
 	return []conf.Estimator{
 		conf.NewJRS(conf.JRSConfig{Entries: 4096, Bits: 4, Threshold: 15, Enhanced: true}),
 		SatCntFor(spec, conf.BothStrong),
-		conf.NewPatternHistory(spec.HistBits(p)),
+		conf.NewPatternHistory(spec.HistBits),
 		static,
 	}, nil
 }

@@ -34,7 +34,7 @@ const table4DistMax = 7
 // history-pattern reference estimator alone.
 func table4Estimators(p Params, w workload.Workload, spec PredictorSpec, _ string) ([]conf.Estimator, error) {
 	if spec.Name == "sag" {
-		return []conf.Estimator{conf.NewPatternHistory(spec.HistBits(p))}, nil
+		return []conf.Estimator{conf.NewPatternHistory(spec.HistBits)}, nil
 	}
 	static, err := p.staticFor(w, spec)
 	if err != nil {

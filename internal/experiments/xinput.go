@@ -45,11 +45,11 @@ func XInput(p Params) (*XInputResult, error) {
 				return nil, fmt.Errorf("xinput self %s: %w", w.Name, err)
 			}
 			p.Pipeline.CollectSiteStats = true
-			cross, err := p.runProgram(w.Name, w.BuildSeeded(altSeed, p.BuildIters), GshareSpec())
+			cross, err := p.runProgram(w.Name, w.BuildSeeded(altSeed, buildIters), GshareSpec())
 			if err != nil {
 				return nil, fmt.Errorf("xinput cross %s: %w", w.Name, err)
 			}
-			opts := profile.Options{Threshold: p.StaticThreshold}
+			opts := profile.DefaultOptions()
 			return []conf.Estimator{
 				profile.FromSites(selfSites, opts),
 				profile.FromSites(cross.Sites, opts),

@@ -7,10 +7,9 @@
 // branches, direct and indirect jumps — because the experiments in this
 // repository depend only on control-flow behaviour, not on ISA richness.
 //
-// Instructions exist in two forms: the decoded Instruction struct used
-// throughout the simulator, and a fixed 64-bit binary encoding
-// (Encode/Decode) so that programs have a definite machine representation
-// and an instruction-cache footprint.
+// Programs are held as decoded Instruction structs. Each instruction
+// occupies one instruction word (the PC counts words), which is the unit
+// of the instruction cache's footprint.
 package isa
 
 import "fmt"
@@ -101,11 +100,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Valid reports whether o is a defined opcode.
-func (o Op) Valid() bool {
-	return o < numOps
-}
-
 // IsCondBranch reports whether o is a conditional branch.
 func (o Op) IsCondBranch() bool {
 	switch o {
@@ -162,44 +156,6 @@ func (in Instruction) String() string {
 	}
 }
 
-// Binary encoding layout (64 bits):
-//
-//	bits 0..7    opcode
-//	bits 8..12   rd
-//	bits 13..17  ra
-//	bits 18..22  rb
-//	bits 32..63  imm (signed 32-bit)
-//
-// Bits 23..31 are reserved and must be zero.
-
-// Encode packs the instruction into its 64-bit binary form.
-func Encode(in Instruction) uint64 {
-	return uint64(in.Op) |
-		uint64(in.Rd&31)<<8 |
-		uint64(in.Ra&31)<<13 |
-		uint64(in.Rb&31)<<18 |
-		uint64(uint32(in.Imm))<<32
-}
-
-// Decode unpacks a 64-bit word into an Instruction. It returns an error
-// for undefined opcodes or nonzero reserved bits.
-func Decode(w uint64) (Instruction, error) {
-	op := Op(w & 0xff)
-	if !op.Valid() {
-		return Instruction{}, fmt.Errorf("isa: invalid opcode %d", uint8(op))
-	}
-	if w>>23&0x1ff != 0 {
-		return Instruction{}, fmt.Errorf("isa: reserved bits set in %#x", w)
-	}
-	return Instruction{
-		Op:  op,
-		Rd:  Reg(w >> 8 & 31),
-		Ra:  Reg(w >> 13 & 31),
-		Rb:  Reg(w >> 18 & 31),
-		Imm: int32(uint32(w >> 32)),
-	}, nil
-}
-
 // Program is a fully assembled program: code, initial data image and
 // entry point. Programs are immutable once built.
 type Program struct {
@@ -207,13 +163,4 @@ type Program struct {
 	Code  []Instruction
 	Data  map[int64]int64 // initial data memory image, word addressed
 	Entry int64           // starting PC
-}
-
-// EncodeCode returns the binary image of the program's code segment.
-func (p *Program) EncodeCode() []uint64 {
-	out := make([]uint64, len(p.Code))
-	for i, in := range p.Code {
-		out[i] = Encode(in)
-	}
-	return out
 }

@@ -3,41 +3,7 @@ package isa
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	f := func(op uint8, rd, ra, rb uint8, imm int32) bool {
-		in := Instruction{
-			Op:  Op(op % uint8(numOps)),
-			Rd:  Reg(rd % NumRegs),
-			Ra:  Reg(ra % NumRegs),
-			Rb:  Reg(rb % NumRegs),
-			Imm: imm,
-		}
-		got, err := Decode(Encode(in))
-		return err == nil && got == in
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDecodeRejectsInvalidOpcode(t *testing.T) {
-	if _, err := Decode(uint64(numOps)); err == nil {
-		t.Error("Decode accepted invalid opcode")
-	}
-	if _, err := Decode(0xff); err == nil {
-		t.Error("Decode accepted opcode 255")
-	}
-}
-
-func TestDecodeRejectsReservedBits(t *testing.T) {
-	w := Encode(Instruction{Op: OpAdd}) | 1<<25
-	if _, err := Decode(w); err == nil {
-		t.Error("Decode accepted nonzero reserved bits")
-	}
-}
 
 func TestOpClassification(t *testing.T) {
 	cond := []Op{OpBeq, OpBne, OpBlt, OpBge}
@@ -192,29 +158,5 @@ func TestDisassemble(t *testing.T) {
 	text := Disassemble(p, b.Labels())
 	if !strings.Contains(text, "start:") || !strings.Contains(text, "addi r1, r0, 5") {
 		t.Errorf("disassembly missing expected content:\n%s", text)
-	}
-}
-
-func TestEncodeCode(t *testing.T) {
-	b := NewBuilder("t")
-	b.Li(1, 42).Halt()
-	p := b.MustBuild()
-	words := p.EncodeCode()
-	if len(words) != 2 {
-		t.Fatalf("EncodeCode length = %d", len(words))
-	}
-	in, err := Decode(words[0])
-	if err != nil || in.Imm != 42 {
-		t.Errorf("round trip through EncodeCode failed: %v %v", in, err)
-	}
-}
-
-func BenchmarkEncodeDecode(b *testing.B) {
-	in := Instruction{Op: OpAdd, Rd: 1, Ra: 2, Rb: 3, Imm: 77}
-	for i := 0; i < b.N; i++ {
-		w := Encode(in)
-		if _, err := Decode(w); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

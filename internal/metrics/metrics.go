@@ -261,11 +261,6 @@ func (q Quadrant) PVNInterval(z float64) (lo, hi float64) {
 	return WilsonInterval(q.Ilc, q.Clc+q.Ilc, z)
 }
 
-// SpecInterval returns the Wilson interval of the quadrant's SPEC.
-func (q Quadrant) SpecInterval(z float64) (lo, hi float64) {
-	return WilsonInterval(q.Ilc, q.Ihc+q.Ilc, z)
-}
-
 // ROCPoint is one operating point of an estimator sweep in ROC space:
 // x = 1-SPEC (incorrect branches wrongly called high confidence),
 // y = SENS (correct branches rightly called high confidence).

@@ -262,10 +262,6 @@ func TestQuadrantIntervals(t *testing.T) {
 	if !(lo < q.PVN() && q.PVN() < hi) {
 		t.Errorf("PVN %v outside its interval [%v,%v]", q.PVN(), lo, hi)
 	}
-	lo, hi = q.SpecInterval(1.96)
-	if !(lo < q.Spec() && q.Spec() < hi) {
-		t.Errorf("SPEC %v outside its interval [%v,%v]", q.Spec(), lo, hi)
-	}
 }
 
 func TestAUCChanceAndPerfect(t *testing.T) {
@@ -391,9 +387,6 @@ func TestDegenerateJacobsenAndIntervals(t *testing.T) {
 	}
 	if lo, hi := q.PVNInterval(1.96); lo != 0 || hi != 1 {
 		t.Errorf("empty PVNInterval = [%v,%v], want [0,1]", lo, hi)
-	}
-	if lo, hi := q.SpecInterval(1.96); lo != 0 || hi != 1 {
-		t.Errorf("empty SpecInterval = [%v,%v], want [0,1]", lo, hi)
 	}
 	if got := (NormalizedQuadrant{}).Compute(); got != (Metrics{}) {
 		t.Errorf("empty normalized metrics = %+v", got)

@@ -3,7 +3,8 @@
 // histograms) with snapshot semantics and Prometheus-text / JSON
 // exposition, an HTTP endpoint bundling the registry with expvar and
 // pprof, a structured branch-event Tracer hook with pluggable sinks,
-// and a lock-free live Progress view with a stderr heartbeat.
+// and a live Progress view (one lock-free counter block per run in
+// flight) with a stderr heartbeat.
 //
 // The paper's argument is about where cycles go — misprediction
 // recovery, wrong-path fetch, cache stalls — so the simulator has to be
@@ -17,9 +18,11 @@
 //	reg := obs.NewRegistry()
 //	srv, _ := obs.Serve(":9090", reg, nil)  // /metrics, /metrics.json, /debug/pprof, /debug/traces
 //	defer srv.Close()
-//	run := obs.NewProgress()
-//	stop := obs.StartHeartbeat(os.Stderr, time.Second, run)
+//	progress := obs.NewProgress()
+//	stop := obs.StartHeartbeat(os.Stderr, time.Second, progress)
 //	defer stop()
+//	run := progress.StartRun("gcc/gshare", 2_000_000)
+//	defer run.End()
 //	// pass reg and run to the simulator via pipeline.Config.
 package obs
 

@@ -3,57 +3,85 @@ package obs
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Progress is a live view of the current simulation run, written by
-// the simulation goroutine through atomic stores and read concurrently
-// by the heartbeat printer and HTTP handlers. The run identity changes
-// rarely (between runs) and is guarded by a mutex; the per-cycle
-// counters are single atomic words.
+// Progress is the live view of the simulation runs in flight, read
+// concurrently by the heartbeat printer. Each run publishes into its
+// own Run, so runs simulating at the same time never mix their
+// counters; the set of live runs changes rarely (between runs) and is
+// guarded by a mutex.
 type Progress struct {
-	mu    sync.Mutex
-	run   string
-	start time.Time
+	mu   sync.Mutex
+	runs []*Run // live runs, in start order
+}
 
-	target      atomic.Uint64
+// NewProgress returns an empty progress view.
+func NewProgress() *Progress { return &Progress{} }
+
+// Run is one live run's counter block, written by its simulation
+// goroutine through atomic stores. A nil *Run ignores every call, so a
+// run without a progress view needs no checks.
+type Run struct {
+	p      *Progress
+	name   string
+	start  time.Time
+	target uint64
+
 	committed   atomic.Uint64
 	cycles      atomic.Uint64
 	branches    atomic.Uint64
 	mispredicts atomic.Uint64
 }
 
-// NewProgress returns an empty progress view.
-func NewProgress() *Progress { return &Progress{} }
-
-// StartRun marks the beginning of a named run (e.g. "gcc/gshare") with
-// a committed-instruction target (0 when unbounded) and resets the
-// counters.
-func (p *Progress) StartRun(name string, target uint64) {
+// StartRun adds a named run (e.g. "gcc/gshare") with a
+// committed-instruction target (0 when unbounded) to the live set and
+// returns its counter block; call End when the run finishes. On a nil
+// Progress it returns nil.
+func (p *Progress) StartRun(name string, target uint64) *Run {
+	if p == nil {
+		return nil
+	}
+	r := &Run{p: p, name: name, start: time.Now(), target: target}
 	p.mu.Lock()
-	p.run = name
-	p.start = time.Now()
+	p.runs = append(p.runs, r)
 	p.mu.Unlock()
-	p.target.Store(target)
-	p.committed.Store(0)
-	p.cycles.Store(0)
-	p.branches.Store(0)
-	p.mispredicts.Store(0)
+	return r
 }
 
 // Update publishes the run's current counters. Called periodically
 // from the simulation hot loop; four atomic stores.
-func (p *Progress) Update(committed, cycles, branches, mispredicts uint64) {
-	p.committed.Store(committed)
-	p.cycles.Store(cycles)
-	p.branches.Store(branches)
-	p.mispredicts.Store(mispredicts)
+func (r *Run) Update(committed, cycles, branches, mispredicts uint64) {
+	if r == nil {
+		return
+	}
+	r.committed.Store(committed)
+	r.cycles.Store(cycles)
+	r.branches.Store(branches)
+	r.mispredicts.Store(mispredicts)
+}
+
+// End removes the run from the live set; later calls do nothing.
+func (r *Run) End() {
+	if r == nil {
+		return
+	}
+	p := r.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, live := range p.runs {
+		if live == r {
+			p.runs = append(p.runs[:i], p.runs[i+1:]...)
+			return
+		}
+	}
 }
 
 // ProgressSnapshot is a consistent-enough point-in-time read of a
-// Progress (counters are read individually; they drift by at most one
+// Run (counters are read individually; they drift by at most one
 // publish interval).
 type ProgressSnapshot struct {
 	Run       string
@@ -99,20 +127,28 @@ func (s ProgressSnapshot) ETA(now time.Time) time.Duration {
 	return time.Duration(float64(s.Target-s.Committed) / rate * float64(time.Second))
 }
 
-// Snapshot reads the current state.
-func (p *Progress) Snapshot() ProgressSnapshot {
-	p.mu.Lock()
-	run, start := p.run, p.start
-	p.mu.Unlock()
+// Snapshot reads the run's current state.
+func (r *Run) Snapshot() ProgressSnapshot {
 	return ProgressSnapshot{
-		Run:       run,
-		Started:   start,
-		Target:    p.target.Load(),
-		Committed: p.committed.Load(),
-		Cycles:    p.cycles.Load(),
-		Branches:  p.branches.Load(),
-		Mispred:   p.mispredicts.Load(),
+		Run:       r.name,
+		Started:   r.start,
+		Target:    r.target,
+		Committed: r.committed.Load(),
+		Cycles:    r.cycles.Load(),
+		Branches:  r.branches.Load(),
+		Mispred:   r.mispredicts.Load(),
 	}
+}
+
+// Snapshot reads every live run, in start order.
+func (p *Progress) Snapshot() []ProgressSnapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	snaps := make([]ProgressSnapshot, len(p.runs))
+	for i, r := range p.runs {
+		snaps[i] = r.Snapshot()
+	}
+	return snaps
 }
 
 // Line formats the one-line heartbeat for the snapshot, e.g.
@@ -136,8 +172,9 @@ func (s ProgressSnapshot) Line(now time.Time) string {
 	return line
 }
 
-// StartHeartbeat prints p's progress line to w every interval until
-// the returned stop function is called. Stop waits for the printer
+// StartHeartbeat prints one progress line per live run of p to w every
+// interval ("run: idle" when none is live) until the returned stop
+// function is called. Stop waits for the printer
 // goroutine to exit, so it is safe to close w afterwards.
 func StartHeartbeat(w io.Writer, every time.Duration, p *Progress) (stop func()) {
 	if every <= 0 {
@@ -154,7 +191,15 @@ func StartHeartbeat(w io.Writer, every time.Duration, p *Progress) (stop func())
 			case <-done:
 				return
 			case now := <-t.C:
-				fmt.Fprintln(w, p.Snapshot().Line(now))
+				snaps := p.Snapshot()
+				if len(snaps) == 0 {
+					snaps = append(snaps, ProgressSnapshot{})
+				}
+				var lines strings.Builder
+				for _, s := range snaps {
+					lines.WriteString(s.Line(now) + "\n")
+				}
+				io.WriteString(w, lines.String())
 			}
 		}
 	}()

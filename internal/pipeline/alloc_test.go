@@ -152,7 +152,7 @@ func BenchmarkPipelineTickMetrics(b *testing.B) {
 	cfg.Estimators = []conf.Estimator{conf.NewJRS(conf.DefaultJRS)}
 	cfg.Metrics = obs.NewRegistry()
 	cfg.MetricsLabels = obs.Labels{"workload": "looper"}
-	cfg.Progress = obs.NewProgress()
+	cfg.Progress = obs.NewProgress().StartRun("looper", 0)
 	benchTick(b, cfg)
 }
 

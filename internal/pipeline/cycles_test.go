@@ -137,8 +137,7 @@ func TestCycleAccountingErrorPath(t *testing.T) {
 // buckets and estimator quadrants included.
 func TestLiveMetricsPublish(t *testing.T) {
 	reg := obs.NewRegistry()
-	prog := obs.NewProgress()
-	prog.StartRun("looper/gshare", 0)
+	prog := obs.NewProgress().StartRun("looper/gshare", 0)
 	cfg := testConfig()
 	cfg.Metrics = reg
 	cfg.MetricsLabels = obs.Labels{"workload": "looper"}

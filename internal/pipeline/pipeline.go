@@ -91,9 +91,9 @@ type Config struct {
 	// work like direction mispredictions do. Disabled, targets are
 	// assumed perfect — the paper's conditional-branch-only setup.
 	IndirectPrediction bool
-	// BTBEntries/BTBAssoc/RASDepth size the target predictors
-	// (defaults 512 / 4 / 16 when zero).
-	BTBEntries, BTBAssoc, RASDepth int
+	// RASDepth is the return-address stack's depth (16 when zero); the
+	// BTB is fixed at btbEntries entries, btbAssoc ways.
+	RASDepth int
 
 	// Estimators is the set of confidence estimators observing the run
 	// (zero estimators disables confidence bookkeeping). The set is part
@@ -127,10 +127,14 @@ type Config struct {
 	// MetricsInterval is the publish period in cycles for Metrics and
 	// Progress (default 16384 when either is set).
 	MetricsInterval uint64
-	// Progress, when non-nil, receives periodic lock-free counter
-	// updates for heartbeat printing.
-	Progress *obs.Progress
+	// Progress, when non-nil, is this run's counter block in a
+	// heartbeat view (obs.Progress.StartRun) and receives periodic
+	// lock-free counter updates.
+	Progress *obs.Run
 }
+
+// The BTB of the IndirectPrediction front end: 512 entries, 4 ways.
+const btbEntries, btbAssoc = 512, 4
 
 // DefaultConfig returns the configuration used throughout the
 // experiments: 4-wide fetch, branches resolving 3 cycles after fetch (a
@@ -503,17 +507,11 @@ func New(cfg Config, prog *isa.Program, pred bpred.Predictor) (*Sim, error) {
 	s.pending.init((cfg.ResolveDelay + 2) * cfg.FetchWidth)
 	s.state.PC = prog.Entry
 	if cfg.IndirectPrediction {
-		entries, assoc, depth := cfg.BTBEntries, cfg.BTBAssoc, cfg.RASDepth
-		if entries == 0 {
-			entries = 512
-		}
-		if assoc == 0 {
-			assoc = 4
-		}
+		depth := cfg.RASDepth
 		if depth == 0 {
 			depth = 16
 		}
-		s.btb = btb.NewBTB(entries, assoc)
+		s.btb = btb.NewBTB(btbEntries, btbAssoc)
 		s.ras = btb.NewRAS(depth)
 	}
 	if cfg.CollectSiteStats {

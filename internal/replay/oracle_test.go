@@ -184,7 +184,7 @@ func kernelBatch() estBatch {
 		},
 		func() conf.Estimator { return conf.Always{High: true} },
 		func() conf.Estimator {
-			return conf.NewBoost(conf.NewJRS(conf.JRSConfig{Entries: 32, Bits: 2, Threshold: 3}), 2)
+			return conf.And{A: conf.NewJRS(conf.JRSConfig{Entries: 32, Bits: 2, Threshold: 3}), B: conf.NewDistance(2)}
 		},
 		// One-member groups.
 		func() conf.Estimator {

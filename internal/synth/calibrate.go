@@ -9,15 +9,11 @@ import (
 	"specctrl/internal/isa"
 )
 
-// refPredictorBits is the reference gshare geometry Measure uses to
-// report a baseline misprediction rate — the paper's 4096-entry
-// configuration (experiments.DefaultParams().GshareBits).
-const refPredictorBits = 12
-
 // Characterization is a program's realized branch behavior, measured by
 // an architectural run: committed instruction and branch counts, the
 // taken mix, and the misprediction count of a reference gshare
-// predictor driven in commit order (no wrong-path pollution, so rates
+// predictor in the paper's geometry (bpred.GshareBits) driven in commit
+// order (no wrong-path pollution, so rates
 // are close to — not identical to — the pipeline's Table 1 numbers).
 type Characterization struct {
 	// Committed is the number of instructions executed.
@@ -67,7 +63,7 @@ func (c Characterization) String() string {
 // predictor.
 func Measure(prog *isa.Program, maxCommitted uint64) (Characterization, error) {
 	m := emu.NewMachine(prog)
-	pred := bpred.NewGshare(refPredictorBits)
+	pred := bpred.NewGshare(bpred.GshareBits)
 	var c Characterization
 	for m.Executed < maxCommitted {
 		pc := m.State.PC

@@ -9,7 +9,7 @@ func TestBuildDeterministic(t *testing.T) {
 	for _, p := range append(Space(1, 4), validProfile()) {
 		a := MustBuild(p, 1<<30)
 		b := MustBuild(p, 1<<30)
-		if !reflect.DeepEqual(a.EncodeCode(), b.EncodeCode()) {
+		if !reflect.DeepEqual(a.Code, b.Code) {
 			t.Fatalf("%s: code images differ across builds", p.WorkloadName())
 		}
 		if !reflect.DeepEqual(a.Data, b.Data) {

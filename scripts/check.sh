@@ -71,6 +71,17 @@ if grep -rn 'math/rand' internal/experiments internal/runner internal/workload i
     exit 1
 fi
 
+# Geometry gate: the paper's predictor geometry is declared once, as
+# internal/bpred's GshareBits, McFarlingBits, SAgBHTBits and
+# SAgHistBits. No non-test file outside internal/bpred may size a
+# gshare, McFarling or SAg predictor with a numeric literal.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    'bpred\.New(Gshare|GshareNonSpec|McFarling|SAg)\(([^)]*[ ,])?[0-9]' . |
+    grep -v '^\./internal/bpred/'; then
+    echo "check.sh: predictor built with a literal geometry (use the internal/bpred constants)" >&2
+    exit 1
+fi
+
 # Serving smoke: results fetched through simserved must be byte-identical
 # to a local simctrl run, and a resubmission must be served entirely from
 # the content-addressed cache (zero new simulations).
