@@ -209,3 +209,46 @@ func (p Params) TraceAddress(workload string, spec PredictorSpec) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
 }
+
+// experimentIdentity is the canonical identity of one experiment's
+// rendered output: the experiment name plus every Params field that
+// reaches one of its cells' addresses (MaxCommitted, the pipeline) or
+// changes which cells its grids enumerate (SynthN, SynthWorkloads).
+type experimentIdentity struct {
+	AddressVersion int    `json:"addressVersion"`
+	CellsVersion   int    `json:"cellsVersion"`
+	Experiment     string `json:"experiment"`
+
+	MaxCommitted   uint64           `json:"maxCommitted"`
+	Pipeline       pipelineIdentity `json:"pipeline"`
+	SynthN         int              `json:"synthN"`
+	SynthWorkloads []string         `json:"synthWorkloads"`
+}
+
+// ExperimentAddress returns the content address of the named
+// experiment's rendered output under these parameters: a hex SHA-256 of
+// the canonical JSON encoding of its identity. A render is a pure
+// function of its grid's cells, each cell is a function of its
+// CellAddress, and the grid is a function of the experiment and the
+// parameters hashed here, so two Params that share an experiment
+// address render byte-identical output. Like CellAddress it leaves out
+// Replay (both modes render the same bytes), Jobs and the observability
+// hooks. It assumes a full grid: a caller that supplies Params.Cells or
+// an active Params.Shard must not key anything by it.
+func (p Params) ExperimentAddress(name string) string {
+	id := experimentIdentity{
+		AddressVersion: cellAddressVersion,
+		CellsVersion:   CellsVersion,
+		Experiment:     name,
+		MaxCommitted:   p.MaxCommitted,
+		Pipeline:       p.pipelineID(),
+		SynthN:         p.SynthN,
+		SynthWorkloads: p.SynthWorkloads,
+	}
+	data, err := json.Marshal(id)
+	if err != nil {
+		panic("experiments: experiment identity encoding: " + err.Error())
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"specctrl/internal/conf"
@@ -111,6 +112,75 @@ func TestCellAddressIgnoresSideChannels(t *testing.T) {
 		mutate(&p)
 		if p.CellAddress(addrSpec()) != base {
 			t.Errorf("%s changed the address but cannot change the result", name)
+		}
+	}
+}
+
+// TestExperimentAddressSensitivity: every Params field that reaches a
+// cell address or changes a grid's cells moves the experiment address;
+// the fields CellAddress leaves out leave it unchanged.
+func TestExperimentAddressSensitivity(t *testing.T) {
+	base := DefaultParams().ExperimentAddress("sweepspace")
+	if len(base) != 64 || base != DefaultParams().ExperimentAddress("sweepspace") {
+		t.Fatalf("address %q is not a stable hex SHA-256", base)
+	}
+	seen := map[string]string{base: "base"}
+	for name, mutate := range map[string]func(*Params, *string){
+		"experiment":          func(_ *Params, exp *string) { *exp = "table3" },
+		"MaxCommitted":        func(p *Params, _ *string) { p.MaxCommitted++ },
+		"Pipeline.FetchWidth": func(p *Params, _ *string) { p.Pipeline.FetchWidth++ },
+		"Pipeline.Estimators": func(p *Params, _ *string) { p.Pipeline.Estimators = []conf.Estimator{conf.SatCounters{}} },
+		"SynthN":              func(p *Params, _ *string) { p.SynthN = 4 },
+		"SynthWorkloads":      func(p *Params, _ *string) { p.SynthWorkloads = []string{"synth:extra"} },
+	} {
+		p, exp := DefaultParams(), "sweepspace"
+		mutate(&p, &exp)
+		addr := p.ExperimentAddress(exp)
+		if prev, dup := seen[addr]; dup {
+			t.Errorf("%s: address equals %s's", name, prev)
+		}
+		seen[addr] = name
+	}
+	for name, mutate := range map[string]func(*Params){
+		"Replay":   func(p *Params) { p.Replay = ReplayOff },
+		"Jobs":     func(p *Params) { p.Jobs = 16 },
+		"Progress": func(p *Params) { p.Progress = func(string) {} },
+		"cellKey":  func(p *Params) { p.cellKey = "sweepspace/x/gshare/main" },
+	} {
+		p := DefaultParams()
+		mutate(&p)
+		if p.ExperimentAddress("sweepspace") != base {
+			t.Errorf("%s changed the experiment address but cannot change the render", name)
+		}
+	}
+}
+
+// TestExperimentAddressCoversParams is the drift test: every Params
+// field is either hashed into ExperimentAddress or left out on purpose.
+// A new field fails here until it is placed in one of the two lists,
+// so a field that changes a render can never be silently left out of
+// the address that keys the render.
+func TestExperimentAddressCoversParams(t *testing.T) {
+	hashed := map[string]bool{"MaxCommitted": true, "Pipeline": true, "SynthN": true, "SynthWorkloads": true}
+	excluded := map[string]string{
+		"Progress":   "observability hook",
+		"Obs":        "observability hook",
+		"Run":        "observability hook",
+		"Tracer":     "observability hook",
+		"SpanParent": "observability hook",
+		"Ctx":        "cancellation only; a cancelled run renders nothing",
+		"Jobs":       "output is byte-identical at every width",
+		"Replay":     "both modes render the same bytes",
+		"TraceCache": "holds recordings; a hit and a re-recording are identical",
+		"Cache":      "serves cells by their own content address",
+		"Record":     "receives cells; cannot change them",
+		"Shard":      "a shard run renders nothing",
+		"Cells":      "callers supplying cells by spec key must not use the address",
+		"cellKey":    "names a cell's runs in the progress view",
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Params{})) {
+		if hashed[f.Name] == (excluded[f.Name] != "") {
+			t.Errorf("Params.%s must be either hashed by ExperimentAddress or excluded with a reason", f.Name)
 		}
 	}
 }

@@ -150,6 +150,11 @@ type Params struct {
 	// experiment root, or the serve daemon's per-job span joined to the
 	// client's trace). When invalid, traced grids open their own root.
 	SpanParent span.Context
+
+	// cellKey is the spec key of the grid cell these Params run in, set
+	// by runGrid ("" outside a cell). It names the cell's direct runs
+	// in the progress view.
+	cellKey string
 }
 
 // Replay mode values for Params.Replay and the shared -replay flag.
@@ -344,7 +349,7 @@ func (p Params) runPipeline(kind runKind, name string, prog *isa.Program, spec P
 	}
 	var st *pipeline.Stats
 	err := p.simulate(kind, name, spec.Name, estimators, func(rs *span.Span) (uint64, error) {
-		run := p.Run.StartRun(name+"/"+spec.Name, p.MaxCommitted)
+		run := p.Run.StartRun(p.runName(kind, name, spec.Name), p.MaxCommitted)
 		defer run.End()
 		cfg.Progress = run
 		sim, err := pipeline.New(cfg, prog, spec.New())
@@ -369,6 +374,21 @@ func (p Params) runPipeline(kind runKind, name string, prog *isa.Program, spec P
 			Observe(st.IPC())
 	}
 	return st, nil
+}
+
+// runName names a direct run in the progress view. A recording is
+// named by its trace, "record <workload>/<predictor>", because every
+// cell that replays the pair shares it; any other run by its cell's
+// key, so the policied, depth and input variants of one pair print
+// distinct lines. A run outside a grid falls back to the pair.
+func (p Params) runName(kind runKind, name, predictor string) string {
+	switch {
+	case kind == recordRun:
+		return "record " + name + "/" + predictor
+	case p.cellKey != "":
+		return p.cellKey
+	}
+	return name + "/" + predictor
 }
 
 // staticFor builds the static estimator for one (workload, predictor)

@@ -177,8 +177,10 @@ func (p Params) runGrid(specs []runner.Spec, cell CellFunc) ([]CellResult, error
 		source := "cells-in"
 		if !ok {
 			// Reparent the cell body's spans (record/replay/trace
-			// phases) under this cell's run span.
+			// phases) under this cell's run span, and name its direct
+			// runs by the cell's key.
 			pc := p
+			pc.cellKey = key
 			if cs := span.FromContext(ctx); cs != nil {
 				pc.SpanParent = cs.Context()
 			}

@@ -3,11 +3,12 @@
 // across concurrent callers, kept under a byte budget with
 // least-recently-used eviction.
 //
-// Three layers memoize through it: the trace cache
+// Four layers memoize through it: the trace cache
 // (replay.Cache, one recorded run per workload/predictor pair), the
 // serving store's memory tier (serve.Store, decoded cell results in
-// front of the on-disk tier) and the process-wide memo of policied
-// cells (experiments). Each wraps a Cache with its own metrics and
+// front of the on-disk tier), the store's rendered tier (one
+// experiment's rendered output and cell list per experiment address)
+// and the process-wide memo of policied cells (experiments). Each wraps a Cache with its own metrics and
 // byte charge; the concurrency and eviction rules live here only:
 //
 //   - the first caller of a key runs compute; callers arriving while

@@ -106,6 +106,20 @@ func (c *Cache[V]) GetOrCompute(ctx context.Context, key string, compute func() 
 	return v, Compute, err
 }
 
+// Get returns the value resident under key, marking it most recently
+// used. It never runs or waits for a computation: a key that is not
+// resident, computing or not, is reported absent.
+func (c *Cache[V]) Get(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
+		return el.Value.(*entry[V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // insertLocked makes v resident under key and evicts from the LRU tail
 // until the budget holds again.
 func (c *Cache[V]) insertLocked(key string, v V, size int64) {

@@ -246,3 +246,43 @@ func TestChurnWithinBudget(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestGet: Get reports a resident value and marks it most recently
+// used, and reports a key that is absent or still computing as absent
+// without joining or starting a computation.
+func TestGet(t *testing.T) {
+	c := New[int](25, nil, nil) // room for two entries of 10
+	var calls atomic.Int64
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("Get found a key never computed")
+	}
+	c.GetOrCompute(context.Background(), "a", value(&calls, 1, 10))
+	c.GetOrCompute(context.Background(), "b", value(&calls, 2, 10))
+	if v, ok := c.Get("a"); !ok || v != 1 {
+		t.Fatalf("Get(a) = %v, %v; want 1, true", v, ok)
+	}
+	c.GetOrCompute(context.Background(), "c", value(&calls, 3, 10)) // evicts b, not a
+	if !c.resident("a") || c.resident("b") {
+		t.Errorf("resident a/b = %v/%v after Get(a), want true/false", c.resident("a"), c.resident("b"))
+	}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.GetOrCompute(context.Background(), "d", func() (int, int64, error) {
+			close(started)
+			<-release
+			return 4, 1, nil
+		})
+	}()
+	<-started
+	if _, ok := c.Get("d"); ok {
+		t.Error("Get found a key whose computation is still running")
+	}
+	close(release)
+	<-done
+	if calls.Load() != 3 {
+		t.Errorf("%d computes, want 3 (Get never computes)", calls.Load())
+	}
+}

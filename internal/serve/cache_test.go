@@ -348,3 +348,52 @@ func TestStoreFollowerCancellation(t *testing.T) {
 	close(release)
 	<-leaderDone // the leader writes into TempDir; let it finish before cleanup
 }
+
+// TestStoreWaiterRetriesFailedLeader: a caller waiting on another
+// caller's computation of an address does not inherit that
+// computation's failure — the other job's timeout, or a warm replay's
+// probe that found the cell in neither tier — but computes the cell
+// under its own context.
+func TestStoreWaiterRetriesFailedLeader(t *testing.T) {
+	for _, leaderErr := range []error{context.DeadlineExceeded, errNotStored} {
+		t.Run(leaderErr.Error(), func(t *testing.T) {
+			s, err := NewStore(t.TempDir(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := testAddr("ab")
+			started, release := make(chan struct{}), make(chan struct{})
+			leaderDone := make(chan error, 1)
+			go func() {
+				_, err := s.GetOrCompute(context.Background(), addr,
+					func(context.Context) (experiments.CellResult, error) {
+						close(started)
+						<-release
+						return experiments.CellResult{}, leaderErr
+					})
+				leaderDone <- err
+			}()
+			<-started
+			follower := make(chan experiments.CellResult, 1)
+			go func() {
+				c, err := s.GetOrCompute(context.Background(), addr,
+					func(context.Context) (experiments.CellResult, error) { return testCell(8), nil })
+				if err != nil {
+					t.Errorf("waiter failed with its leader: %v", err)
+				}
+				follower <- c
+			}()
+			time.Sleep(10 * time.Millisecond) // let the follower park on the flight
+			close(release)
+			if err := <-leaderDone; !errors.Is(err, leaderErr) {
+				t.Errorf("leader got %v, want its own %v", err, leaderErr)
+			}
+			if c := <-follower; c.Extra["v"] != 8 {
+				t.Errorf("waiter got %v, want its own computation's cell", c)
+			}
+			if c := fromStore(t, s, addr); c.Extra["v"] != 8 {
+				t.Errorf("stored %v, want the waiter's cell", c)
+			}
+		})
+	}
+}

@@ -13,7 +13,11 @@
 //     the canonical hash of its full spec (experiments.CellAddress), so
 //     the same cell requested twice — by one job, by two concurrent
 //     jobs, or days apart — simulates exactly once and is served from
-//     disk forever after, byte-identical to a fresh simulation.
+//     disk forever after, byte-identical to a fresh simulation. Its
+//     rendered tier keeps each experiment's output and cell list under
+//     experiments.ExperimentAddress, so a warm job reads its cells and
+//     returns the stored table without running the grid or the
+//     renderer.
 //   - Admission control and backpressure: a bounded job queue sized off
 //     the runner pool width. A full queue rejects submissions with
 //     429 + Retry-After; a draining server rejects them with 503. Jobs

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -123,23 +124,41 @@ func (j *Job) setRunning(now time.Time) {
 // cellDone records one completed cell and emits its event.
 func (j *Job) cellDone(key, addr string, cached bool, elapsed time.Duration) {
 	j.mu.Lock()
+	j.addCellLocked(key, addr, cached, elapsed)
+	j.bump()
+	j.mu.Unlock()
+}
+
+// replayed records the cells a stored render was served from, every one
+// cached, exactly as cellDone would one by one, but under one lock and
+// one wake-up.
+func (j *Job) replayed(cells []replayedCell) {
+	j.mu.Lock()
+	j.events = slices.Grow(j.events, len(cells))
+	for _, c := range cells {
+		j.addCellLocked(c.key, c.addr, true, c.elapsed)
+	}
+	j.bump()
+	j.mu.Unlock()
+}
+
+// addCellLocked counts one completed cell and appends its event; mu
+// must be held.
+func (j *Job) addCellLocked(key, addr string, cached bool, elapsed time.Duration) {
 	j.done++
 	if cached {
 		j.fromCache++
 	} else {
 		j.simulated++
 	}
-	e := Event{
+	j.events = append(j.events, Event{
 		Type:      "cell",
 		Key:       key,
 		Addr:      addr,
 		Cached:    cached,
-		ElapsedMS: float64(elapsed.Milliseconds()),
+		ElapsedMS: elapsed.Seconds() * 1000,
 		Seq:       len(j.events) + 1,
-	}
-	j.events = append(j.events, e)
-	j.bump()
-	j.mu.Unlock()
+	})
 }
 
 // finish moves the job to a terminal state and emits the terminal
@@ -205,12 +224,26 @@ func (j *Job) result() (JobState, []ExperimentOutput, string) {
 
 // jobCache adapts the shared Store to one job's grid run: it counts
 // hits vs simulations for the job's status document, emits per-cell
-// completion events, and feeds the service latency histogram. It is
+// completion events, feeds the service latency histogram, and lists the
+// cells it served for the experiment's rendered-tier entry. It is
 // called concurrently by runner workers.
 type jobCache struct {
 	store       *Store
 	job         *Job
 	cellSeconds *obs.Histogram
+
+	mu   sync.Mutex
+	seen []cellRef // cells served since the last take
+}
+
+// take returns the cells served since the previous take (for the
+// experiment that just ran) and starts a new list.
+func (c *jobCache) take() []cellRef {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	seen := c.seen
+	c.seen = nil
+	return seen
 }
 
 var _ experiments.CellCache = (*jobCache)(nil)
@@ -230,6 +263,10 @@ func (c *jobCache) GetOrCompute(ctx context.Context, addr string, sp runner.Spec
 	if c.cellSeconds != nil {
 		c.cellSeconds.Observe(elapsed.Seconds())
 	}
-	c.job.cellDone(sp.Key(), addr, !simulated, elapsed)
+	key := sp.Key()
+	c.mu.Lock()
+	c.seen = append(c.seen, cellRef{key: key, addr: addr})
+	c.mu.Unlock()
+	c.job.cellDone(key, addr, !simulated, elapsed)
 	return val, nil
 }

@@ -72,6 +72,10 @@ type Server struct {
 	reg   *obs.Registry
 	store *Store
 	hs    *obs.Server
+	// renderTier says whether jobs use the store's rendered tier. It
+	// is off under the runExperiment test seam, whose renders may be
+	// fake: a fake render must never serve a later job.
+	renderTier bool
 
 	queue       chan *Job
 	drainCtx    context.Context
@@ -136,7 +140,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Params.TraceCache == nil {
 		cfg.Params.TraceCache = replay.NewCache(cfg.TraceCacheBytes, cfg.Registry)
 	}
-	if cfg.runExperiment == nil {
+	renderTier := cfg.runExperiment == nil
+	if renderTier {
 		cfg.runExperiment = experiments.Run
 	}
 
@@ -148,6 +153,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		reg:         cfg.Registry,
 		store:       store,
+		renderTier:  renderTier,
 		queue:       make(chan *Job, cfg.QueueDepth),
 		jobs:        make(map[string]*Job),
 		queueDepth:  cfg.Registry.Gauge("specctrl_serve_queue_depth", nil),
@@ -248,10 +254,11 @@ func (s *Server) executor() {
 	}
 }
 
-// runJob executes one job's experiments on the grid runner. Cancel
-// semantics: the grid stops dispatching at the next cell boundary, but
-// cells already executing always run to completion — that is what
-// makes drain checkpoints (and the result cache) loss-free.
+// runJob executes one job's experiments, each from the store's
+// rendered tier or on the grid runner. Cancel semantics: the grid stops
+// dispatching at the next cell boundary, but cells already executing
+// always run to completion — that is what makes drain checkpoints (and
+// the result cache) loss-free.
 func (s *Server) runJob(j *Job) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -275,7 +282,8 @@ func (s *Server) runJob(j *Job) {
 	p := s.jobParams(j.req)
 	p.Ctx = ctx
 	p.Record = j.cells
-	p.Cache = &jobCache{store: s.store, job: j, cellSeconds: s.cellSeconds}
+	jc := &jobCache{store: s.store, job: j, cellSeconds: s.cellSeconds}
+	p.Cache = jc
 	p.Tracer = s.cfg.Tracer
 
 	var outputs []ExperimentOutput
@@ -283,13 +291,16 @@ func (s *Server) runJob(j *Job) {
 	for _, name := range j.req.Experiments {
 		es := s.cfg.Tracer.Child(js.Context(), "exp:"+name, span.Str("job", j.id))
 		p.SpanParent = es.Context()
-		r, err := s.cfg.runExperiment(name, p)
+		out, warm, err := s.experiment(ctx, j, jc, name, p)
+		if warm {
+			es.SetAttrs(span.Str("source", "rendered"))
+		}
 		es.End()
 		if err != nil {
 			runErr = err
 			break
 		}
-		outputs = append(outputs, ExperimentOutput{Experiment: name, Output: r.Render()})
+		outputs = append(outputs, ExperimentOutput{Experiment: name, Output: out})
 		j.emit(Event{Type: "experiment", Name: name})
 	}
 
@@ -313,6 +324,85 @@ func (s *Server) runJob(j *Job) {
 	state, _, _ := j.result()
 	js.SetAttrs(span.Str("state", string(state)))
 	s.reg.Counter("specctrl_serve_jobs_total", obs.Labels{"state": string(state)}).Inc()
+}
+
+// experiment renders one of j's experiments. A render the store holds
+// under the experiment's address is served by replaying its cell list,
+// without running the grid or the renderer, and reports warm.
+// Otherwise the grid runs through jc, and a successful render is stored
+// with the cells jc served while it ran.
+func (s *Server) experiment(ctx context.Context, j *Job, jc *jobCache, name string, p experiments.Params) (out string, warm bool, err error) {
+	var addr string
+	if s.renderTier {
+		addr = p.ExperimentAddress(name)
+		if r, ok := s.store.renders.Get(addr); ok {
+			served, err := s.replay(ctx, j, r.cells)
+			if served {
+				s.store.renderedHits.Inc()
+				return r.output, true, nil
+			}
+			if err != nil {
+				return "", false, err
+			}
+		}
+	}
+	r, err := s.cfg.runExperiment(name, p)
+	if err != nil {
+		return "", false, err
+	}
+	out = r.Render()
+	if s.renderTier {
+		s.store.keepRendered(addr, rendered{output: out, cells: jc.take()})
+	}
+	return out, false, nil
+}
+
+// errNotStored is what a warm replay's compute reports: a listed cell
+// in neither store tier is not simulated by the replay; the experiment
+// falls back to its grid instead.
+var errNotStored = errors.New("serve: cell not stored")
+
+func notStored(context.Context) (experiments.CellResult, error) {
+	return experiments.CellResult{}, errNotStored
+}
+
+// replayedCell is one listed cell a warm replay read from the store.
+type replayedCell struct {
+	cellRef
+	val     experiments.CellResult
+	elapsed time.Duration
+}
+
+// replay serves a stored render's cells to j as its grid would: each
+// listed cell is read through the store, put in the job's cell store,
+// observed in the cell histogram and reported as a cached cell event.
+// It reports false, having recorded nothing, when a listed cell is in
+// neither store tier; the caller then runs the grid. ctx is checked
+// between cells, so a drain or timeout ends a warm job as it ends a
+// grid job, with the cells read so far recorded for its checkpoint.
+func (s *Server) replay(ctx context.Context, j *Job, cells []cellRef) (bool, error) {
+	got := make([]replayedCell, 0, len(cells))
+	var err error
+	for _, c := range cells {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		start := time.Now()
+		var val experiments.CellResult
+		if val, err = s.store.GetOrCompute(ctx, c.addr, notStored); err != nil {
+			if errors.Is(err, errNotStored) {
+				return false, nil
+			}
+			break
+		}
+		got = append(got, replayedCell{cellRef: c, val: val, elapsed: time.Since(start)})
+	}
+	for _, c := range got {
+		j.cells.Put(c.key, c.val)
+		s.cellSeconds.Observe(c.elapsed.Seconds())
+	}
+	j.replayed(got)
+	return err == nil, err
 }
 
 // checkpoint persists a job's completed cells as a versioned cell dump

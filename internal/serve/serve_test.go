@@ -414,6 +414,10 @@ func TestSharedCellsImmutable(t *testing.T) {
 		t.Fatal("cold round left nothing resident")
 	}
 
+	// The rendered tier would serve the warm round without assembling
+	// anything; switch it off (no job is running) so every warm job
+	// assembles its tables from the shared values.
+	srv.renderTier = false
 	hits := srv.reg.Counter("specctrl_serve_cache_hits_total", nil)
 	memHits := srv.reg.Counter("specctrl_serve_cache_mem_hits_total", nil)
 	hits0, memHits0 := hits.Value(), memHits.Value()

@@ -290,6 +290,13 @@ MEM_HITS=$(curl -s "$URL/metrics" | awk '/^specctrl_serve_cache_mem_hits_total/ 
     echo "check.sh: no in-memory cell-cache hits after a resubmission (got '$MEM_HITS')" >&2
     exit 1
 }
+# ...and the resubmission's table came from the rendered tier, without
+# running its grid or its renderer.
+RENDERED_HITS=$(curl -s "$URL/metrics" | awk '/^specctrl_serve_rendered_hits_total/ {print $2}')
+[ -n "$RENDERED_HITS" ] && [ "$RENDERED_HITS" -ge 1 ] || {
+    echo "check.sh: no rendered-tier hits after a resubmission (got '$RENDERED_HITS')" >&2
+    exit 1
+}
 
 # Served synth smoke: the server ingested compress.spbt at startup, so a
 # sweepspace job renders the trace-backed row byte-identically to the
@@ -309,11 +316,19 @@ TRACE_RECORDS1=$(curl -s "$URL/metrics" | awk '/^specctrl_trace_records_total/ {
 }
 # Resubmitting with an extra pinned profile simulates only the new
 # workload's cells; everything already seen is a cell-cache hit.
+RENDERED_HITS0=$(curl -s "$URL/metrics" | awk '/^specctrl_serve_rendered_hits_total/ {print $2}')
 "$SMOKE/simctrl" -server "$URL" -exp sweepspace -synth-n 4 -committed 40000 \
     -synth-profile "$SMOKE/profile.json" > "$SMOKE/ssweep2.txt" 2> "$SMOKE/sstats2.txt"
 grep -q 'synth:' "$SMOKE/ssweep2.txt"
 ! grep -q '(0 cached' "$SMOKE/sstats2.txt"
 ! grep -q ' 0 simulated)' "$SMOKE/sstats2.txt"
+# The extra profile changes the experiment's address: a rendered-tier
+# miss, never the first sweep's table.
+RENDERED_HITS1=$(curl -s "$URL/metrics" | awk '/^specctrl_serve_rendered_hits_total/ {print $2}')
+[ -n "$RENDERED_HITS0" ] && [ "$RENDERED_HITS0" = "$RENDERED_HITS1" ] || {
+    echo "check.sh: sweepspace with an extra profile hit the rendered tier ('$RENDERED_HITS0' -> '$RENDERED_HITS1')" >&2
+    exit 1
+}
 
 # Served policy smoke: abl-gating then frontier must come back from the
 # service byte-identical to the local runs, and frontier must reuse the
