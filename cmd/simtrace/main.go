@@ -247,9 +247,9 @@ func writeFile(f *os.File, data []byte) error {
 func branchTrace(tr *replay.Trace) ([]byte, error) {
 	var pcs []int64
 	var taken []bool
-	tr.Committed(func(pc int64, pred, correct bool) {
+	tr.Committed(func(pc int64, info bpred.Info, correct bool) {
 		pcs = append(pcs, pc)
-		taken = append(taken, pred == correct)
+		taken = append(taken, info.Pred == correct)
 	})
 	st, err := synth.NewTrace(pcs, taken)
 	if err != nil {

@@ -41,16 +41,19 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// way is one cache way. lru is the tick of its last touch, larger =
+// more recent; an invalid way has lru 0, which no access's tick is, so
+// it is also the least recently used. (A tag sentinel cannot mark
+// invalid ways: every int64 is some block's tag, -1 included.)
 type way struct {
-	valid bool
-	tag   int64
-	lru   uint64 // last-touched tick; larger = more recent
+	tag int64
+	lru uint64
 }
 
 // Cache is a set-associative cache timing model.
 type Cache struct {
 	cfg       Config
-	sets      [][]way
+	ways      []way // set s is ways[s*Assoc : (s+1)*Assoc]
 	setMask   int64
 	blockBits uint
 	setBits   uint   // log2(set count); tag = block >> setBits
@@ -74,11 +77,6 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.SizeWords / (cfg.BlockWords * cfg.Assoc)
-	sets := make([][]way, nsets)
-	backing := make([]way, nsets*cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
 	blockBits := uint(0)
 	for 1<<blockBits < cfg.BlockWords {
 		blockBits++
@@ -89,7 +87,7 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		cfg:       cfg,
-		sets:      sets,
+		ways:      make([]way, nsets*cfg.Assoc),
 		setMask:   int64(nsets - 1),
 		blockBits: blockBits,
 		setBits:   setBits,
@@ -120,32 +118,25 @@ func (c *Cache) Hit(addr int64) bool {
 func (c *Cache) Access(addr int64) (latency int, hit bool) {
 	c.tick++
 	block := addr >> c.blockBits
-	set := c.sets[block&c.setMask]
+	base := int(block&c.setMask) * c.cfg.Assoc
+	set := c.ways[base : base+c.cfg.Assoc]
 	tag := block >> c.setBits
+	// One scan finds the hit or, on a miss, the victim: the way with the
+	// smallest lru, the lowest-index one on a tie, so the first invalid
+	// way fills before any valid way is evicted.
+	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lru = c.tick
-			c.lastBlock, c.lastWay = block, &set[i]
+		w := &set[i]
+		if w.tag == tag && w.lru != 0 {
+			w.lru = c.tick
+			c.lastBlock, c.lastWay = block, w
 			return c.cfg.HitLatency, true
 		}
-	}
-	// Miss: fill an invalid way if one exists, else evict the LRU way.
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
+		if w.lru < set[victim].lru {
 			victim = i
-			break
 		}
 	}
-	if victim < 0 {
-		victim = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lru < set[victim].lru {
-				victim = i
-			}
-		}
-	}
-	set[victim] = way{valid: true, tag: tag, lru: c.tick}
+	set[victim] = way{tag: tag, lru: c.tick}
 	c.misses++
 	c.lastBlock, c.lastWay = block, &set[victim]
 	return c.cfg.HitLatency + c.cfg.MissPenalty, false

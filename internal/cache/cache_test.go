@@ -54,6 +54,13 @@ func TestLRUEviction(t *testing.T) {
 
 func TestNegativeAddresses(t *testing.T) {
 	c := New(small())
+	// Block -1 has tag -1: a fresh cache must miss it, like any block.
+	if _, hit := c.Access(-1); hit {
+		t.Error("first access to block -1 hit a fresh cache")
+	}
+	if _, hit := c.Access(-4); !hit {
+		t.Error("block -1 did not hit on re-access")
+	}
 	c.Access(-64)
 	if _, hit := c.Access(-64); !hit {
 		t.Error("negative address did not hit on re-access")
@@ -106,12 +113,10 @@ func TestHitMatchesAccess(t *testing.T) {
 				t.Fatalf("round %d/%d: tick/hits/misses (%d,%d,%d), with Hit first (%d,%d,%d)",
 					round, i, probe.tick, ph, pm, fast.tick, fh, fm)
 			}
-			for si := range probe.sets {
-				for wi := range probe.sets[si] {
-					if probe.sets[si][wi] != fast.sets[si][wi] {
-						t.Fatalf("round %d/%d: set %d way %d = %+v, with Hit first %+v",
-							round, i, si, wi, probe.sets[si][wi], fast.sets[si][wi])
-					}
+			for wi := range probe.ways {
+				if probe.ways[wi] != fast.ways[wi] {
+					t.Fatalf("round %d/%d: way %d = %+v, with Hit first %+v",
+						round, i, wi, probe.ways[wi], fast.ways[wi])
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -136,12 +137,14 @@ func TestAblationDepthSimulatesOnlyOtherDepths(t *testing.T) {
 // -replay on. Every experiment of -exp all runs with a tracer, a cold
 // cell cache and one trace cache across experiments, as simctrl runs
 // them. A cell that simulates lists for its experiment changes the
-// machine, the program or the predictor, or watches the run itself, so
-// no recording serves it: it opens exactly one "simulate" span under
-// its cell span. Every other cell opens none. Across the experiments,
-// each recorded (workload, predictor) pair opens exactly one "record"
-// span; in each experiment specctrl_runs_total counts one run per
-// simulate or record span, and no run is left live in the progress view.
+// machine, the program or the predictor, watches the run itself, or
+// runs a workload outside the suite, so no recording serves it: it
+// opens exactly one "simulate" span under its cell span. Every other
+// cell opens none. Across the experiments, only suite pairs are
+// recorded, every one of them on each predictor, and each opens exactly
+// one "record" span; in each experiment specctrl_runs_total counts one
+// run per simulate or record span, and no run is left live in the
+// progress view.
 func TestDirectRunsOpenSimulateSpans(t *testing.T) {
 	n := len(suite())
 	all := func(string) bool { return true }
@@ -162,9 +165,12 @@ func TestDirectRunsOpenSimulateSpans(t *testing.T) {
 		"abl-indirect": {func(k string) bool { return strings.HasSuffix(k, "/btb") }, n},
 		"abl-spechist": {func(k string) bool { return strings.Contains(k, "/gshare-nonspec/") }, n},
 		"xinput":       {all, n},
-		// boost folds the events of a live run in its tracer.
-		"boost":     {all, n},
+		// boost-mcf folds the events of a live run in its tracer
+		// (boostReplays).
 		"boost-mcf": {all, n},
+		// A generated workload is outside the suite: no other cell
+		// reads its run, so it is not recorded.
+		"sweepspace": {all, DefaultSynthN},
 		// Every smt cell is one smt.Run of its thread mix.
 		"smt": {all, 3 * len(smtPolicies)}, // three thread mixes
 	}
@@ -234,12 +240,16 @@ func TestDirectRunsOpenSimulateSpans(t *testing.T) {
 			}
 		})
 	}
-	if len(records) == 0 {
-		t.Error("no recording opened a record span")
+	// Only suite pairs are recorded, each on all three predictors.
+	if want := len(AllPredictors()) * n; len(records) != want {
+		t.Errorf("%d pairs recorded, want %d", len(records), want)
 	}
-	for pair, n := range records {
-		if n != 1 {
-			t.Errorf("%s opened %d record spans, want 1", pair, n)
+	for pair, c := range records {
+		if c != 1 {
+			t.Errorf("%s opened %d record spans, want 1", pair, c)
+		}
+		if w, _, _ := strings.Cut(pair, "/"); !slices.Contains(suiteNames(), w) {
+			t.Errorf("%s recorded, but %s is not a suite workload", pair, w)
 		}
 	}
 }
@@ -316,6 +326,37 @@ func TestBoostFoldMatchesOracle(t *testing.T) {
 		}
 	}
 	if deepHits == 0 {
+		t.Error("no 4-deep low-confidence run held a misprediction; the check is vacuous")
+	}
+}
+
+// TestBoostCellsMatchAcrossModes: boost's gshare cells fold the suite
+// recording under replay and a live run's tracer under -replay off; both
+// must yield the same cells, Stats and per-k group and hit counts alike.
+func TestBoostCellsMatchAcrossModes(t *testing.T) {
+	cells := map[string]map[string]CellResult{}
+	for _, mode := range []string{ReplayOn, ReplayOff} {
+		p := frontierParams()
+		p.Replay = mode
+		p.TraceCache = replay.NewCache(0, nil)
+		p.Record = NewCellStore()
+		if _, err := Boost(p, GshareSpec(), 4); err != nil {
+			t.Fatal(err)
+		}
+		cells[mode] = p.Record.m
+	}
+	on, off := cells[ReplayOn], cells[ReplayOff]
+	if len(on) != len(suite()) {
+		t.Fatalf("boost recorded %d cells, want %d", len(on), len(suite()))
+	}
+	var hits float64
+	for key, c := range on {
+		if !reflect.DeepEqual(c, off[key]) {
+			t.Errorf("%s: replayed cell %+v\ndirect cell %+v", key, c, off[key])
+		}
+		hits += c.Extra["hits_k4"]
+	}
+	if hits == 0 {
 		t.Error("no 4-deep low-confidence run held a misprediction; the check is vacuous")
 	}
 }

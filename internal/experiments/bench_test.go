@@ -82,7 +82,7 @@ func sweepReplay() error {
 	p.TraceCache = replay.NewCache(0, nil)
 	w, _ := workload.ByName("gcc")
 	spec, _ := predictorByName("gshare")
-	_, _, err := p.replayConfs(w, spec, benchEstimators(fig45Configs()))
+	_, _, err := p.replayEstimators(w, spec, benchEstimators(fig45Configs()))
 	return err
 }
 
@@ -188,7 +188,7 @@ func BenchmarkSweepReplayWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.replayConfs(w, spec, benchEstimators(fig45Configs())); err != nil {
+		if _, _, err := p.replayEstimators(w, spec, benchEstimators(fig45Configs())); err != nil {
 			b.Fatal(err)
 		}
 	}

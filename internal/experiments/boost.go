@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"strings"
 
+	"specctrl/internal/bpred"
 	"specctrl/internal/conf"
 	"specctrl/internal/metrics"
 	"specctrl/internal/obs"
+	"specctrl/internal/pipeline"
+	"specctrl/internal/replay"
 	"specctrl/internal/runner"
 	"specctrl/internal/workload"
 )
@@ -34,12 +37,12 @@ type BoostResult struct {
 	Rows      []BoostRow
 }
 
-// boostFold is an obs.Tracer that accumulates, for every depth
-// k <= maxK, the number of length-k runs of consecutive committed
-// low-confidence estimates and how many of them contained at least one
-// misprediction. It folds the event stream as the run produces it, so
-// no event is ever retained. HighConf is the first estimator's
-// estimate; wrong-path events are skipped.
+// boostFold accumulates, for every depth k <= maxK, the number of
+// length-k runs of consecutive committed low-confidence estimates and
+// how many of them contained at least one misprediction. add folds one
+// committed branch at a time, so no event is ever retained: a direct
+// run feeds it through the obs.Tracer hook (Branch), a recorded run
+// through a walk over the trace's committed fetches.
 type boostFold struct {
 	groups, hits []uint64 // indexed k-1
 	// run is the current run of low-confidence events, and sinceMisp
@@ -52,20 +55,27 @@ func newBoostFold(maxK int) *boostFold {
 	return &boostFold{groups: make([]uint64, maxK), hits: make([]uint64, maxK), sinceMisp: maxK}
 }
 
-// Branch implements obs.Tracer. The last k events form a low-confidence
-// group when k <= run, and the group holds a misprediction when the
-// most recent one is among those k events (sinceMisp < k).
+// Branch implements obs.Tracer: it adds each committed branch, whose
+// HighConf is the first estimator's estimate, and skips wrong-path
+// ones.
 func (f *boostFold) Branch(e obs.BranchEvent) {
-	if e.WrongPath {
-		return
+	if !e.WrongPath {
+		f.add(e.HighConf, e.Pred != e.Outcome)
 	}
+}
+
+// add folds the next committed branch. The last k branches form a
+// low-confidence group when k <= run, and the group holds a
+// misprediction when the most recent one is among those k branches
+// (sinceMisp < k).
+func (f *boostFold) add(highConf, mispredicted bool) {
 	maxK := len(f.groups)
-	if e.HighConf {
+	if highConf {
 		f.run = 0
 	} else if f.run < maxK {
 		f.run++
 	}
-	if e.Pred != e.Outcome {
+	if mispredicted {
 		f.sinceMisp = 0
 	} else if f.sinceMisp < maxK {
 		f.sinceMisp++
@@ -81,6 +91,15 @@ func (f *boostFold) Branch(e obs.BranchEvent) {
 // Close implements obs.Tracer.
 func (f *boostFold) Close() error { return nil }
 
+// boostReplays reports whether boost's cells on spec fold the pair's
+// suite recording when replay applies. gshare's recordings are the ones
+// the policied baselines and most estimator sweeps read anyway. On
+// McFarling, boost-mcf simulates: a run that asks for it without the
+// McFarling estimator sweeps (the policy experiments, a lone
+// -exp boost-mcf) would record eight traces for boost-mcf alone, about
+// doubling such a run's live heap, to save eight direct runs.
+func boostReplays(spec PredictorSpec) bool { return spec.Name == GshareSpec().Name }
+
 // Boost measures boosting for the saturating-counters estimator on the
 // given predictor (the paper's motivating configuration: an inexpensive
 // estimator whose PVN boosting lifts toward 50%).
@@ -88,17 +107,30 @@ func Boost(p Params, spec PredictorSpec, maxK int) (*BoostResult, error) {
 	if maxK < 1 || maxK > 8 {
 		return nil, fmt.Errorf("boost: k depth %d out of range", maxK)
 	}
-	// Each cell folds its run's event stream into per-k group counts as
-	// the run goes (boostFold): the counts travel in CellResult.Extra,
-	// so a sharded dump stays small and no event log is ever kept.
+	// Each cell folds its run's committed branches into per-k group
+	// counts (boostFold): the counts travel in CellResult.Extra, so a
+	// sharded dump stays small and no event log is ever kept.
 	cell := func(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
 		w, err := workload.ByName(sp.Workload)
 		if err != nil {
 			return CellResult{}, err
 		}
+		est := SatCntFor(spec, conf.BothStrong)
 		fold := newBoostFold(maxK)
-		p.Pipeline.Tracer = obs.MultiSink(fold, p.Pipeline.Tracer)
-		st, err := p.runOne(w, spec, SatCntFor(spec, conf.BothStrong))
+		var st *pipeline.Stats
+		if boostReplays(spec) && p.replayActive(w) {
+			// The estimator is stateless, so its estimate of each
+			// committed fetch is recomputed from the recorded Info.
+			var tr *replay.Trace
+			if tr, st, err = p.replayEstimators(w, spec, []conf.Estimator{est}); err == nil {
+				tr.Committed(func(pc int64, info bpred.Info, correct bool) {
+					fold.add(est.Estimate(pc, info), !correct)
+				})
+			}
+		} else {
+			p.Pipeline.Tracer = obs.MultiSink(fold, p.Pipeline.Tracer)
+			st, err = p.runOne(w, spec, est)
+		}
 		if err != nil {
 			return CellResult{}, fmt.Errorf("boost %s/%s: %w", w.Name, spec.Name, err)
 		}

@@ -117,10 +117,11 @@ type Params struct {
 	Cache CellCache
 
 	// Replay selects how experiments evaluate their estimators: "" or
-	// ReplayOn records each (workload, predictor, pipeline) simulation
-	// once and replays estimator configurations against the recorded
-	// branch-event trace; ReplayOff forces direct simulation of every
-	// cell (the escape hatch the differential smoke in scripts/check.sh
+	// ReplayOn records each suite (workload, predictor, pipeline)
+	// simulation once and replays estimator configurations against the
+	// recorded branch-event trace (a workload outside the suite
+	// simulates directly: see replayActive); ReplayOff forces direct
+	// simulation of every cell (the escape hatch the differential smoke in scripts/check.sh
 	// uses). Rendered output is byte-identical in both modes; only
 	// wall-clock changes. Both modes enumerate the same grid cells, so
 	// shard and merge machines may run different modes.
@@ -159,8 +160,8 @@ type Params struct {
 
 // Replay mode values for Params.Replay and the shared -replay flag.
 const (
-	// ReplayOn records each pair once and replays estimators (the
-	// default; "" means the same).
+	// ReplayOn records each suite pair once and replays estimators
+	// (the default; "" means the same).
 	ReplayOn = "on"
 	// ReplayOff disables trace caching: every cell simulates directly.
 	ReplayOff = "off"

@@ -8,6 +8,7 @@ import (
 
 	"specctrl/internal/policy"
 	"specctrl/internal/runner"
+	"specctrl/internal/workload"
 )
 
 // frontierParams: the frontier simulates every cell directly (policies
@@ -183,10 +184,14 @@ func TestPolicyChangesCellAddress(t *testing.T) {
 	}
 	// And a policied base config must force direct simulation: the
 	// unpolicied recording no longer matches the policied timing.
-	if policied.replayActive() {
+	w, err := workload.ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if policied.replayActive(w) {
 		t.Error("replayActive true with a base-config policy installed")
 	}
-	if !plain.replayActive() {
+	if !plain.replayActive(w) {
 		t.Error("replayActive false for the plain config (precondition)")
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"specctrl/internal/conf"
 	"specctrl/internal/memo"
@@ -15,28 +16,38 @@ import (
 // Record-once / replay-many estimator evaluation.
 //
 // Estimators are passive observers (see internal/replay's package
-// comment), so the experiments layer simulates each (workload,
+// comment), so the experiments layer simulates each suite (workload,
 // predictor, pipeline identity) at most once — recording the
 // estimator-visible branch-event stream into a content-addressed cache
 // keyed by TraceAddress — and evaluates every estimator configuration
 // by replaying the recording. Because TraceAddress excludes the
 // experiment, variant, and estimator identity, the trace recorded for
 // one experiment serves every other: a full `-exp all` run simulates
-// each (workload, predictor) pair once and replays everything else.
+// each suite (workload, predictor) pair once and replays everything
+// else.
 //
 // evalEstimators is the one place that picks trace replay or direct
 // simulation (replayActive); estimatorGrid's cells and the few
-// hand-written cells that need Stats for a fixed estimator list call it.
+// hand-written cells that need Stats for a fixed estimator list call
+// it, and baseStats, sitesFor and boost's cells follow the same rule.
 
-// replayActive reports whether replay-backed evaluation applies under
-// these parameters. Direct simulation is kept for the explicit
-// ReplayOff escape hatch, for configurations whose observation side
-// channels need the real run (base-config estimators or tracers,
+// replayActive reports whether replay-backed evaluation applies to
+// workload w under these parameters. Direct simulation is kept for the
+// explicit ReplayOff escape hatch, for configurations whose observation
+// side channels need the real run (base-config estimators or tracers,
 // site-statistics collection), and for policied pipelines: a
 // speculation-control policy perturbs fetch timing, so the
 // estimator-visible event stream is no longer the unpolicied recording.
-func (p Params) replayActive() bool {
-	if p.Replay == ReplayOff {
+//
+// Only suite pairs are recorded. A suite pair's recording serves every
+// estimator sweep on its predictor, and its base stats and site profile
+// serve the cells that would rerun its default run. A workload outside
+// suite() — sweepspace's generated profiles, -synth-profile and
+// -ingest-trace workloads — is read by exactly one cell, so its run
+// simulates with the cell's estimators attached instead of holding a
+// trace in the cache that nothing else reads.
+func (p Params) replayActive(w workload.Workload) bool {
+	if p.Replay == ReplayOff || !slices.Contains(suiteNames(), w.Name) {
 		return false
 	}
 	return len(p.Pipeline.Estimators) == 0 &&
@@ -116,9 +127,10 @@ func (p Params) traceFor(w workload.Workload, spec PredictorSpec) (*replay.Trace
 // per replay pass) for the specctrl_replay_events histogram.
 var replayEventBounds = []float64{1e4, 1e5, 1e6, 3e6, 1e7, 3e7, 1e8}
 
-// replayConfs replays ests against the pair's recorded trace and
-// returns the per-estimator statistics plus the base run's stats.
-func (p Params) replayConfs(w workload.Workload, spec PredictorSpec, ests []conf.Estimator) ([]pipeline.ConfStats, *pipeline.Stats, error) {
+// replayEstimators replays ests against the pair's recorded trace and
+// returns the trace and the Stats a direct run with ests attached would
+// have produced (see replayStats).
+func (p Params) replayEstimators(w workload.Workload, spec PredictorSpec, ests []conf.Estimator) (*replay.Trace, *pipeline.Stats, error) {
 	tr, base, err := p.traceFor(w, spec)
 	if err != nil {
 		return nil, nil, err
@@ -138,7 +150,7 @@ func (p Params) replayConfs(w workload.Workload, spec PredictorSpec, ests []conf
 		p.Obs.Histogram("specctrl_replay_events", obs.Labels{"predictor": spec.Name}, replayEventBounds).
 			Observe(float64(tr.Events()))
 	}
-	return confs, base, nil
+	return tr, replayStats(base, confs), nil
 }
 
 // replayStats assembles the Stats a direct simulation with confs'
@@ -162,17 +174,14 @@ func replayStats(base *pipeline.Stats, confs []pipeline.ConfStats) *pipeline.Sta
 // estimator list call it and transparently share one recorded
 // simulation per (workload, predictor) across cells and experiments.
 func (p Params) evalEstimators(w workload.Workload, spec PredictorSpec, ests ...conf.Estimator) (*pipeline.Stats, error) {
-	if !p.replayActive() {
+	if !p.replayActive(w) {
 		return p.runOne(w, spec, ests...)
 	}
 	if len(ests) == 0 {
 		return p.baseStats(w, spec)
 	}
-	confs, base, err := p.replayConfs(w, spec, ests)
-	if err != nil {
-		return nil, err
-	}
-	return replayStats(base, confs), nil
+	_, st, err := p.replayEstimators(w, spec, ests)
+	return st, err
 }
 
 // baseStats returns the statistics of the pair's estimator-less run,
@@ -181,7 +190,7 @@ func (p Params) evalEstimators(w workload.Workload, spec PredictorSpec, ests ...
 // copy of the trace cache's base stats and cost no simulation of their
 // own; otherwise the run simulates.
 func (p Params) baseStats(w workload.Workload, spec PredictorSpec) (*pipeline.Stats, error) {
-	if !p.replayActive() {
+	if !p.replayActive(w) {
 		return p.runOne(w, spec)
 	}
 	_, base, err := p.traceFor(w, spec)
@@ -200,7 +209,7 @@ func (p Params) baseStats(w workload.Workload, spec PredictorSpec) (*pipeline.St
 // profile the recorded run would have collected; otherwise a profiling
 // simulation collects it.
 func (p Params) sitesFor(w workload.Workload, spec PredictorSpec) (map[int64]*pipeline.SiteStats, error) {
-	if !p.replayActive() {
+	if !p.replayActive(w) {
 		p.Pipeline.CollectSiteStats = true
 		st, err := p.runOne(w, spec)
 		if err != nil {

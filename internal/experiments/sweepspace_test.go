@@ -21,7 +21,8 @@ func sweepParams(n int) Params {
 
 // TestSweepSpaceDeterminism covers the acceptance contract: a
 // 32-profile sweep renders byte-identically at Jobs 1 and Jobs 8, and
-// under replay-backed vs direct evaluation.
+// under the default -replay mode and -replay off. Generated workloads
+// are outside the suite, so both modes simulate them directly.
 func TestSweepSpaceDeterminism(t *testing.T) {
 	serial := sweepParams(32)
 	serial.Jobs = 1

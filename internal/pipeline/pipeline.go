@@ -378,7 +378,7 @@ type Sim struct {
 	predM *bpred.McFarling
 	predS *bpred.SAg
 
-	// estFast mirrors ests with concrete-type fast paths for the four
+	// estFast mirrors ests with concrete-type fast paths for the
 	// estimator families the paper's main tables sweep; their Estimate
 	// bodies are a handful of instructions, so the interface call was
 	// most of their cost. estGeneric entries fall back to the interface.
@@ -490,6 +490,8 @@ func New(cfg Config, prog *isa.Program, pred bpred.Predictor) (*Sim, error) {
 		switch v := e.(type) {
 		case *conf.JRS:
 			s.estFast[i] = estFast{kind: estJRS, jrs: v}
+		case *conf.Distance:
+			s.estFast[i] = estFast{kind: estDist, dist: v}
 		case conf.SatCounters:
 			s.estFast[i] = estFast{kind: estSat}
 		case conf.SatCountersMcFarling:
@@ -575,6 +577,7 @@ type estKind uint8
 const (
 	estGeneric estKind = iota
 	estJRS
+	estDist
 	estSat
 	estSatMcF
 	estPattern
@@ -587,6 +590,7 @@ const (
 type estFast struct {
 	kind estKind
 	jrs  *conf.JRS
+	dist *conf.Distance
 	satM conf.SatCountersMcFarling
 	pat  conf.PatternHistory
 	st   conf.Static
@@ -634,6 +638,8 @@ func (s *Sim) resolveDue() bool {
 			switch f := &s.estFast[i]; f.kind {
 			case estJRS:
 				f.jrs.Resolve(br.pc, br.info, correct)
+			case estDist:
+				f.dist.Resolve(br.pc, br.info, correct)
 			case estSat, estSatMcF, estPattern, estStatic:
 			default:
 				s.ests[i].Resolve(br.pc, br.info, correct)
@@ -705,6 +711,8 @@ func (s *Sim) onCondBranch(pc int64, outcome bool, takenTarget, notTakenTarget i
 		switch f := &s.estFast[i]; f.kind {
 		case estJRS:
 			hc = f.jrs.Estimate(pc, info)
+		case estDist:
+			hc = f.dist.Estimate(pc, info)
 		case estSat:
 			hc = conf.SatCounters{}.Estimate(pc, info)
 		case estSatMcF:

@@ -10,8 +10,8 @@ import (
 
 // DefaultCacheBytes is the default retained-bytes budget for a trace
 // Cache. At the default experiment scale a suite trace is a few
-// megabytes (~6.2 B per fetched branch), and the 56 (workload,
-// predictor) pairs the full experiment grid records charge ~130 MiB,
+// megabytes (~6.2 B per fetched branch), and the 24 suite (workload,
+// predictor) pairs the full experiment grid records charge ~67 MiB,
 // so 256 MiB holds them all with room to spare while still bounding a
 // long-running daemon.
 const DefaultCacheBytes = 256 << 20

@@ -113,14 +113,17 @@ func (t *Trace) Bytes() int {
 }
 
 // Committed calls fn for every committed fetch event in fetch order,
-// which is program order: the branch pc, its predicted direction, and
-// whether the prediction matched the outcome.
-func (t *Trace) Committed(fn func(pc int64, pred, correct bool)) {
+// which is program order: the branch pc, the fetch-time bpred.Info the
+// estimators saw (its Pred is the predicted direction), and whether the
+// prediction matched the outcome.
+func (t *Trace) Committed(fn func(pc int64, info bpred.Info, correct bool)) {
+	var info bpred.Info
 	for ci := range t.chunks {
 		c := &t.chunks[ci]
 		for i, flg := range c.flg {
 			if flg&fCommitted != 0 {
-				fn(int64(c.pcAt(i)), flg&fPred != 0, flg&fCorrect != 0)
+				setInfo(&info, c.hist.at(i), c.ctr[i], flg)
+				fn(int64(c.pcAt(i)), info, flg&fCorrect != 0)
 			}
 		}
 	}
@@ -130,19 +133,29 @@ func (t *Trace) Committed(fn func(pc int64, pred, correct bool)) {
 // prediction accuracy: exactly the profile a run of the recorded
 // configuration accumulates under pipeline.Config.CollectSiteStats,
 // which counts the same committed fetches with the same correctness.
+//
+// It walks the chunks itself rather than through Committed, which would
+// rebuild a bpred.Info per fetch that the profile never reads.
 func (t *Trace) Sites() map[int64]*pipeline.SiteStats {
 	sites := make(map[int64]*pipeline.SiteStats)
-	t.Committed(func(pc int64, _, correct bool) {
-		s := sites[pc]
-		if s == nil {
-			s = &pipeline.SiteStats{}
-			sites[pc] = s
+	for ci := range t.chunks {
+		c := &t.chunks[ci]
+		for i, flg := range c.flg {
+			if flg&fCommitted == 0 {
+				continue
+			}
+			pc := int64(c.pcAt(i))
+			s := sites[pc]
+			if s == nil {
+				s = &pipeline.SiteStats{}
+				sites[pc] = s
+			}
+			s.Total++
+			if flg&fCorrect != 0 {
+				s.Correct++
+			}
 		}
-		s.Total++
-		if correct {
-			s.Correct++
-		}
-	})
+	}
 	return sites
 }
 

@@ -189,6 +189,69 @@ func TestTraceSitesMatchCollect(t *testing.T) {
 	}
 }
 
+// committedFetch is one committed fetch event as Trace.Committed hands
+// it over.
+type committedFetch struct {
+	pc      int64
+	info    bpred.Info
+	correct bool
+}
+
+// committedProbe is an estimator and tracer that collects the committed
+// fetches of a live run: Estimate stashes the fetch-time pair, and the
+// Branch callback that follows it keeps the pair unless the branch is
+// on the wrong path.
+type committedProbe struct {
+	pend    committedFetch
+	fetches []committedFetch
+}
+
+func (c *committedProbe) Name() string { return "committed-probe" }
+func (c *committedProbe) Estimate(pc int64, info bpred.Info) bool {
+	c.pend = committedFetch{pc: pc, info: info}
+	return true
+}
+func (c *committedProbe) Resolve(int64, bpred.Info, bool) {}
+func (c *committedProbe) Branch(e obs.BranchEvent) {
+	if !e.WrongPath {
+		c.pend.correct = e.Pred == e.Outcome
+		c.fetches = append(c.fetches, c.pend)
+	}
+}
+func (c *committedProbe) Close() error { return nil }
+
+// TestCommittedMatchesRun: Trace.Committed hands over exactly the
+// committed fetches of the recorded run, in order, each with the
+// bpred.Info the estimators saw at fetch, on every predictor family and
+// on histories that need the trace's high halves.
+func TestCommittedMatchesRun(t *testing.T) {
+	for _, pred := range []string{"gshare", "gshare20", "mcfarling", "sag"} {
+		rec, probe := NewRecorder(), &committedProbe{}
+		cfg := testConfig()
+		cfg.Estimators = []conf.Estimator{rec, probe}
+		cfg.Tracer = obs.MultiSink(rec, probe)
+		sim, err := pipeline.New(cfg, testProg(), testPred(t, pred))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := rec.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []committedFetch
+		tr.Committed(func(pc int64, info bpred.Info, correct bool) {
+			got = append(got, committedFetch{pc, info, correct})
+		})
+		if len(probe.fetches) == 0 || !reflect.DeepEqual(got, probe.fetches) {
+			t.Errorf("%s: Committed's %d fetches differ from the run's %d committed fetches",
+				pred, len(got), len(probe.fetches))
+		}
+	}
+}
+
 // TestReplayMatchesDirect is the package's reason to exist: for every
 // estimator family, on every predictor family (and on a gshare whose
 // histories need the trace's high halves), replaying the recorded
