@@ -190,18 +190,18 @@ func doRecord(o recordOptions) error {
 	rec := tracer.Root("record:"+w.Name+"/"+o.predictor,
 		span.Str("workload", w.Name), span.Str("predictor", o.predictor))
 	_, runErr := sim.Run()
+	var tr *replay.Trace
+	if runErr == nil && recorder != nil {
+		if tr, runErr = recorder.Trace(); runErr == nil {
+			rec.SetAttrs(span.Int("events", int64(tr.Events())), span.Int("bytes", int64(tr.Bytes())))
+		}
+	}
 	rec.End()
 	if runErr != nil {
 		return runErr
 	}
 	if t := cfg.Tracer; t != nil {
 		if err := t.Close(); err != nil {
-			return err
-		}
-	}
-	var tr *replay.Trace
-	if recorder != nil {
-		if tr, err = recorder.Trace(); err != nil {
 			return err
 		}
 	}
@@ -261,6 +261,7 @@ func branchTrace(tr *replay.Trace) ([]byte, error) {
 // summary is what -summarize reports about a recording.
 type summary struct {
 	events, committed, wrongPath, mispredict, lowConf uint64
+	bytes                                             int // the decoded trace's resident bytes
 }
 
 // summarizeFile decodes an SPRT recording and replays JRS over it: the
@@ -281,6 +282,7 @@ func summarizeFile(path string) (summary, error) {
 		committed:  q.Total(),
 		mispredict: q.Incorrect(),
 		lowConf:    q.Clc + q.Ilc,
+		bytes:      tr.Bytes(),
 	}
 	s.wrongPath = s.events - s.committed
 	return s, nil
@@ -300,5 +302,7 @@ func doSummarize(path string) error {
 		fmt.Printf("low-conf    %d (%.1f%%)\n", s.lowConf,
 			100*float64(s.lowConf)/float64(s.committed))
 	}
+	fmt.Printf("resident    %d bytes (%.2f B per fetch)\n", s.bytes,
+		float64(s.bytes)/float64(max(s.events, 1)))
 	return nil
 }

@@ -85,6 +85,13 @@ func TestRecordAndSummarize(t *testing.T) {
 				mispredict: q.Ihc + q.Ilc,
 				lowConf:    q.Clc + q.Ilc,
 			}
+			// The compact form: 2-3 B per fetch (McFarling keeps its
+			// counter column), against ~6 B with explicit pcs and histories.
+			if got.bytes <= 0 || float64(got.bytes) > 3.5*float64(got.events) {
+				t.Errorf("decoded recording holds %d resident bytes for %d fetches, want (0, 3.5] B per fetch",
+					got.bytes, got.events)
+			}
+			want.bytes = got.bytes
 			if got != want || got.committed == 0 {
 				t.Errorf("summary of the recording %+v, direct run %+v", got, want)
 			}

@@ -165,9 +165,6 @@ func TestDirectRunsOpenSimulateSpans(t *testing.T) {
 		"abl-indirect": {func(k string) bool { return strings.HasSuffix(k, "/btb") }, n},
 		"abl-spechist": {func(k string) bool { return strings.Contains(k, "/gshare-nonspec/") }, n},
 		"xinput":       {all, n},
-		// boost-mcf folds the events of a live run in its tracer
-		// (boostReplays).
-		"boost-mcf": {all, n},
 		// A generated workload is outside the suite: no other cell
 		// reads its run, so it is not recorded.
 		"sweepspace": {all, DefaultSynthN},
@@ -194,6 +191,10 @@ func TestDirectRunsOpenSimulateSpans(t *testing.T) {
 				case "record":
 					records[fmt.Sprintf("%v/%v", s.Attr("workload"), s.Attr("predictor"))]++
 					runs++
+					if b, ok := s.Attr("bytes").(int64); !ok || b <= 0 {
+						t.Errorf("record span %v/%v carries bytes %v, want the trace's resident size",
+							s.Attr("workload"), s.Attr("predictor"), s.Attr("bytes"))
+					}
 				case "simulate":
 					runs++
 				}
@@ -330,34 +331,39 @@ func TestBoostFoldMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestBoostCellsMatchAcrossModes: boost's gshare cells fold the suite
-// recording under replay and a live run's tracer under -replay off; both
-// must yield the same cells, Stats and per-k group and hit counts alike.
+// TestBoostCellsMatchAcrossModes: boost's cells fold the suite
+// recording under replay and a live run's tracer under -replay off, on
+// gshare and on McFarling; both must yield the same cells, Stats and
+// per-k group and hit counts alike.
 func TestBoostCellsMatchAcrossModes(t *testing.T) {
-	cells := map[string]map[string]CellResult{}
-	for _, mode := range []string{ReplayOn, ReplayOff} {
-		p := frontierParams()
-		p.Replay = mode
-		p.TraceCache = replay.NewCache(0, nil)
-		p.Record = NewCellStore()
-		if _, err := Boost(p, GshareSpec(), 4); err != nil {
-			t.Fatal(err)
-		}
-		cells[mode] = p.Record.m
-	}
-	on, off := cells[ReplayOn], cells[ReplayOff]
-	if len(on) != len(suite()) {
-		t.Fatalf("boost recorded %d cells, want %d", len(on), len(suite()))
-	}
-	var hits float64
-	for key, c := range on {
-		if !reflect.DeepEqual(c, off[key]) {
-			t.Errorf("%s: replayed cell %+v\ndirect cell %+v", key, c, off[key])
-		}
-		hits += c.Extra["hits_k4"]
-	}
-	if hits == 0 {
-		t.Error("no 4-deep low-confidence run held a misprediction; the check is vacuous")
+	for _, spec := range []PredictorSpec{GshareSpec(), McFarlingSpec()} {
+		t.Run(spec.Name, func(t *testing.T) {
+			cells := map[string]map[string]CellResult{}
+			for _, mode := range []string{ReplayOn, ReplayOff} {
+				p := frontierParams()
+				p.Replay = mode
+				p.TraceCache = replay.NewCache(0, nil)
+				p.Record = NewCellStore()
+				if _, err := Boost(p, spec, 4); err != nil {
+					t.Fatal(err)
+				}
+				cells[mode] = p.Record.m
+			}
+			on, off := cells[ReplayOn], cells[ReplayOff]
+			if len(on) != len(suite()) {
+				t.Fatalf("boost recorded %d cells, want %d", len(on), len(suite()))
+			}
+			var hits float64
+			for key, c := range on {
+				if !reflect.DeepEqual(c, off[key]) {
+					t.Errorf("%s: replayed cell %+v\ndirect cell %+v", key, c, off[key])
+				}
+				hits += c.Extra["hits_k4"]
+			}
+			if hits == 0 {
+				t.Error("no 4-deep low-confidence run held a misprediction; the check is vacuous")
+			}
+		})
 	}
 }
 

@@ -91,15 +91,6 @@ func (f *boostFold) add(highConf, mispredicted bool) {
 // Close implements obs.Tracer.
 func (f *boostFold) Close() error { return nil }
 
-// boostReplays reports whether boost's cells on spec fold the pair's
-// suite recording when replay applies. gshare's recordings are the ones
-// the policied baselines and most estimator sweeps read anyway. On
-// McFarling, boost-mcf simulates: a run that asks for it without the
-// McFarling estimator sweeps (the policy experiments, a lone
-// -exp boost-mcf) would record eight traces for boost-mcf alone, about
-// doubling such a run's live heap, to save eight direct runs.
-func boostReplays(spec PredictorSpec) bool { return spec.Name == GshareSpec().Name }
-
 // Boost measures boosting for the saturating-counters estimator on the
 // given predictor (the paper's motivating configuration: an inexpensive
 // estimator whose PVN boosting lifts toward 50%).
@@ -118,7 +109,7 @@ func Boost(p Params, spec PredictorSpec, maxK int) (*BoostResult, error) {
 		est := SatCntFor(spec, conf.BothStrong)
 		fold := newBoostFold(maxK)
 		var st *pipeline.Stats
-		if boostReplays(spec) && p.replayActive(w) {
+		if p.replayActive(w) {
 			// The estimator is stateless, so its estimate of each
 			// committed fetch is recomputed from the recorded Info.
 			var tr *replay.Trace

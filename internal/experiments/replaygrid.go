@@ -86,7 +86,9 @@ func (p Params) recordTrace(w workload.Workload, spec PredictorSpec) (*replay.Tr
 		if tr, err = rec.Trace(); err != nil {
 			return fmt.Errorf("record %s/%s: %w", w.Name, spec.Name, err)
 		}
-		rs.SetAttrs(span.Int("events", int64(tr.Events())))
+		if rs != nil { // untraced: box no attribute values
+			rs.SetAttrs(span.Int("events", int64(tr.Events())), span.Int("bytes", int64(tr.Bytes())))
+		}
 		return nil
 	})
 	if err != nil {

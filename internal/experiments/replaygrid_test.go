@@ -282,24 +282,34 @@ func TestCellsPortableAcrossReplayModes(t *testing.T) {
 }
 
 // TestTraceBytesPerFetch is the trace tier's memory gate: the suite's
-// recordings on gshare, McFarling and SAg at test scale retain at most
-// 7.0 bytes per fetched branch. Every pc and history there fits the
-// 16-bit low halves, so a fetch costs its two halves, its counter and
-// flag bytes and its share of the token-kind bitset, in exactly sized
-// columns.
+// recordings at test scale retain at most 3.0 bytes per fetched branch
+// overall, and at most each predictor's ceiling. In the compact form a
+// fetch costs its pc's 1-byte dictionary index, its flag byte (which
+// carries C1) and its share of the token-kind bitset; the global
+// (gshare, McFarling) and local (SAg) history rules rebuild every
+// history, and only McFarling keeps a counter column for C2 and Meta.
 func TestTraceBytesPerFetch(t *testing.T) {
-	const limit = 7.0
+	const limit = 3.0
+	ceiling := map[string]float64{"gshare": 2.5, "mcfarling": 3.5, "sag": 2.5}
 	p := TestParams()
 	bytes, fetches := 0, 0
 	for _, spec := range AllPredictors() {
+		b, f := 0, 0
 		for _, w := range suite() {
 			tr, _, err := p.recordTrace(w, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bytes += tr.Bytes()
-			fetches += tr.Fetches()
+			b += tr.Bytes()
+			f += tr.Fetches()
 		}
+		perFetch := float64(b) / float64(f)
+		t.Logf("%s: %d bytes for %d fetched branches: %.2f B per fetch", spec.Name, b, f, perFetch)
+		if perFetch > ceiling[spec.Name] {
+			t.Errorf("%s traces retain %.2f B per fetched branch, want at most %.1f", spec.Name, perFetch, ceiling[spec.Name])
+		}
+		bytes += b
+		fetches += f
 	}
 	perFetch := float64(bytes) / float64(fetches)
 	t.Logf("%d bytes for %d fetched branches: %.2f B per fetch", bytes, fetches, perFetch)

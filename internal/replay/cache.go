@@ -9,11 +9,11 @@ import (
 )
 
 // DefaultCacheBytes is the default retained-bytes budget for a trace
-// Cache. At the default experiment scale a suite trace is a few
-// megabytes (~6.2 B per fetched branch), and the 24 suite (workload,
-// predictor) pairs the full experiment grid records charge ~67 MiB,
-// so 256 MiB holds them all with room to spare while still bounding a
-// long-running daemon.
+// Cache. At the default experiment scale a suite trace is about a
+// megabyte in its compact form (~2.2 B per fetched branch, ~3.2 on
+// McFarling), and the 24 suite (workload, predictor) pairs the full
+// experiment grid records charge ~28 MiB, so 256 MiB holds them all
+// with room to spare while still bounding a long-running daemon.
 const DefaultCacheBytes = 256 << 20
 
 // Cache is an in-memory, content-addressed cache of recorded traces

@@ -74,22 +74,31 @@ func (t *Trace) Encode() []byte {
 	buf = sprt.Header(buf)
 	buf = binary.AppendUvarint(buf, uint64(len(t.chunks)))
 	prevPC := int64(0)
+	var r rebuild
+	var pcs []int32
+	var hists []uint32
 	for ci := range t.chunks {
 		c := &t.chunks[ci]
 		buf = binary.AppendUvarint(buf, uint64(c.n))
 		for _, w := range c.kinds {
 			buf = binary.AppendUvarint(buf, w)
 		}
-		for i := range c.flg {
-			pc := int64(c.pcAt(i))
-			buf = binary.AppendUvarint(buf, zigzag(pc-prevPC))
-			prevPC = pc
+		nf := len(c.flg)
+		pcs, hists = resize(pcs, nf), resize(hists, nf)
+		c.rows(&r, pcs, hists)
+		for _, pc := range pcs {
+			buf = binary.AppendUvarint(buf, zigzag(int64(pc)-prevPC))
+			prevPC = int64(pc)
+		}
+		for _, h := range hists {
+			buf = binary.AppendUvarint(buf, uint64(h))
 		}
 		for i := range c.flg {
-			buf = binary.AppendUvarint(buf, uint64(c.hist.at(i)))
+			buf = append(buf, c.ctrAt(i))
 		}
-		buf = append(buf, c.ctr...)
-		buf = append(buf, c.flg...)
+		for _, f := range c.flg {
+			buf = append(buf, f&flagBits)
+		}
 	}
 	return buf
 }
@@ -132,6 +141,10 @@ func Decode(data []byte) (*Trace, error) {
 	}
 
 	t := &Trace{chunks: make([]chunk, 0, nchunks)}
+	var b *builder // made once a chunk has been validated
+	var kinds []uint64
+	var pcs []int32
+	var hists []uint32
 	prevPC := int64(0)
 	pending := 0 // committed fetches not yet resolved, across chunks
 	for ci := range nchunks {
@@ -149,29 +162,25 @@ func Decode(data []byte) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := chunk{n: int(ntok), kinds: make([]uint64, words)}
+		kinds = resize(kinds, words)
 		fetches := 0
-		for w := range c.kinds {
-			if c.kinds[w], err = r.Uvarint("kind word"); err != nil {
+		for w := range kinds {
+			if kinds[w], err = r.Uvarint("kind word"); err != nil {
 				return nil, err
 			}
-			fetches += bits.OnesCount64(c.kinds[w])
+			fetches += bits.OnesCount64(kinds[w])
 		}
 		// Canonical form: kind bits past the last token must be clear,
 		// otherwise two byte streams could decode to the same trace.
-		if tail := c.n & 63; tail != 0 {
-			if c.kinds[words-1]>>uint(tail) != 0 {
+		if tail := ntok & 63; tail != 0 {
+			if kinds[words-1]>>tail != 0 {
 				return nil, sprt.Corruptf("chunk %d: kind bits set past token count", ci)
 			}
 		}
 		if _, err := r.Count(uint64(fetches), minFetchBytes, "fetch count"); err != nil {
 			return nil, err
 		}
-		// A column's high halves are allocated at its first entry that
-		// needs them, so a chunk decodes to the columns it was recorded
-		// with.
-		c.pc.lo = make([]uint16, fetches)
-		c.hist.lo = make([]uint16, fetches)
+		pcs, hists = resize(pcs, fetches), resize(hists, fetches)
 		for i := range fetches {
 			dv, err := r.Uvarint("pc delta")
 			if err != nil {
@@ -183,7 +192,7 @@ func Decode(data []byte) (*Trace, error) {
 			if prevPC != int64(int32(prevPC)) {
 				return nil, sprt.Corruptf("chunk %d: pc %d of fetch %d out of int32 range", ci, prevPC, i)
 			}
-			c.pc.set(i, uint32(prevPC))
+			pcs[i] = int32(prevPC)
 		}
 		for i := range fetches {
 			h, err := r.Uvarint("history")
@@ -193,19 +202,21 @@ func Decode(data []byte) (*Trace, error) {
 			if h > math.MaxUint32 {
 				return nil, sprt.Corruptf("chunk %d: history %#x of fetch %d wider than 32 bits", ci, h, i)
 			}
-			c.hist.set(i, uint32(h))
+			hists[i] = uint32(h)
 		}
-		if c.ctr, err = r.Bytes(fetches); err != nil {
+		ctr, err := r.Bytes(fetches)
+		if err != nil {
 			return nil, err
 		}
-		if c.flg, err = r.Bytes(fetches); err != nil {
+		flg, err := r.Bytes(fetches)
+		if err != nil {
 			return nil, err
 		}
 		for i := range fetches {
-			if c.ctr[i]&^0x3f != 0 {
+			if ctr[i]&^0x3f != 0 {
 				return nil, sprt.Corruptf("chunk %d: reserved counter bits set in fetch %d", ci, i)
 			}
-			if c.flg[i]&^uint8(fPred|fP1|fP2|fCorrect|fCommitted) != 0 {
+			if flg[i]&^flagBits != 0 {
 				return nil, sprt.Corruptf("chunk %d: reserved flag bits set in fetch %d", ci, i)
 			}
 		}
@@ -213,9 +224,9 @@ func Decode(data []byte) (*Trace, error) {
 		// committed fetch; a stream that resolves more than it
 		// committed is not a recording.
 		fi := 0
-		for k := range c.n {
-			if c.isFetch(k) {
-				if c.flg[fi]&fCommitted != 0 {
+		for k := range int(ntok) {
+			if kinds[k>>6]&(1<<(uint(k)&63)) != 0 {
+				if flg[fi]&fCommitted != 0 {
 					pending++
 				}
 				fi++
@@ -226,9 +237,13 @@ func Decode(data []byte) (*Trace, error) {
 				pending--
 			}
 		}
-		t.chunks = append(t.chunks, c)
+		if b == nil {
+			b = new(builder)
+			b.reset(nil)
+		}
+		t.chunks = append(t.chunks, b.build(int(ntok), kinds, pcs, hists, ctr, flg))
 		t.fetches += fetches
-		t.tokens += c.n
+		t.tokens += int(ntok)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

@@ -68,7 +68,9 @@ func columnBytes(tr *Trace) int {
 	n := 0
 	for i := range tr.chunks {
 		c := &tr.chunks[i]
-		n += 8*len(c.kinds) + 2*(len(c.pc.lo)+len(c.pc.hi)+len(c.hist.lo)+len(c.hist.hi)) + len(c.ctr) + len(c.flg)
+		n += 8*len(c.kinds) + 4*len(c.pc.dict) + len(c.pc.idx) + 2*(len(c.pc.wide.lo)+len(c.pc.wide.hi)) +
+			2*(len(c.hist.wide.lo)+len(c.hist.wide.hi)) + 4*len(c.hist.local) + pendRowBytes*len(c.hist.carry) +
+			len(c.ctr) + len(c.flg)
 	}
 	return n
 }

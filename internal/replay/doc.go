@@ -23,9 +23,18 @@
 // resolves committed branches in fetch order and passes Resolve the
 // values captured at fetch. Fetch payloads are columnar (one slice per
 // field) for sequential-scan locality; the fetch/resolve interleaving
-// is a per-chunk bitset. The 32-bit pc and history columns are stored
-// as 16-bit low halves, plus high halves only in a chunk where some
-// value needs them, and every column is exactly sized.
+// is a per-chunk bitset. Every column is exactly sized, and a chunk
+// keeps in memory only what its tokens do not already determine (see
+// compact.go): pcs as 1-byte indices into a per-chunk dictionary,
+// histories not at all when the predictor's history rule — speculative
+// global history for gshare and McFarling, per-pc local history for
+// SAg — replayed over the chunk's own tokens reproduces them, and C1
+// in the flag byte, so a counter column exists only for a nonzero C2
+// or Meta. The one routine that builds this form, for the recorder and
+// for Decode alike, checks each column it would drop by rebuilding it
+// as readers do, and keeps it explicit (as 16-bit low halves, plus high
+// halves only when some value needs them) otherwise. Suite recordings
+// retain about 2.2 bytes per fetched branch (3.2 on McFarling).
 //
 // Replay walks each chunk once, a window of tokens at a time, building
 // a transient view: the window's fetch rows with their rebuilt
@@ -61,7 +70,8 @@
 // not a trace-driven approximation of them.
 //
 // Traces have a binary codec (magic "SPRT"), the file format simtrace
-// -record writes and -summarize reads. Cache keeps recordings in a
+// -record writes and -summarize reads. Encode rebuilds the full columns
+// from the compact form, so the file layout does not depend on it. Cache keeps recordings in a
 // memo.Cache: one recording per address however many callers want it
 // at once, LRU-evicted by bytes.
 package replay

@@ -37,6 +37,12 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(smallChunks(100_000))      // rejected: only the last chunk may be short
 	f.Add(wideRecording(f).Encode()) // histories past 16 bits in every chunk
+	// Each compact shape and fallback: the global and local rules, a
+	// chunk whose history breaks its rule, a counter column, more pcs
+	// than a dictionary holds, wide histories with and without a rule.
+	for _, tr := range ruleStreams() {
+		f.Add(tr.Encode())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Decode(data)

@@ -146,6 +146,9 @@ type view struct {
 
 	splits []int32 // a unit's per-fetch-row split, rewritten by each unit
 
+	rb   rebuild  // the chunk's history rule state
+	hist []uint32 // the window's rebuilt histories
+
 	pcAll   []int32
 	flgAll  []uint8
 	infoAll []bpred.Info
@@ -169,30 +172,40 @@ func (v *view) init(t *Trace) {
 	v.before = carve(toks + 1)
 	v.flgAll = make([]uint8, rows)
 	v.infoAll = make([]bpred.Info, rows)
+	arr := new(struct {
+		hist [viewTokens]uint32
+		rb   rebuildArrays
+	})
+	v.hist = arr.hist[:toks]
+	v.rb.init(&arr.rb)
 }
 
 // load builds the view of tokens [k, end) of chunk c, whose first fetch
-// row is fi, and returns the fetch row after the window. A resolve
+// row is fi, and returns the fetch row after the window. Windows of a
+// chunk load in order, after v.rb.start(c). A resolve
 // token with no committed fetch pending is dropped: Decode rejects such
 // streams and the recorder cannot produce one, so this only keeps
 // Replay total.
 func (v *view) load(c *chunk, k, end, fi int) int {
 	carried := len(v.pend) // rows [0, carried) are pending from earlier windows
-	nf := 0
-	for i := k; i < end; {
-		n := min(64-i&63, end-i)
-		nf += bits.OnesCount64(c.kinds[i>>6] >> (uint(i) & 63) & (1<<n - 1))
-		i += n
-	}
+	nf := c.fetches(k, end)
 	if rows := carried + nf; rows > len(v.infoAll) {
 		v.grow(rows)
 	}
 	pc, flg, info := v.pcAll[carried:carried+nf], v.flgAll[carried:carried+nf], v.infoAll[carried:carried+nf]
 	copy(flg, c.flg[fi:fi+nf])
-	ctr := c.ctr[fi : fi+nf]
-	for i := range info {
-		pc[i] = c.pcAt(fi + i)
-		setInfo(&info[i], c.hist.at(fi+i), ctr[i], flg[i])
+	c.pc.fill(fi, pc)
+	hist := v.hist[:nf]
+	v.rb.hists(c, k, end, fi, hist, nil)
+	if c.ctr != nil {
+		ctr := c.ctr[fi : fi+nf]
+		for i := range info {
+			setInfo(&info[i], hist[i], flg[i]>>c1Shift|ctr[i], flg[i])
+		}
+	} else {
+		for i := range info {
+			setInfo(&info[i], hist[i], flg[i]>>c1Shift, flg[i])
+		}
 	}
 	v.pc, v.flg, v.info = pc, flg, info
 
@@ -620,8 +633,14 @@ func staticTable(t *Trace, hc map[int64]bool) (lo int, tab []bool) {
 	lo, hi := math.MaxInt32, math.MinInt32
 	for ci := range t.chunks {
 		c := &t.chunks[ci]
+		if c.pc.dict != nil {
+			for _, pc := range c.pc.dict {
+				lo, hi = min(lo, int(pc)), max(hi, int(pc))
+			}
+			continue
+		}
 		for i := range c.flg {
-			pc := int(c.pcAt(i))
+			pc := int(c.pc.at(i))
 			lo, hi = min(lo, pc), max(hi, pc)
 		}
 	}
@@ -673,6 +692,7 @@ func Replay(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
 	v.init(t)
 	for ci := range t.chunks {
 		c := &t.chunks[ci]
+		v.rb.start(c)
 		for k, fi := 0, 0; k < c.n; k += viewTokens {
 			fi = v.load(c, k, min(k+viewTokens, c.n), fi)
 			for i := range units {

@@ -33,8 +33,11 @@ func replayOracle(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
 		confs[i].Name = e.Name()
 	}
 	var fifo []oracleRec
+	var r rebuild
 	for ci := range t.chunks {
 		c := &t.chunks[ci]
+		pcs, hists := make([]int32, len(c.flg)), make([]uint32, len(c.flg))
+		c.rows(&r, pcs, hists)
 		fi := 0
 		for k := 0; k < c.n; k++ {
 			if !c.isFetch(k) {
@@ -48,11 +51,11 @@ func replayOracle(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
 				}
 				continue
 			}
-			pc, flg := int64(c.pcAt(fi)), c.flg[fi]
-			ctr := c.ctr[fi]
+			pc, flg := int64(pcs[fi]), c.flg[fi]
+			ctr := c.ctrAt(fi)
 			info := bpred.Info{
 				Pred: flg&fPred != 0,
-				Hist: uint64(c.hist.at(fi)),
+				Hist: uint64(hists[fi]),
 				C1:   bpred.Counter2(ctr & 3),
 				C2:   bpred.Counter2(ctr >> 2 & 3),
 				Meta: bpred.Counter2(ctr >> 4 & 3),
@@ -330,9 +333,10 @@ func TestReplayKernelMatchesOracle(t *testing.T) {
 	})
 	t.Run("wide-mid-chunk", func(t *testing.T) {
 		// One pc and one history past 16 bits in the middle of the
-		// first chunk: that chunk gains both high halves, the second
-		// chunk has none, and the rows on either side of the wide ones
-		// read back through the same accessors.
+		// first chunk: the pc joins that chunk's dictionary, its
+		// explicit histories gain a high half, the second chunk's have
+		// none, and the rows on either side of the wide ones read back
+		// through the same accessors.
 		rng := rand.New(rand.NewSource(7))
 		s := streamShape{sites: 64}
 		r := NewRecorder()
@@ -365,11 +369,11 @@ func TestReplayKernelMatchesOracle(t *testing.T) {
 		if len(tr.chunks) != 2 {
 			t.Fatalf("got %d chunks, want 2", len(tr.chunks))
 		}
-		if c := &tr.chunks[0]; c.pc.hi == nil || c.hist.hi == nil {
-			t.Fatal("first chunk lacks a high half")
+		if c := &tr.chunks[0]; c.pc.dict == nil || c.hist.rule != histExplicit || c.hist.wide.hi == nil {
+			t.Fatal("first chunk lacks its pc dictionary or its histories' high half")
 		}
-		if c := &tr.chunks[1]; c.pc.hi != nil || c.hist.hi != nil {
-			t.Fatal("second chunk has a high half no value needs")
+		if c := &tr.chunks[1]; c.pc.dict == nil || c.hist.rule != histExplicit || c.hist.wide.hi != nil {
+			t.Fatal("second chunk lacks its pc dictionary or has a high half no history needs")
 		}
 		assertKernelMatchesOracle(t, tr, kernelBatch())
 	})

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"specctrl/internal/bpred"
@@ -26,61 +28,56 @@ const (
 	fCommitted             // fetched on the committed (correct) path
 )
 
-// halves is one 32-bit column of a chunk, one entry per fetch token,
-// stored as the entries' low 16 bits plus, only when some entry in the
-// chunk needs them, their high 16 bits. Suite pcs and predictor
-// histories at the default scale fit 16 bits, so their chunks carry no
-// high half.
-type halves struct {
-	lo []uint16
-	hi []uint16 // nil when every entry fits 16 bits
-}
-
-// at returns entry i.
-func (h *halves) at(i int) uint32 {
-	v := uint32(h.lo[i])
-	if h.hi != nil {
-		v |= uint32(h.hi[i]) << 16
-	}
-	return v
-}
-
-// set stores v as entry i of a column whose lo is allocated, adding
-// the high halves when v is the first entry to need them.
-func (h *halves) set(i int, v uint32) {
-	h.lo[i] = uint16(v)
-	if v>>16 != 0 && h.hi == nil {
-		h.hi = make([]uint16, len(h.lo))
-	}
-	if h.hi != nil {
-		h.hi[i] = uint16(v >> 16)
-	}
-}
-
-// bytes is the column's retained size.
-func (h *halves) bytes() int { return 2 * (cap(h.lo) + cap(h.hi)) }
+// committedBit is fCommitted's bit position.
+const committedBit = 4
 
 // chunk is one run of at most chunkTokens tokens. kinds holds one bit
 // per token (set = fetch event, clear = resolve event), ⌈n/64⌉ words;
-// the columns hold one entry per *fetch* token, in token order. pc and
-// hist are 32-bit columns (PCs are instruction indices and predictor
-// histories are masked to at most 30 bits; the recorder rejects a value
-// that does not fit, rather than truncating it) stored as halves, and
-// every column is exactly sized: its capacity is its length.
+// the columns hold one entry per *fetch* token, in token order, in the
+// compact form builder.build makes (see compact.go). pcs are
+// instruction indices and histories are masked to at most 30 bits; the
+// recorder rejects a value that does not fit 32 bits rather than
+// truncating it. Every column is exactly sized: its capacity is its
+// length.
 type chunk struct {
 	n     int      // tokens
 	kinds []uint64 // token-kind bits
-	pc    halves   // int32 pcs, as their two's-complement bits
-	hist  halves
-	ctr   []uint8 // packed counters: C1 | C2<<2 | Meta<<4
-	flg   []uint8 // fPred | fP1 | fP2 | fCorrect | fCommitted
+	pc    pcColumn
+	hist  histColumn
+	ctr   []uint8 // C2<<2 | Meta<<4; nil when every C2 and Meta is zero
+	flg   []uint8 // fPred | fP1 | fP2 | fCorrect | fCommitted | C1<<c1Shift
 }
 
 // isFetch reports whether token i is a fetch event.
 func (c *chunk) isFetch(i int) bool { return c.kinds[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// pcAt returns the pc of fetch row i.
-func (c *chunk) pcAt(i int) int32 { return int32(c.pc.at(i)) }
+// ctrAt returns the packed counters (C1 | C2<<2 | Meta<<4) of fetch
+// row i.
+func (c *chunk) ctrAt(i int) uint8 {
+	v := c.flg[i] >> c1Shift
+	if c.ctr != nil {
+		v |= c.ctr[i]
+	}
+	return v
+}
+
+// fetches counts the fetch tokens among tokens [k, end).
+func (c *chunk) fetches(k, end int) int {
+	nf := 0
+	for i := k; i < end; {
+		n := min(64-i&63, end-i)
+		nf += bits.OnesCount64(c.kinds[i>>6] >> (uint(i) & 63) & (1<<n - 1))
+		i += n
+	}
+	return nf
+}
+
+// rows rebuilds the pcs and histories of every fetch row of c into
+// pc and hist, which hold one entry per fetch.
+func (c *chunk) rows(r *rebuild, pc []int32, hist []uint32) {
+	c.pc.fill(0, pc)
+	r.all(c, hist, nil)
+}
 
 // bytes is the chunk's retained column memory.
 func (c *chunk) bytes() int {
@@ -118,12 +115,17 @@ func (t *Trace) Bytes() int {
 // prediction matched the outcome.
 func (t *Trace) Committed(fn func(pc int64, info bpred.Info, correct bool)) {
 	var info bpred.Info
+	var r rebuild
+	var pc []int32
+	var hist []uint32
 	for ci := range t.chunks {
 		c := &t.chunks[ci]
+		pc, hist = resize(pc, len(c.flg)), resize(hist, len(c.flg))
+		c.rows(&r, pc, hist)
 		for i, flg := range c.flg {
 			if flg&fCommitted != 0 {
-				setInfo(&info, c.hist.at(i), c.ctr[i], flg)
-				fn(int64(c.pcAt(i)), info, flg&fCorrect != 0)
+				setInfo(&info, hist[i], c.ctrAt(i), flg)
+				fn(int64(pc[i]), info, flg&fCorrect != 0)
 			}
 		}
 	}
@@ -144,7 +146,7 @@ func (t *Trace) Sites() map[int64]*pipeline.SiteStats {
 			if flg&fCommitted == 0 {
 				continue
 			}
-			pc := int64(c.pcAt(i))
+			pc := int64(c.pc.at(i))
 			s := sites[pc]
 			if s == nil {
 				s = &pipeline.SiteStats{}
@@ -178,10 +180,10 @@ func packInfo(info bpred.Info) uint8 {
 //   - Resolve appends a payload-free resolve token.
 //
 // Events are written into fixed-capacity scratch (see openChunk), and
-// each full chunk is closed into exactly sized columns, so recording
-// allocates per chunk, not per event. A pc outside int32 or a history
-// wider than 32 bits fails the recording (see chunk) instead of being
-// stored truncated.
+// each full chunk is closed into exactly sized columns in compact form
+// (see builder), so recording allocates per chunk, not per event. A pc
+// outside int32 or a history wider than 32 bits fails the recording
+// (see chunk) instead of being stored truncated.
 //
 // Estimate always returns high confidence, so the base Stats of a
 // recording run with the recorder alone (CommittedQ/AllQ and every
@@ -250,13 +252,9 @@ func (r *Recorder) Branch(ev obs.BranchEvent) {
 		flg |= fCommitted
 	}
 	o := r.open()
-	pc, hist := uint32(r.pendPC), uint32(r.pendInfo.Hist)
 	f := o.nf
 	o.kinds[o.n>>6] |= 1 << (uint(o.n) & 63)
-	o.pcLo[f], o.pcHi[f] = uint16(pc), uint16(pc>>16)
-	o.histLo[f], o.histHi[f] = uint16(hist), uint16(hist>>16)
-	o.pcWide |= uint16(pc >> 16)
-	o.histWide |= uint16(hist >> 16)
+	o.pc[f], o.hist[f] = int32(r.pendPC), uint32(r.pendInfo.Hist)
 	o.ctr[f] = packInfo(r.pendInfo)
 	o.flg[f] = flg
 	o.nf++
@@ -279,13 +277,16 @@ func (r *Recorder) Close() error { return nil }
 func (r *Recorder) open() *openChunk {
 	if r.cur == nil {
 		r.cur = scratch.Get().(*openChunk)
+		r.cur.b.reset(&r.cur.arr)
 	}
 	return r.cur
 }
 
 // scratch recycles open chunks across recordings: one is as large as a
 // full chunk's columns, which a short recording would otherwise
-// allocate for a few events. A pooled scratch is always empty (reset).
+// allocate for a few events, and carries the builder that closes them
+// with its scratch. A pooled scratch is always empty (reset); its
+// builder is reset when a recording takes it.
 var scratch = sync.Pool{New: func() any { return new(openChunk) }}
 
 // token counts the token just written, closing the chunk once it is
@@ -304,44 +305,34 @@ func (r *Recorder) flush() {
 }
 
 // openChunk is the chunk under construction: fixed-capacity scratch
-// the recorder writes each event into. pc and history are written as
-// both halves; pcWide and histWide OR together the high halves written,
-// and close keeps a column's high halves only when its OR is nonzero.
+// the recorder writes each event into, as full columns, and the
+// builder that closes each chunk of the recording.
 type openChunk struct {
-	n, nf            int // tokens, fetch tokens
-	pcWide, histWide uint16
-	kinds            [chunkTokens / 64]uint64
-	pcLo, pcHi       [chunkTokens]uint16
-	histLo, histHi   [chunkTokens]uint16
-	ctr, flg         [chunkTokens]uint8
+	n, nf    int // tokens, fetch tokens
+	kinds    [chunkTokens / 64]uint64
+	pc       [chunkTokens]int32
+	hist     [chunkTokens]uint32
+	ctr, flg [chunkTokens]uint8
+	b        builder
+	arr      builderArrays
 }
 
-// close returns the open chunk as an exactly sized chunk. It allocates
-// only the columns and leaves the scratch as it is.
+// close returns the open chunk in compact form. It allocates only the
+// chunk's columns and leaves the scratch as it is.
 func (o *openChunk) close() chunk {
 	nf := o.nf
-	c := chunk{
-		n:     o.n,
-		kinds: exact(o.kinds[:(o.n+63)/64]),
-		pc:    halves{lo: exact(o.pcLo[:nf])},
-		hist:  halves{lo: exact(o.histLo[:nf])},
-		ctr:   exact(o.ctr[:nf]),
-		flg:   exact(o.flg[:nf]),
-	}
-	if o.pcWide != 0 {
-		c.pc.hi = exact(o.pcHi[:nf])
-	}
-	if o.histWide != 0 {
-		c.hist.hi = exact(o.histHi[:nf])
-	}
-	return c
+	return o.b.build(o.n, o.kinds[:(o.n+63)/64], o.pc[:nf], o.hist[:nf], o.ctr[:nf], o.flg[:nf])
 }
 
 // reset empties the scratch for the next chunk.
 func (o *openChunk) reset() {
 	clear(o.kinds[:(o.n+63)/64])
-	o.n, o.nf, o.pcWide, o.histWide = 0, 0, 0, 0
+	o.n, o.nf = 0, 0
 }
+
+// resize returns s resized to n entries, reusing its array when it is
+// large enough; the entries are not cleared.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // exact returns a copy of s whose capacity is its length.
 func exact[T any](s []T) []T {

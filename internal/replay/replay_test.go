@@ -36,8 +36,12 @@ func testPred(t testing.TB, name string) bpred.Predictor {
 	case "gshare":
 		return bpred.NewGshare(12)
 	case "gshare20":
-		// Histories past 16 bits: the trace's wide path.
+		// Histories past 16 bits, which the global rule rebuilds.
 		return bpred.NewGshare(20)
+	case "nonspec20":
+		// Histories past 16 bits that no history rule rebuilds: the
+		// trace's explicit wide path.
+		return bpred.NewGshareNonSpec(20)
 	case "mcfarling":
 		return bpred.NewMcFarling(12)
 	case "sag":
@@ -101,7 +105,7 @@ func collectSites(t *testing.T, predName string) map[int64]*pipeline.SiteStats {
 // instances.
 func allFamilies(t *testing.T, predName string) []conf.Estimator {
 	t.Helper()
-	hist := map[string]uint{"gshare": 12, "gshare20": 20, "mcfarling": 12, "sag": 13}[predName]
+	hist := map[string]uint{"gshare": 12, "gshare20": 20, "nonspec20": 20, "mcfarling": 12, "sag": 13}[predName]
 	ests := []conf.Estimator{
 		conf.NewJRS(conf.JRSConfig{Entries: 1024, Bits: 4, Threshold: 12, Enhanced: false}),
 		conf.NewJRS(conf.JRSConfig{Entries: 1024, Bits: 4, Threshold: 12, Enhanced: true}),
@@ -225,7 +229,7 @@ func (c *committedProbe) Close() error { return nil }
 // bpred.Info the estimators saw at fetch, on every predictor family and
 // on histories that need the trace's high halves.
 func TestCommittedMatchesRun(t *testing.T) {
-	for _, pred := range []string{"gshare", "gshare20", "mcfarling", "sag"} {
+	for _, pred := range []string{"gshare", "gshare20", "nonspec20", "mcfarling", "sag"} {
 		rec, probe := NewRecorder(), &committedProbe{}
 		cfg := testConfig()
 		cfg.Estimators = []conf.Estimator{rec, probe}
@@ -259,7 +263,7 @@ func TestCommittedMatchesRun(t *testing.T) {
 // exactly — and, with the first estimator's quadrants patched in, the
 // entire Stats struct.
 func TestReplayMatchesDirect(t *testing.T) {
-	for _, predName := range []string{"gshare", "gshare20", "mcfarling", "sag"} {
+	for _, predName := range []string{"gshare", "gshare20", "nonspec20", "mcfarling", "sag"} {
 		t.Run(predName, func(t *testing.T) {
 			direct := directRun(t, predName, allFamilies(t, predName))
 			tr, base := recordRun(t, predName)
@@ -289,9 +293,13 @@ func TestReplayMatchesDirect(t *testing.T) {
 }
 
 // TestRecorderSteadyStateAllocs: appending events to an open chunk
-// allocates nothing, and closing a chunk allocates only its exact
-// columns — kinds, both low halves, counters and flags, plus a high
-// half for each column with a value past 16 bits.
+// allocates nothing, and closing a chunk allocates only its exactly
+// sized columns in compact form: the kind bits, the flags (with C1),
+// the pc dictionary and its indices, plus a counter column when some
+// C2 or Meta is nonzero, and an explicit history column (its high
+// half too, for a value past 16 bits) when no history rule reproduces
+// the chunk. Every committed fetch resolves in the chunk, so no chunk
+// carries pending fetches into the next.
 func TestRecorderSteadyStateAllocs(t *testing.T) {
 	r := NewRecorder()
 	synthFetch(r, 4096, true) // opens the chunk
@@ -309,45 +317,55 @@ func TestRecorderSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		pc   int64
-		hist uint64
+		info bpred.Info
 		cols float64
 	}{
-		{"narrow", 4096, 1<<16 - 1, 5},
-		{"wide pc", 1 << 16, 0, 6},
-		{"wide history", 4096, 1 << 16, 6},
-		{"both wide", -4, 1 << 31, 7},
+		{"rule", 4096, bpred.Info{C1: 3}, 4},
+		{"counters", 4096, bpred.Info{C2: 1}, 5},
+		{"wide pc", 1 << 16, bpred.Info{}, 4},
+		{"narrow", 4096, bpred.Info{Hist: 1<<16 - 1}, 5}, // a history off the rule
+		{"wide history", 4096, bpred.Info{Hist: 1 << 16}, 6},
+		{"both wide", -4, bpred.Info{Hist: 1 << 31, Meta: 2}, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRecorder()
 			for i := 0; i < 100; i++ {
 				synthFetch(r, 4096, i%3 != 0)
-				r.Resolve(0, bpred.Info{}, false)
+				if i%3 != 0 {
+					r.Resolve(0, bpred.Info{}, false)
+				}
 			}
-			r.Estimate(tc.pc, bpred.Info{Hist: tc.hist})
-			r.Branch(obs.BranchEvent{PC: tc.pc})
+			r.Estimate(tc.pc, tc.info)
+			r.Branch(obs.BranchEvent{PC: tc.pc, WrongPath: true})
 			var c chunk
 			if a := testing.AllocsPerRun(10, func() { c = r.cur.close() }); a != tc.cols {
 				t.Errorf("closing the chunk allocates %.0f times, want %.0f", a, tc.cols)
 			}
-			if got := int64(c.pcAt(100)); got != tc.pc {
+			pcs, hists := make([]int32, len(c.flg)), make([]uint32, len(c.flg))
+			c.rows(new(rebuild), pcs, hists)
+			if got := int64(pcs[100]); got != tc.pc {
 				t.Errorf("pc %d read back as %d", tc.pc, got)
 			}
-			if got := uint64(c.hist.at(100)); got != tc.hist {
-				t.Errorf("history %#x read back as %#x", tc.hist, got)
+			var info bpred.Info
+			setInfo(&info, hists[100], c.ctrAt(100), c.flg[100])
+			if info != tc.info {
+				t.Errorf("info %+v read back as %+v", tc.info, info)
 			}
 		})
 	}
 }
 
-// wideRecording records the test program on a 20-bit gshare, whose
-// histories need the trace's high halves in every chunk; its pcs do not.
+// wideRecording records the test program on a 20-bit gshare with
+// non-speculative history, whose histories follow neither history rule
+// and need the explicit column's high halves in every chunk; its pcs
+// are dictionary-coded.
 func wideRecording(t testing.TB) *Trace {
 	t.Helper()
-	tr, _ := recordRun(t, "gshare20")
+	tr, _ := recordRun(t, "nonspec20")
 	for i := range tr.chunks {
-		if c := &tr.chunks[i]; c.hist.hi == nil || c.pc.hi != nil {
-			t.Fatalf("chunk %d: history high half %v, pc high half %v; want only the history's",
-				i, c.hist.hi != nil, c.pc.hi != nil)
+		if c := &tr.chunks[i]; c.hist.rule != histExplicit || c.hist.wide.hi == nil || c.pc.dict == nil {
+			t.Fatalf("chunk %d: history rule %d, history high half %v, pc dictionary %v; want explicit wide histories",
+				i, c.hist.rule, c.hist.wide.hi != nil, c.pc.dict != nil)
 		}
 	}
 	return tr

@@ -51,8 +51,9 @@ go test -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 5000x ./internal/synth
 #  - cache state: the inlined same-block hit leaves tick and LRU stamps
 #    as the set scan would (the golden's small-I-cache rows evict, but
 #    a wrong stamp on a same-block hit need not change their victims)
-#  - trace memory: the suite's recordings on gshare, McFarling and SAg
-#    retain at most 7.0 B per fetched branch (TestTraceBytesPerFetch)
+#  - trace memory: the suite's recordings retain at most 3.0 B per
+#    fetched branch in their compact form, and at most 2.5 (gshare),
+#    3.5 (McFarling) and 2.5 (SAg) per predictor (TestTraceBytesPerFetch)
 go test -race -count=1 -run 'TestStatsGolden|TestTraceBytesPerFetch' ./internal/experiments
 go test -race -count=1 -run 'TestHitMatchesAccess' ./internal/cache
 go test -race -count=1 -run 'TestSteadyStateAllocs' ./internal/pipeline
